@@ -26,7 +26,8 @@ Both draw the exponent base from the order-``n`` subgroup of units modulo
 ``n**2`` (the elements ``1 + k*n``).  Powers of such a base depend on the
 exponent only modulo ``n``, which keeps the blinding identity exact whether
 evaluation powers ``a**k`` are used raw or reduced modulo ``n``; the
-authentication protocol reduces them modulo ``n``.
+authentication protocol evaluates by Horner's rule, which amounts to raw
+powers.
 """
 
 from __future__ import annotations

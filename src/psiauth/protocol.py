@@ -9,19 +9,21 @@ One authentication run:
    exponent, masks it with a per-value randomizer and its secret exponent,
    and emits the triple (cipher, correction, tag); the triples are shuffled
    before transmission (``device_respond``).
-3. The carrier multiplies each cipher by the correction raised to
-   ``n * theta`` and compares against the tag raised to the same power; the
-   two collide exactly when the sample value is a profile feature
-   (``carrier_score``).
+3. The carrier divides each tag by its correction, raises the quotient to
+   ``n * theta`` and compares it against the cipher; the two collide exactly
+   when the sample value is a profile feature (``carrier_score``).
 
 The count of collisions is the set-intersection cardinality (Case A), the
 similarity-weighted match total (Case B, ``device_respond_weighted``) or the
 pairwise-min sum of the numeric vectors (Case C); ``decide`` turns it into a
 dissimilarity score and an accept/reject outcome.
 
-Feature powers ``b**i`` are reduced modulo ``n`` before use as exponents on
-both response legs; profile set-up solves the blinding system compatibly, so
-the carrier-side cancellation stays exact (see ``profiles``).
+The device evaluates both response legs by Horner's rule in the exponent,
+``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
+raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
+exponents, so the encryption randomizers cancel carrier-side, and the blinding
+randomizers ``r'_i`` (``i >= 1``) lie in the order-``n`` subgroup, which the
+carrier's ``n * theta`` power removes (see ``profiles``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .encoding import Reader, encode_uint
 from .paillier import PaillierPublicKey, draw_unit
@@ -233,21 +236,20 @@ def carrier_challenge(profile: EncryptedProfile,
 
 
 def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
-                    challenge: AuthChallenge) -> AuthResponseEntry:
-    n = challenge.public_key.n
+                    challenge: AuthChallenge,
+                    anchor_d: int) -> AuthResponseEntry:
     n_squared = challenge.public_key.n_squared
-    d = secret.secret_exponent
-    cipher_acc = 1
-    correction_acc = 1
-    power = 1  # value**i mod n
-    for coeff, blinded in zip(challenge.powered_coeffs,
-                              challenge.blinded_randomizers):
-        cipher_acc = cipher_acc * pow(coeff, power, n_squared) % n_squared
-        correction_acc = correction_acc * pow(blinded, power, n_squared) % n_squared
-        power = power * value % n
-    cipher = pow(cipher_acc, d * randomizer, n_squared)
+    # Horner's rule in the exponent, top coefficient first: the exponents are
+    # the raw feature on both legs, so the encryption randomizers still cancel.
+    *lower_coeffs, cipher_acc = challenge.powered_coeffs
+    *lower_blinded, correction_acc = challenge.blinded_randomizers
+    for coeff, blinded in zip(reversed(lower_coeffs), reversed(lower_blinded)):
+        cipher_acc = pow(cipher_acc, value, n_squared) * coeff % n_squared
+        correction_acc = pow(correction_acc, value, n_squared) * \
+            blinded % n_squared
+    cipher = pow(cipher_acc, secret.secret_exponent * randomizer, n_squared)
     correction = pow(correction_acc, randomizer, n_squared)
-    tag = pow(secret.anchor, randomizer * d, n_squared)
+    tag = pow(anchor_d, randomizer, n_squared)
     return AuthResponseEntry(cipher, correction, tag)
 
 
@@ -255,12 +257,26 @@ def _response_entry_args(args) -> AuthResponseEntry:
     return _response_entry(*args)
 
 
-def _build_entries(jobs, workers: int) -> list[AuthResponseEntry]:
+def _respond(secret: DeviceSecret, challenge: AuthChallenge,
+             values: Sequence[int], rng: random.Random,
+             workers: int) -> list[AuthResponseEntry]:
+    """One triple per listed value, randomizers drawn in list order, shuffled.
+
+    The finished triples are shuffled with the same entropy source, so a
+    seeded run is fully reproducible regardless of ``workers``.
+    """
+    n_squared = challenge.public_key.n_squared
+    anchor_d = pow(secret.anchor, secret.secret_exponent, n_squared)
+    jobs = [(value, draw_unit(rng, n_squared), secret, challenge, anchor_d)
+            for value in values]
     if workers > 1 and len(jobs) > 1:
         # Per-value triples are independent; spread them over processes.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_response_entry_args, jobs, chunksize=1))
-    return [_response_entry(*job) for job in jobs]
+            entries = list(pool.map(_response_entry_args, jobs, chunksize=1))
+    else:
+        entries = [_response_entry(*job) for job in jobs]
+    rng.shuffle(entries)
+    return entries
 
 
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
@@ -268,9 +284,7 @@ def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
                    *, workers: int = 1) -> list[AuthResponseEntry]:
     """Build one response triple per sample value, shuffled (step 2).
 
-    Per-value randomizers are drawn in ascending sample-value order, then the
-    finished triples are shuffled with the same entropy source, so a seeded
-    run is fully reproducible regardless of ``workers``.
+    Per-value randomizers are drawn in ascending sample-value order.
     """
     if secret.mode is not challenge.mode or sample.mode is not challenge.mode:
         raise ModeMismatchError(
@@ -281,13 +295,7 @@ def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
         raise ModeMismatchError(
             f"numeric parameters differ: sample t={sample.count} M={sample.cap}"
             f" vs enrolled t={challenge.count} M={challenge.cap}")
-    rng = rng or _SYSTEM
-    n_squared = challenge.public_key.n_squared
-    jobs = [(value, draw_unit(rng, n_squared), secret, challenge)
-            for value in sample.values]
-    entries = _build_entries(jobs, workers)
-    rng.shuffle(entries)
-    return entries
+    return _respond(secret, challenge, sample.values, rng or _SYSTEM, workers)
 
 
 def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
@@ -307,29 +315,41 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
         raise ModeMismatchError(
             f"modes differ: secret={secret.mode.name} "
             f"challenge={challenge.mode.name} sample={sample.mode.name}")
-    rng = rng or _SYSTEM
     totals: dict[int, int] = {}
     for y in sample.values:
         for z, weight in sim.support_for(y):
             totals[z] = totals.get(z, 0) + weight
-    n_squared = challenge.public_key.n_squared
-    jobs = []
-    for z in sorted(totals):
-        jobs.extend((z, draw_unit(rng, n_squared), secret, challenge)
-                    for _ in range(totals[z]))
-    if not jobs:
+    values = [z for z in sorted(totals) for _ in range(totals[z])]
+    if not values:
         raise ProtocolError("similarity support yields an empty response")
-    entries = _build_entries(jobs, workers)
-    rng.shuffle(entries)
-    return entries
+    return _respond(secret, challenge, values, rng or _SYSTEM, workers)
 
 
 def carrier_score(session: SessionState,
                   entries: list[AuthResponseEntry]) -> int:
     """Count recognized triples (step 3) and consume the session.
 
-    The session is claimed before any validation so that a malformed
-    response still burns its challenge.
+    A triple matches when ``cipher == (tag * correction**-1) ** (n * theta)``
+    modulo ``n**2``, one exponentiation per entry.  The session is claimed
+    before any validation so that a malformed response still burns its
+    challenge.
+
+    A device that knows neither ``d`` nor the anchor can still satisfy the
+    predicate when ``tag * correction**-1`` reduces modulo ``n`` to a unit
+    ``w`` of small order ``k``: the ``n * theta`` power then takes one of
+    only ``k`` values, whatever ``theta`` is, and a guessed cipher scores
+    with probability about ``1/k``.  ``w = 1`` always gives ``cipher = 1``
+    and ``w = -1`` gives ``cipher = n**2 - 1`` for every odd ``theta``; both
+    ciphers are refused, as is any triple sent twice.  Every other unit of
+    small known order modulo ``n`` is a nontrivial root of unity, and writing
+    one down is believed to need the factorization of ``n``: a square root
+    of 1 other than ``+-1``, for instance, splits ``n`` through
+    ``gcd(w - 1, n)``.
+
+    Remaining gap: multiplying the correction and the tag of one genuine
+    triple by the same unit ``w`` leaves the predicate unchanged, so the
+    variants ``(c, x * w, t * w)`` each count.  Pinning the entry count to
+    the declared sample size is still open.
     """
     if not entries:
         raise ProtocolError("empty response")
@@ -338,12 +358,19 @@ def carrier_score(session: SessionState,
     n, n_squared = pk.n, pk.n_squared
     exponent = n * session.session_exponent
     matches = 0
+    seen: set[AuthResponseEntry] = set()
     for entry in entries:
         for value in (entry.cipher, entry.correction, entry.tag):
             if not 1 <= value < n_squared or math.gcd(value, n) != 1:
                 raise ProtocolError("response entry is not a unit modulo n**2")
-        combined = entry.cipher * pow(entry.correction, exponent, n_squared) % n_squared
-        if combined == pow(entry.tag, exponent, n_squared):
+        if entry.cipher in (1, n_squared - 1):
+            raise ProtocolError("response cipher is +-1, which scores "
+                                "without the device's secrets")
+        if entry in seen:
+            raise ProtocolError("response repeats a triple")
+        seen.add(entry)
+        ratio = entry.tag * pow(entry.correction, -1, n_squared) % n_squared
+        if entry.cipher == pow(ratio, exponent, n_squared):
             matches += 1
     return matches
 

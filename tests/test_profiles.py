@@ -121,8 +121,8 @@ class TestBlindingSolvers:
                 solution.randomizers, solution.anchor, values, pk.n_squared)
 
     def test_identity_with_reduced_powers_too(self, kp128, rng):
-        # The protocol reduces feature powers mod n; the identity must hold
-        # under that convention as well.
+        # The subgroup randomizers depend on feature powers only modulo n,
+        # so the identity holds with reduced powers as well as raw ones.
         pk, sk = kp128
         values = distinct_values(rng, 8, 32)
         coeffs = poly_from_roots(case_a(values), pk.n)

@@ -19,7 +19,9 @@ from psiauth import (
     device_respond,
     device_respond_weighted,
     encode_numeric,
+    hash_feature,
     oracle_intersection,
+    oracle_l1,
     oracle_weighted,
 )
 from psiauth.paillier import draw_unit
@@ -127,6 +129,82 @@ class TestDeviceRespond:
         parallel = device_respond(secret, challenge, sample, random.Random(2),
                                   workers=2)
         assert serial == parallel
+
+
+def hashed(mode, labels):
+    return FeatureSet.from_values(
+        mode, [hash_feature(label.encode()) for label in labels])
+
+
+class TestHornerEvaluation:
+    """The device evaluates by Horner's rule with raw 128-bit features.
+
+    With a 512-bit key and six features, ``x**i`` exceeds ``n`` well before
+    the top coefficient, so these cases exercise exponents that are never
+    reduced modulo ``n``.
+    """
+
+    PROFILE = [f"tower-{i}" for i in range(6)]
+    SAMPLE = ["tower-1", "tower-4", "app-x", "app-y"]
+
+    def test_entries_equal_the_raw_power_product(self):
+        features = hashed(FeatureMode.CASE_A, self.PROFILE)
+        profile, secret = build_encrypted_profile("u", features, 512,
+                                                  random.Random(21))
+        n, n_squared = profile.public_key.n, profile.public_key.n_squared
+        sample = hashed(FeatureMode.CASE_A, self.SAMPLE)
+        assert min(sample.values) ** profile.size > n
+        challenge, session = carrier_challenge(profile, random.Random(22))
+        entries = device_respond(secret, challenge, sample, random.Random(23))
+
+        def raw_product(bases, x):
+            acc = 1
+            for i, base in enumerate(bases):
+                acc = acc * pow(base, x ** i, n_squared) % n_squared
+            return acc
+
+        replay = random.Random(23)
+        d = secret.secret_exponent
+        expected = []
+        for x in sample.values:
+            rho = draw_unit(replay, n_squared)
+            expected.append(AuthResponseEntry(
+                pow(raw_product(challenge.powered_coeffs, x), d * rho,
+                    n_squared),
+                pow(raw_product(challenge.blinded_randomizers, x), rho,
+                    n_squared),
+                pow(secret.anchor, rho * d, n_squared)))
+        replay.shuffle(expected)
+        assert entries == expected
+        assert carrier_score(session, entries) == \
+            oracle_intersection(features.values, sample.values) == 2
+
+    def test_gaussian_solver_counts_equal_oracle(self):
+        rng = random.Random(24)
+        features = hashed(FeatureMode.CASE_A, self.PROFILE)
+        profile, secret = build_encrypted_profile("u", features, 512, rng,
+                                                  solver="gaussian")
+        for labels in (self.SAMPLE, self.PROFILE, ["app-x"]):
+            sample = hashed(FeatureMode.CASE_A, labels)
+            challenge, session = carrier_challenge(profile, rng)
+            entries = device_respond(secret, challenge, sample, rng)
+            assert carrier_score(session, entries) == \
+                oracle_intersection(features.values, sample.values)
+
+    def test_case_c_counts_equal_oracle(self):
+        rng = random.Random(25)
+        u = (3, 0, 5, 2)
+        features = encode_numeric(u, 5)
+        profile, secret = build_encrypted_profile("u", features, 512, rng)
+        for v in (u, (2, 1, 5, 0), (0, 5, 0, 5)):
+            sample = encode_numeric(v, 5)
+            challenge, session = carrier_challenge(profile, rng)
+            entries = device_respond(secret, challenge, sample, rng)
+            matches = carrier_score(session, entries)
+            assert matches == oracle_intersection(features.values,
+                                                  sample.values)
+            decision = decide(matches, profile, len(entries))
+            assert decision.dissimilarity == oracle_l1(u, v)
 
 
 class TestCarrierScore:
