@@ -3,12 +3,25 @@
 Every integer is encoded as its big-endian magnitude prefixed by a 4-byte
 big-endian length; byte strings use the same length prefix.  Decoding is
 strict: a magnitude with a leading zero byte is rejected, so every value has
-exactly one encoding and records round-trip byte-identically.
+exactly one encoding and records round-trip byte-identically.  A sequence
+is a 4-byte big-endian item count followed by the encoded items; decoding
+refuses counts above a caller-given limit before reading any item.
 """
 
 from __future__ import annotations
 
-__all__ = ["DecodeError", "Reader", "encode_uint", "encode_bytes", "encode_str"]
+from typing import Callable, Iterable, NoReturn, Sequence, TypeVar
+
+__all__ = ["MAX_COEFFS", "MAX_ENTRIES", "DecodeError", "Reader",
+           "encode_bytes", "encode_seq", "encode_str", "encode_uint",
+           "encode_uints"]
+
+# Decoding limits on sequence counts: polynomial coefficients (and blinded
+# randomizers) per record or challenge, and triples per response.
+MAX_COEFFS = 1 << 20
+MAX_ENTRIES = 1 << 20
+
+T = TypeVar("T")
 
 
 class DecodeError(ValueError):
@@ -37,6 +50,15 @@ def encode_str(text: str) -> bytes:
     return encode_bytes(text.encode("utf-8"))
 
 
+def encode_seq(items: Sequence[bytes]) -> bytes:
+    """Count-prefix a sequence of already-encoded items."""
+    return len(items).to_bytes(4, "big") + b"".join(items)
+
+
+def encode_uints(values: Iterable[int]) -> bytes:
+    return encode_seq([encode_uint(v) for v in values])
+
+
 class Reader:
     """Sequential decoder over a byte buffer, tracking position for errors."""
 
@@ -48,7 +70,7 @@ class Reader:
     def position(self) -> int:
         return self._pos
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         raise DecodeError(message, self._pos)
 
     def take(self, count: int) -> bytes:
@@ -81,7 +103,16 @@ class Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
             self.fail("invalid UTF-8")
-            raise  # unreachable; fail() always raises
+
+    def seq(self, read_item: Callable[[], T], limit: int) -> tuple[T, ...]:
+        """Read a count-prefixed sequence of at most ``limit`` items."""
+        count = int.from_bytes(self.take(4), "big")
+        if count > limit:
+            self.fail(f"sequence count {count} exceeds limit {limit}")
+        return tuple(read_item() for _ in range(count))
+
+    def uints(self, limit: int) -> tuple[int, ...]:
+        return self.seq(self.uint, limit)
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):

@@ -89,13 +89,6 @@ class PaillierPublicKey:
             reader.fail("public modulus too small")
         return cls.from_modulus(n)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PaillierPublicKey":
-        reader = Reader(data)
-        key = cls.from_reader(reader)
-        reader.expect_end()
-        return key
-
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
@@ -112,9 +105,6 @@ class Ciphertext:
     """An element of ``[1, n**2 - 1]`` coprime to ``n``."""
 
     value: int
-
-    def to_bytes(self) -> bytes:
-        return encode_uint(self.value)
 
 
 def is_probable_prime(candidate: int, rounds: int = PRIMALITY_ROUNDS,

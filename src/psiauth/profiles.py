@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
-from .encoding import Reader, encode_str, encode_uint
+from .encoding import MAX_COEFFS, Reader, encode_str, encode_uint, \
+    encode_uints
 from .paillier import (
     Ciphertext,
     PaillierPublicKey,
@@ -62,9 +63,12 @@ __all__ = [
     "SetupAudit",
     "build_encrypted_profile",
     "decode_numeric",
+    "encode_mode",
     "encode_numeric",
     "hash_feature",
     "poly_from_roots",
+    "read_mode",
+    "read_mode_params",
     "solve_blinding",
     "solve_blinding_gaussian",
 ]
@@ -82,6 +86,31 @@ class FeatureMode(IntEnum):
     CASE_A = 0x01  # independent nominal values: intersection size
     CASE_B = 0x02  # correlated values: weighted similarity sum
     CASE_C = 0x03  # bounded numeric vectors: L1 distance via pair encoding
+
+
+def encode_mode(mode: FeatureMode, count: int | None,
+                cap: int | None) -> bytes:
+    """The mode tag, followed in Case C by the vector length and the cap."""
+    if mode is FeatureMode.CASE_C:
+        return bytes([mode]) + encode_uint(count) + encode_uint(cap)
+    return bytes([mode])
+
+
+def read_mode(reader: Reader) -> FeatureMode:
+    tag = reader.byte()
+    try:
+        return FeatureMode(tag)
+    except ValueError:
+        reader.fail(f"unknown mode tag 0x{tag:02x}")
+
+
+def read_mode_params(reader: Reader
+                     ) -> tuple[FeatureMode, int | None, int | None]:
+    """Inverse of ``encode_mode``: ``(mode, count, cap)``."""
+    mode = read_mode(reader)
+    if mode is FeatureMode.CASE_C:
+        return mode, reader.uint(), reader.uint()
+    return mode, None, None
 
 
 class DuplicateFeatureError(ValueError):
@@ -363,38 +392,24 @@ class EncryptedProfile:
             raise ValueError("threshold must be positive")
 
     def to_bytes(self) -> bytes:
-        parts = [self.public_key.to_bytes()]
-        parts.append(len(self.enc_coeffs).to_bytes(4, "big"))
-        parts.extend(c.to_bytes() for c in self.enc_coeffs)
-        parts.append(len(self.blinded_randomizers).to_bytes(4, "big"))
-        parts.extend(encode_uint(v) for v in self.blinded_randomizers)
-        parts.append(encode_uint(self.size))
-        parts.append(bytes([self.mode]))
-        if self.mode is FeatureMode.CASE_C:
-            parts.append(encode_uint(self.count))
-            parts.append(encode_uint(self.cap))
-        parts.append(encode_uint(self.threshold or 0))
-        return b"".join(parts)
+        return (self.public_key.to_bytes() +
+                encode_uints(c.value for c in self.enc_coeffs) +
+                encode_uints(self.blinded_randomizers) +
+                encode_uint(self.size) +
+                encode_mode(self.mode, self.count, self.cap) +
+                encode_uint(self.threshold or 0))
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "EncryptedProfile":
         pk = PaillierPublicKey.from_reader(reader)
-        coeff_count = int.from_bytes(reader.take(4), "big")
-        if coeff_count > 1 << 20:
-            reader.fail("unreasonable coefficient count")
-        coeffs = tuple(Ciphertext(reader.uint()) for _ in range(coeff_count))
-        blind_count = int.from_bytes(reader.take(4), "big")
-        if blind_count != coeff_count:
+        coeffs = tuple(map(Ciphertext, reader.uints(MAX_COEFFS)))
+        blinded = reader.uints(len(coeffs))
+        if len(blinded) != len(coeffs):
             reader.fail("randomizer count differs from coefficient count")
-        blinded = tuple(reader.uint() for _ in range(blind_count))
         size = reader.uint()
-        if size + 1 != coeff_count:
+        if size + 1 != len(coeffs):
             reader.fail("profile size inconsistent with coefficient count")
-        mode = _read_mode(reader)
-        count = cap = None
-        if mode is FeatureMode.CASE_C:
-            count = reader.uint()
-            cap = reader.uint()
+        mode, count, cap = read_mode_params(reader)
         threshold = reader.uint() or None
         return cls(pk, coeffs, blinded, size, mode,
                    count=count, cap=cap, threshold=threshold)
@@ -423,14 +438,9 @@ class DeviceSecret:
     cap: int | None = None
 
     def to_bytes(self) -> bytes:
-        parts = [encode_str(self.user_id),
-                 encode_uint(self.secret_exponent),
-                 encode_uint(self.anchor),
-                 bytes([self.mode])]
-        if self.mode is FeatureMode.CASE_C:
-            parts.append(encode_uint(self.count))
-            parts.append(encode_uint(self.cap))
-        return b"".join(parts)
+        return (encode_str(self.user_id) + encode_uint(self.secret_exponent) +
+                encode_uint(self.anchor) +
+                encode_mode(self.mode, self.count, self.cap))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DeviceSecret":
@@ -438,22 +448,9 @@ class DeviceSecret:
         user_id = reader.str_lp(256)
         exponent = reader.uint()
         anchor = reader.uint()
-        mode = _read_mode(reader)
-        count = cap = None
-        if mode is FeatureMode.CASE_C:
-            count = reader.uint()
-            cap = reader.uint()
+        mode, count, cap = read_mode_params(reader)
         reader.expect_end()
         return cls(user_id, exponent, anchor, mode, count=count, cap=cap)
-
-
-def _read_mode(reader: Reader) -> FeatureMode:
-    tag = reader.byte()
-    try:
-        return FeatureMode(tag)
-    except ValueError:
-        reader.fail(f"unknown mode tag 0x{tag:02x}")
-        raise  # unreachable
 
 
 @dataclass(frozen=True)

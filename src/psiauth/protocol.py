@@ -37,9 +37,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .encoding import Reader, encode_uint
+from .encoding import MAX_COEFFS, Reader, encode_bytes, encode_uint, \
+    encode_uints
 from .paillier import PaillierPublicKey, draw_unit
-from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, FeatureSet
+from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, \
+    FeatureSet, encode_mode, read_mode, read_mode_params
 from .similarity import SimilarityFunction
 
 __all__ = [
@@ -93,39 +95,20 @@ class AuthChallenge:
             raise ValueError("challenge legs differ in length")
 
     def to_bytes(self) -> bytes:
-        parts = [len(self.session_id).to_bytes(4, "big"), self.session_id,
-                 self.public_key.to_bytes(),
-                 len(self.powered_coeffs).to_bytes(4, "big")]
-        parts.extend(encode_uint(v) for v in self.powered_coeffs)
-        parts.append(len(self.blinded_randomizers).to_bytes(4, "big"))
-        parts.extend(encode_uint(v) for v in self.blinded_randomizers)
-        parts.append(bytes([self.mode]))
-        if self.mode is FeatureMode.CASE_C:
-            parts.append(encode_uint(self.count))
-            parts.append(encode_uint(self.cap))
-        return b"".join(parts)
+        return (encode_bytes(self.session_id) + self.public_key.to_bytes() +
+                encode_uints(self.powered_coeffs) +
+                encode_uints(self.blinded_randomizers) +
+                encode_mode(self.mode, self.count, self.cap))
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "AuthChallenge":
         session_id = reader.bytes_lp(64)
         pk = PaillierPublicKey.from_reader(reader)
-        coeff_count = int.from_bytes(reader.take(4), "big")
-        if coeff_count > 1 << 20:
-            reader.fail("unreasonable coefficient count")
-        powered = tuple(reader.uint() for _ in range(coeff_count))
-        blind_count = int.from_bytes(reader.take(4), "big")
-        if blind_count != coeff_count:
+        powered = reader.uints(MAX_COEFFS)
+        blinded = reader.uints(len(powered))
+        if len(blinded) != len(powered):
             reader.fail("challenge legs differ in length")
-        blinded = tuple(reader.uint() for _ in range(blind_count))
-        tag = reader.byte()
-        try:
-            mode = FeatureMode(tag)
-        except ValueError:
-            reader.fail(f"unknown mode tag 0x{tag:02x}")
-        count = cap = None
-        if mode is FeatureMode.CASE_C:
-            count = reader.uint()
-            cap = reader.uint()
+        mode, count, cap = read_mode_params(reader)
         return cls(session_id, pk, powered, blinded, mode, count=count, cap=cap)
 
 
@@ -194,17 +177,17 @@ class AuthDecision:
         match_count = reader.uint()
         numerator = reader.uint()
         denominator = reader.uint()
+        # Lowest terms, and 1/0 as the only infinity: one encoding per value.
+        if math.gcd(numerator, denominator) != 1:
+            reader.fail(f"non-canonical dissimilarity "
+                        f"{numerator}/{denominator}")
         dissimilarity = Fraction(numerator, denominator) if denominator \
             else INFINITE
         accepted_byte = reader.byte()
         if accepted_byte > 1:
             reader.fail("accepted flag must be 0 or 1")
-        tag = reader.byte()
-        try:
-            mode = FeatureMode(tag)
-        except ValueError:
-            reader.fail(f"unknown mode tag 0x{tag:02x}")
-        return cls(match_count, dissimilarity, bool(accepted_byte), mode)
+        return cls(match_count, dissimilarity, bool(accepted_byte),
+                   read_mode(reader))
 
 
 def carrier_challenge(profile: EncryptedProfile,
@@ -279,13 +262,8 @@ def _respond(secret: DeviceSecret, challenge: AuthChallenge,
     return entries
 
 
-def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
-                   sample: FeatureSet, rng: random.Random | None = None,
-                   *, workers: int = 1) -> list[AuthResponseEntry]:
-    """Build one response triple per sample value, shuffled (step 2).
-
-    Per-value randomizers are drawn in ascending sample-value order.
-    """
+def _check_modes(secret: DeviceSecret, challenge: AuthChallenge,
+                 sample: FeatureSet) -> None:
     if secret.mode is not challenge.mode or sample.mode is not challenge.mode:
         raise ModeMismatchError(
             f"modes differ: secret={secret.mode.name} "
@@ -295,6 +273,16 @@ def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
         raise ModeMismatchError(
             f"numeric parameters differ: sample t={sample.count} M={sample.cap}"
             f" vs enrolled t={challenge.count} M={challenge.cap}")
+
+
+def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
+                   sample: FeatureSet, rng: random.Random | None = None,
+                   *, workers: int = 1) -> list[AuthResponseEntry]:
+    """Build one response triple per sample value, shuffled (step 2).
+
+    Per-value randomizers are drawn in ascending sample-value order.
+    """
+    _check_modes(secret, challenge, sample)
     return _respond(secret, challenge, sample.values, rng or _SYSTEM, workers)
 
 
@@ -311,10 +299,7 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
     """
     if sample.mode is not FeatureMode.CASE_B:
         raise ModeMismatchError("weighted responses require a Case B sample")
-    if secret.mode is not challenge.mode or sample.mode is not challenge.mode:
-        raise ModeMismatchError(
-            f"modes differ: secret={secret.mode.name} "
-            f"challenge={challenge.mode.name} sample={sample.mode.name}")
+    _check_modes(secret, challenge, sample)
     totals: dict[int, int] = {}
     for y in sample.values:
         for z, weight in sim.support_for(y):
@@ -346,10 +331,22 @@ def carrier_score(session: SessionState,
     of 1 other than ``+-1``, for instance, splits ``n`` through
     ``gcd(w - 1, n)``.
 
-    Remaining gap: multiplying the correction and the tag of one genuine
-    triple by the same unit ``w`` leaves the predicate unchanged, so the
-    variants ``(c, x * w, t * w)`` each count.  Pinning the entry count to
-    the declared sample size is still open.
+    Variants of one genuine triple also match: ``(c, x * w, t * w)`` keeps
+    the ratio ``r = t * x**-1``, ``(c, x, t * (1 + k*n))`` moves it within
+    its class modulo ``n`` and ``(-c, x, -t)`` flips its sign.  A response
+    that repeats a ratio class ``min(r mod n, n - r mod n)``, an identical
+    triple included, is refused; honest triples carry independent
+    randomizers, so their classes collide with negligible probability.
+
+    Remaining gap: this check only mitigates.  Matching triples are closed
+    under multiplication, so the powers ``(c**k, x**k, t**k)`` of one genuine
+    triple, and the products of two, match with ratio classes of their own;
+    a device that holds one matching feature builds as many matches as it
+    likes without any secret, and no check on repeated classes can stop it.
+    ``decide`` also takes the sample size (``|Y|`` in Case C, the default
+    threshold in Cases A and B) from the entry count, which the device
+    chooses; pinning it to the declared sample size, or to a bound stored at
+    set-up in Case B, is still open.
     """
     if not entries:
         raise ProtocolError("empty response")
@@ -358,7 +355,7 @@ def carrier_score(session: SessionState,
     n, n_squared = pk.n, pk.n_squared
     exponent = n * session.session_exponent
     matches = 0
-    seen: set[AuthResponseEntry] = set()
+    seen: set[int] = set()
     for entry in entries:
         for value in (entry.cipher, entry.correction, entry.tag):
             if not 1 <= value < n_squared or math.gcd(value, n) != 1:
@@ -366,10 +363,11 @@ def carrier_score(session: SessionState,
         if entry.cipher in (1, n_squared - 1):
             raise ProtocolError("response cipher is +-1, which scores "
                                 "without the device's secrets")
-        if entry in seen:
-            raise ProtocolError("response repeats a triple")
-        seen.add(entry)
         ratio = entry.tag * pow(entry.correction, -1, n_squared) % n_squared
+        ratio_class = min(ratio % n, n - ratio % n)
+        if ratio_class in seen:
+            raise ProtocolError("response repeats a triple")
+        seen.add(ratio_class)
         if entry.cipher == pow(ratio, exponent, n_squared):
             matches += 1
     return matches

@@ -113,7 +113,6 @@ class CarrierConfig:
     port: int = 0
     session_timeout: float = 60.0
     seed: int | None = None  # test mode only; production keeps OS entropy
-    workers_hint: int = 1
 
 
 class _Handler(socketserver.StreamRequestHandler):

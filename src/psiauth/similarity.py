@@ -10,7 +10,7 @@ weighted protocol computable without enumerating the feature domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = ["SimilarityFunction"]
 
@@ -44,18 +44,6 @@ class SimilarityFunction:
         if y not in self.table:
             raise ValueError(f"similarity support does not cover {y}")
         return self.table[y]
-
-    def covers(self, values: Iterable[int]) -> bool:
-        return all(y in self.table for y in values)
-
-    def support_values(self) -> Iterator[int]:
-        """All values appearing on the left of some positive-weight pair."""
-        seen = set()
-        for pairs in self.table.values():
-            for z, _ in pairs:
-                if z not in seen:
-                    seen.add(z)
-                    yield z
 
     @classmethod
     def equality(cls, values: Iterable[int]) -> "SimilarityFunction":

@@ -19,9 +19,10 @@ failure, 0x04 protocol violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Union
+from typing import Any, BinaryIO, Callable, Union
 
-from .encoding import DecodeError, Reader, encode_str, encode_uint
+from .encoding import MAX_ENTRIES, DecodeError, Reader, encode_bytes, \
+    encode_seq, encode_str, encode_uint
 from .profiles import EncryptedProfile
 from .protocol import AuthChallenge, AuthDecision, AuthResponseEntry
 
@@ -50,7 +51,6 @@ __all__ = [
 PROTOCOL_VERSION = 0x01
 MAX_PAYLOAD = 64 * 1024 * 1024
 MAX_USER_ID_BYTES = 256
-MAX_ENTRIES = 1 << 20
 
 ERR_UNKNOWN_USER = 0x01
 ERR_SESSION = 0x02
@@ -100,79 +100,47 @@ class ErrorReply:
 Message = Union[StoreProfile, StoreAck, AuthInit, Challenge, Response,
                 Result, ErrorReply]
 
-_MSG_TAGS: dict[type, int] = {
-    StoreProfile: 0x01,
-    StoreAck: 0x02,
-    AuthInit: 0x03,
-    Challenge: 0x04,
-    Response: 0x05,
-    Result: 0x06,
-    ErrorReply: 0x7F,
+
+def _encode_error(msg: ErrorReply) -> bytes:
+    if not 0 <= msg.code <= 0xFF:
+        raise ValueError("error code must fit one byte")
+    return bytes([msg.code]) + encode_str(msg.text)
+
+
+# Message-type byte -> (class, payload encoder, payload decoder).
+_CODECS: dict[int, tuple[type, Callable[[Any], bytes],
+                         Callable[[Reader], Message]]] = {
+    0x01: (StoreProfile,
+           lambda m: encode_str(m.user_id) + m.profile.to_bytes(),
+           lambda r: StoreProfile(r.str_lp(MAX_USER_ID_BYTES),
+                                  EncryptedProfile.from_reader(r))),
+    0x02: (StoreAck, lambda m: b"", lambda r: StoreAck()),
+    0x03: (AuthInit,
+           lambda m: encode_str(m.user_id) + encode_uint(m.sample_size),
+           lambda r: AuthInit(r.str_lp(MAX_USER_ID_BYTES), r.uint())),
+    0x04: (Challenge, lambda m: m.challenge.to_bytes(),
+           lambda r: Challenge(AuthChallenge.from_reader(r))),
+    0x05: (Response,
+           lambda m: encode_bytes(m.session_id) +
+           encode_seq([entry.to_bytes() for entry in m.entries]),
+           lambda r: Response(r.bytes_lp(64), r.seq(
+               lambda: AuthResponseEntry.from_reader(r), MAX_ENTRIES))),
+    0x06: (Result, lambda m: m.decision.to_bytes(),
+           lambda r: Result(AuthDecision.from_reader(r))),
+    0x7F: (ErrorReply, _encode_error,
+           lambda r: ErrorReply(r.byte(), r.str_lp(1 << 16))),
 }
-
-
-def _encode_payload(msg: Message) -> bytes:
-    if isinstance(msg, StoreProfile):
-        return encode_str(msg.user_id) + msg.profile.to_bytes()
-    if isinstance(msg, StoreAck):
-        return b""
-    if isinstance(msg, AuthInit):
-        return encode_str(msg.user_id) + encode_uint(msg.sample_size)
-    if isinstance(msg, Challenge):
-        return msg.challenge.to_bytes()
-    if isinstance(msg, Response):
-        parts = [len(msg.session_id).to_bytes(4, "big"), msg.session_id,
-                 len(msg.entries).to_bytes(4, "big")]
-        parts.extend(entry.to_bytes() for entry in msg.entries)
-        return b"".join(parts)
-    if isinstance(msg, Result):
-        return msg.decision.to_bytes()
-    if isinstance(msg, ErrorReply):
-        if not 0 <= msg.code <= 0xFF:
-            raise ValueError("error code must fit one byte")
-        return bytes([msg.code]) + encode_str(msg.text)
-    raise TypeError(f"not a wire message: {type(msg).__name__}")
-
-
-def _decode_payload(tag: int, payload: bytes) -> Message:
-    reader = Reader(payload)
-    if tag == 0x01:
-        user_id = reader.str_lp(MAX_USER_ID_BYTES)
-        profile = EncryptedProfile.from_reader(reader)
-        msg: Message = StoreProfile(user_id, profile)
-    elif tag == 0x02:
-        msg = StoreAck()
-    elif tag == 0x03:
-        user_id = reader.str_lp(MAX_USER_ID_BYTES)
-        sample_size = reader.uint()
-        msg = AuthInit(user_id, sample_size)
-    elif tag == 0x04:
-        msg = Challenge(AuthChallenge.from_reader(reader))
-    elif tag == 0x05:
-        session_id = reader.bytes_lp(64)
-        entry_count = int.from_bytes(reader.take(4), "big")
-        if entry_count > MAX_ENTRIES:
-            reader.fail("unreasonable entry count")
-        entries = tuple(AuthResponseEntry.from_reader(reader)
-                        for _ in range(entry_count))
-        msg = Response(session_id, entries)
-    elif tag == 0x06:
-        msg = Result(AuthDecision.from_reader(reader))
-    elif tag == 0x7F:
-        code = reader.byte()
-        text = reader.str_lp(1 << 16)
-        msg = ErrorReply(code, text)
-    else:
-        reader.fail(f"unknown message type 0x{tag:02x}")
-    reader.expect_end()
-    return msg
+_TAGS: dict[type, int] = {cls: tag for tag, (cls, _, _) in _CODECS.items()}
 
 
 def encode_frame(msg: Message) -> bytes:
-    payload = _encode_payload(msg)
+    tag = _TAGS.get(type(msg))
+    if tag is None:
+        raise TypeError(f"not a wire message: {type(msg).__name__}")
+    payload = _CODECS[tag][1](msg)
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload of {len(payload)} bytes exceeds the frame limit")
-    return bytes([PROTOCOL_VERSION, _MSG_TAGS[type(msg)]]) + \
+    return bytes([PROTOCOL_VERSION, tag]) + \
         len(payload).to_bytes(4, "big") + payload
 
 
@@ -188,7 +156,13 @@ def decode_frame(data: bytes) -> Message:
     if len(data) != 6 + length:
         raise DecodeError(
             f"frame length {len(data)} does not match header ({6 + length})", 6)
-    return _decode_payload(tag, data[6:])
+    reader = Reader(data[6:])
+    codec = _CODECS.get(tag)
+    if codec is None:
+        reader.fail(f"unknown message type 0x{tag:02x}")
+    msg = codec[2](reader)
+    reader.expect_end()
+    return msg
 
 
 def write_frame(stream: BinaryIO, msg: Message) -> None:

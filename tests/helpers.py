@@ -5,6 +5,14 @@ from __future__ import annotations
 import random
 
 from psiauth import FeatureMode, FeatureSet
+from psiauth.encoding import (
+    MAX_COEFFS,
+    MAX_ENTRIES,
+    encode_bytes,
+    encode_str,
+    encode_uint,
+    encode_uints,
+)
 
 # Tests keep feature values far below the smaller prime factor of each key
 # size, so the profile polynomial cannot vanish modulo n at a non-member and
@@ -66,3 +74,39 @@ def sort_merge_intersection(x, y) -> int:
         else:
             j += 1
     return count
+
+
+def malformed_frames() -> dict[str, bytes]:
+    """Well-framed messages whose payloads a strict decoder must refuse."""
+    modulus = encode_uint((1 << 61) - 1)
+    session = encode_bytes(b"\x01" * 16)
+    user = encode_str("mallory")
+    case_a = bytes([FeatureMode.CASE_A])
+    payloads = {
+        "challenge coefficient count over limit": (
+            0x04, session + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
+        "challenge legs shorter": (
+            0x04, session + modulus + encode_uints([2, 3, 4]) +
+            encode_uints([2, 3]) + case_a),
+        "challenge legs longer": (
+            0x04, session + modulus + encode_uints([2, 3]) +
+            encode_uints([2, 3, 4]) + case_a),
+        "challenge unknown mode tag": (
+            0x04, session + modulus + encode_uints([2]) + encode_uints([2]) +
+            b"\x7e"),
+        "profile coefficient count over limit": (
+            0x01, user + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
+        "profile randomizer count": (
+            0x01, user + modulus + encode_uints([2, 3]) + encode_uints([2]) +
+            encode_uint(1) + case_a + encode_uint(0)),
+        "profile size": (
+            0x01, user + modulus + encode_uints([2, 3]) +
+            encode_uints([2, 3]) + encode_uint(2) + case_a + encode_uint(0)),
+        "response entry count over limit": (
+            0x05, session + (MAX_ENTRIES + 1).to_bytes(4, "big")),
+        "decision not in lowest terms": (
+            0x06, encode_uint(1) + encode_uint(2) + encode_uint(4) +
+            b"\x00" + case_a),
+    }
+    return {name: bytes([0x01, tag]) + len(payload).to_bytes(4, "big") +
+            payload for name, (tag, payload) in payloads.items()}

@@ -3,7 +3,9 @@
 A misbehaving device controls every value of every triple it sends.  These
 tests replay the known secret-free forgeries against a 512-bit profile and
 check that the carrier refuses them, and that it refuses to count one
-genuine triple twice.
+genuine triple twice, whether repeated or disguised as a variant of the
+same ratio class.  Powers and products of genuine triples still score; a
+strict ``xfail`` pins that gap.
 """
 
 import random
@@ -93,17 +95,48 @@ def test_honest_response_unaffected(enrolled):
                          device_respond(secret, challenge, sample, rng)) == 3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="triple variants (c, x*w, t*w) of one genuine triple "
-                   "are not detected; the entry count is not pinned yet")
-def test_variants_of_one_genuine_triple_count_once(enrolled):
+def variants(entry, n, n_squared, family):
+    # Every variant keeps the match predicate of the genuine triple.
+    if family == "unit":
+        return [AuthResponseEntry(entry.cipher,
+                                  entry.correction * w % n_squared,
+                                  entry.tag * w % n_squared)
+                for w in (1, 3, 5, 7, 11)]
+    return [AuthResponseEntry(entry.cipher, entry.correction,
+                              entry.tag * (1 + k * n) % n_squared)
+            for k in range(5)]
+
+
+@pytest.mark.parametrize("family", ["unit", "subgroup"])
+def test_variants_of_one_genuine_triple_rejected(enrolled, family):
+    # (c, x*w, t*w) and (c, x, t*(1 + k*n)) share the ratio class of one
+    # genuine triple; counted separately they would score 5 matches.
     profile, secret = enrolled
     rng = random.Random(5)
     challenge, session = carrier_challenge(profile, rng)
     sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
     (entry,) = device_respond(secret, challenge, sample, rng)
+    pk = profile.public_key
+    with pytest.raises(ProtocolError, match="repeat"):
+        carrier_score(session, variants(entry, pk.n, pk.n_squared, family))
+    assert session.consumed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="matching triples are closed under multiplication: "
+                   "the powers of one genuine triple carry distinct ratio "
+                   "classes and each scores")
+def test_powers_of_one_genuine_triple_count_once(enrolled):
+    # (c**k, x**k, t**k) satisfies the predicate with ratio r**k, a new
+    # class for every k; building it needs no secret.
+    profile, secret = enrolled
+    rng = random.Random(6)
+    challenge, session = carrier_challenge(profile, rng)
+    sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
+    (entry,) = device_respond(secret, challenge, sample, rng)
     n_squared = profile.public_key.n_squared
-    variants = [AuthResponseEntry(entry.cipher, entry.correction * w % n_squared,
-                                  entry.tag * w % n_squared)
-                for w in (1, 3, 5, 7, 11)]
-    assert carrier_score(session, variants) <= 1
+    powers = [AuthResponseEntry(pow(entry.cipher, k, n_squared),
+                                pow(entry.correction, k, n_squared),
+                                pow(entry.tag, k, n_squared))
+              for k in range(1, 6)]
+    assert carrier_score(session, powers) <= 1

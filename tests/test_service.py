@@ -18,7 +18,7 @@ from psiauth import client, wire
 from psiauth.encoding import encode_uint
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
-from helpers import overlap_instance
+from helpers import malformed_frames, overlap_instance
 
 
 def case_a(values):
@@ -137,6 +137,18 @@ class TestServeFlow:
         assert isinstance(follow_up, wire.Challenge)
         stream.close()
         raw.close()
+
+    def test_malformed_payloads_answered_with_decode_error(self, service):
+        # Each frame is refused while decoding, never as an internal error,
+        # and the connection stays usable for the next one.
+        with socket.create_connection(service.address, timeout=5) as raw, \
+                raw.makefile("rwb") as stream:
+            for name, frame in malformed_frames().items():
+                stream.write(frame)
+                stream.flush()
+                reply = wire.read_frame(stream)
+                assert isinstance(reply, wire.ErrorReply), name
+                assert reply.code == wire.ERR_DECODE, name
 
     def test_unexpected_message_answered_with_protocol_error(self, service):
         with client.CarrierConnection(service.address) as conn:

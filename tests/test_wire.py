@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -12,10 +13,12 @@ from psiauth import (
     FeatureMode,
     PaillierPublicKey,
 )
-from psiauth.encoding import DecodeError
-from psiauth.profiles import EncryptedProfile
+from psiauth.encoding import DecodeError, encode_uint
+from psiauth.profiles import DeviceSecret, EncryptedProfile
 from psiauth.paillier import Ciphertext
 from psiauth import wire
+
+from helpers import malformed_frames
 
 
 def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
@@ -65,10 +68,55 @@ def random_message(rng) -> wire.Message:
         return wire.Response(rng.getrandbits(128).to_bytes(16, "big"),
                              fake_entries(rng, rng.randint(1, 20)))
     if choice == 5:
-        dissimilarity = rng.choice([INFINITE, Fraction(1, 3), Fraction(7)])
+        dissimilarity = rng.choice([INFINITE, Fraction(0), Fraction(1, 3),
+                                    Fraction(7)])
         return wire.Result(AuthDecision(rng.randint(0, 9), dissimilarity,
                                         rng.random() < 0.5, mode))
     return wire.ErrorReply(rng.choice([0x01, 0x02, 0x03, 0x04]), "oops")
+
+
+def pinned_blobs():
+    """Seeded messages of all 7 types in all 3 modes, plus stored records."""
+    rng = random.Random(0xB17E5)
+    dissimilarities = [INFINITE, Fraction(1, 3), Fraction(0), Fraction(7)]
+    for mode in FeatureMode:
+        for size in (1, 3, 6):
+            user_id = f"user-{size}"
+            profile = fake_profile(rng, size, mode,
+                                   threshold=rng.choice([None, 2]))
+            yield profile.to_bytes()
+            yield DeviceSecret(user_id, rng.getrandbits(64) | 1,
+                               rng.getrandbits(128) | 1, mode,
+                               count=profile.count, cap=profile.cap).to_bytes()
+            decision = AuthDecision(size, rng.choice(dissimilarities),
+                                    size % 2 == 1, mode)
+            for msg in (
+                wire.StoreProfile(user_id, profile),
+                wire.StoreAck(),
+                wire.AuthInit(user_id, size),
+                wire.Challenge(fake_challenge(rng, size, mode)),
+                wire.Response(rng.getrandbits(128).to_bytes(16, "big"),
+                              fake_entries(rng, size)),
+                wire.Result(decision),
+                wire.ErrorReply(wire.ERR_PROTOCOL, "bad triple"),
+            ):
+                yield wire.encode_frame(msg)
+    for _ in range(200):
+        yield wire.encode_frame(random_message(rng))
+
+
+# SHA-256 over ``pinned_blobs``, recorded before the codec helpers replaced
+# the per-class encoders; every stored record and frame must stay identical.
+PINNED_DIGEST = ("c3d1ff76d33c6268f5956451397493cc"
+                 "28218fbc66d5d625c72450bd079d20f2")
+
+
+def test_encodings_are_byte_stable():
+    digest = hashlib.sha256()
+    for blob in pinned_blobs():
+        digest.update(len(blob).to_bytes(4, "big") + blob)
+    assert digest.hexdigest() == PINNED_DIGEST
+    assert wire.PROTOCOL_VERSION == 0x01
 
 
 class TestFraming:
@@ -151,3 +199,20 @@ class TestStreamIO:
         buffer = io.BytesIO(frame[:-1])
         with pytest.raises(DecodeError, match="payload"):
             wire.read_frame(buffer)
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("name", sorted(malformed_frames()))
+    def test_rejected_with_decode_error(self, name):
+        with pytest.raises(DecodeError):
+            wire.decode_frame(malformed_frames()[name])
+
+    @pytest.mark.parametrize("numerator, denominator",
+                             [(0, 5), (7, 0), (0, 0)])
+    def test_non_canonical_decision_rejected(self, numerator, denominator):
+        # Each of these would decode to a value that re-encodes differently.
+        payload = encode_uint(3) + encode_uint(numerator) + \
+            encode_uint(denominator) + bytes([0, FeatureMode.CASE_A])
+        frame = bytes([0x01, 0x06]) + len(payload).to_bytes(4, "big") + payload
+        with pytest.raises(DecodeError, match="non-canonical"):
+            wire.decode_frame(frame)
