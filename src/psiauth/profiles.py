@@ -11,7 +11,10 @@ so that during authentication a sample value hitting a root of the polynomial
 collapses to a power of the anchor ``R'`` that the carrier can recognize.
 After set-up the device keeps only its user id, the secret exponent ``d`` and
 the anchor ``R'``; every other intermediate (secret key, coefficients,
-randomizers, plaintext features) is dropped.
+randomizers, plaintext features) is dropped.  While it still holds ``p`` and
+``q``, set-up computes its full-width powers (``r**n`` in each coefficient
+encryption, ``x**d`` for each unblinded randomizer) by CRT modulo ``p**2``
+and ``q**2``, which gives the same values at about half the cost.
 
 Two solvers produce the blinding randomizers:
 
@@ -499,7 +502,7 @@ def build_encrypted_profile(
     enc_coeffs = []
     enc_randomizers = []
     for coeff in coeffs:
-        ciphertext, r = encrypt(pk, coeff, rng=rng)
+        ciphertext, r = encrypt(pk, coeff, rng=rng, sk=sk)
         enc_coeffs.append(ciphertext)
         enc_randomizers.append(r)
     anchor_seed = draw_unit(rng, pk.n_squared)
@@ -511,7 +514,7 @@ def build_encrypted_profile(
     unblinded = [rp * pow(r, -1, n_squared) % n_squared
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]
     d = rng.randrange(1, pk.n)
-    blinded = tuple(pow(value, d, n_squared) for value in unblinded)
+    blinded = tuple(sk.pow_mod_n_squared(value, d) for value in unblinded)
     profile = EncryptedProfile(
         pk, tuple(enc_coeffs), blinded, features.size, features.mode,
         count=features.count, cap=features.cap, threshold=threshold)

@@ -18,6 +18,10 @@ similarity-weighted match total (Case B, ``device_respond_weighted``) or the
 pairwise-min sum of the numeric vectors (Case C); ``decide`` turns it into a
 dissimilarity score and an accept/reject outcome.
 
+Each tag is the power ``(R'**d)**rho`` for the entry's randomizer ``rho``;
+the device builds one fixed-base table of ``R'**d`` per response, so a tag
+costs a few hundred multiplications instead of a full-width power.
+
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
 raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
@@ -218,9 +222,46 @@ def carrier_challenge(profile: EncryptedProfile,
     return challenge, state
 
 
+# Digit width of the fixed-base tag power: 342 table entries for the
+# 2048-bit randomizers of a 1024-bit key.
+_WINDOW = 6
+
+
+def _fixed_base_table(base: int, bits: int, modulus: int) -> list[int]:
+    """``base**(2**(_WINDOW*j)) mod modulus``, one per digit of a
+    ``bits``-bit exponent."""
+    table = [base]
+    for _ in range((bits - 1) // _WINDOW):
+        table.append(pow(table[-1], 1 << _WINDOW, modulus))
+    return table
+
+
+def _fixed_base_pow(table: list[int], exponent: int, modulus: int) -> int:
+    """``table[0]**exponent mod modulus`` by bucketed fixed-base windowing.
+
+    Brickell-Gordon-McCurley-Wilson (EUROCRYPT '92): each base-2**w digit
+    ``k`` multiplies its table entry into bucket ``k``, and two running
+    products over the buckets then raise bucket ``k`` to the ``k``-th power.
+    """
+    mask = (1 << _WINDOW) - 1
+    buckets = [1] * (mask + 1)
+    for entry in table:
+        digit = exponent & mask
+        if digit:
+            buckets[digit] = buckets[digit] * entry % modulus
+        exponent >>= _WINDOW
+    if exponent:
+        raise ValueError("exponent wider than the fixed-base table")
+    running = result = 1
+    for bucket in reversed(buckets[1:]):
+        running = running * bucket % modulus
+        result = result * running % modulus
+    return result
+
+
 def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
                     challenge: AuthChallenge,
-                    anchor_d: int) -> AuthResponseEntry:
+                    anchor_table: list[int]) -> AuthResponseEntry:
     n_squared = challenge.public_key.n_squared
     # Horner's rule in the exponent, top coefficient first: the exponents are
     # the raw feature on both legs, so the encryption randomizers still cancel.
@@ -232,7 +273,7 @@ def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
             blinded % n_squared
     cipher = pow(cipher_acc, secret.secret_exponent * randomizer, n_squared)
     correction = pow(correction_acc, randomizer, n_squared)
-    tag = pow(anchor_d, randomizer, n_squared)
+    tag = _fixed_base_pow(anchor_table, randomizer, n_squared)
     return AuthResponseEntry(cipher, correction, tag)
 
 
@@ -250,7 +291,10 @@ def _respond(secret: DeviceSecret, challenge: AuthChallenge,
     """
     n_squared = challenge.public_key.n_squared
     anchor_d = pow(secret.anchor, secret.secret_exponent, n_squared)
-    jobs = [(value, draw_unit(rng, n_squared), secret, challenge, anchor_d)
+    # Every tag raises anchor_d to a randomizer below n**2.
+    anchor_table = _fixed_base_table(anchor_d, n_squared.bit_length(),
+                                     n_squared)
+    jobs = [(value, draw_unit(rng, n_squared), secret, challenge, anchor_table)
             for value in values]
     if workers > 1 and len(jobs) > 1:
         # Per-value triples are independent; spread them over processes.
@@ -315,9 +359,14 @@ def carrier_score(session: SessionState,
     """Count recognized triples (step 3) and consume the session.
 
     A triple matches when ``cipher == (tag * correction**-1) ** (n * theta)``
-    modulo ``n**2``, one exponentiation per entry.  The session is claimed
-    before any validation so that a malformed response still burns its
-    challenge.
+    modulo ``n**2``.  The power is split: the ratio ``r`` is formed modulo
+    ``n`` only, raised to ``theta`` modulo ``n``, and the result raised to
+    ``n`` modulo ``n**2``.  This is exact because ``a == b (mod n)`` implies
+    ``a**n == b**n (mod n**2)``.  One full-width power to the 2|n|-bit
+    exponent ``n * theta`` becomes a half-width power to ``theta`` and a
+    full-width power to ``n``, about two thirds of the cost.  The session is
+    claimed before any validation so that a malformed response still burns
+    its challenge.
 
     A device that knows neither ``d`` nor the anchor can still satisfy the
     predicate when ``tag * correction**-1`` reduces modulo ``n`` to a unit
@@ -353,7 +402,7 @@ def carrier_score(session: SessionState,
     session.consume()
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
-    exponent = n * session.session_exponent
+    theta = session.session_exponent
     matches = 0
     seen: set[int] = set()
     for entry in entries:
@@ -363,12 +412,12 @@ def carrier_score(session: SessionState,
         if entry.cipher in (1, n_squared - 1):
             raise ProtocolError("response cipher is +-1, which scores "
                                 "without the device's secrets")
-        ratio = entry.tag * pow(entry.correction, -1, n_squared) % n_squared
-        ratio_class = min(ratio % n, n - ratio % n)
+        ratio = entry.tag * pow(entry.correction, -1, n) % n
+        ratio_class = min(ratio, n - ratio)
         if ratio_class in seen:
             raise ProtocolError("response repeats a triple")
         seen.add(ratio_class)
-        if entry.cipher == pow(ratio, exponent, n_squared):
+        if entry.cipher == pow(pow(ratio, theta, n), n, n_squared):
             matches += 1
     return matches
 

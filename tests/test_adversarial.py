@@ -4,8 +4,9 @@ A misbehaving device controls every value of every triple it sends.  These
 tests replay the known secret-free forgeries against a 512-bit profile and
 check that the carrier refuses them, and that it refuses to count one
 genuine triple twice, whether repeated or disguised as a variant of the
-same ratio class.  Powers and products of genuine triples still score; a
-strict ``xfail`` pins that gap.
+same ratio class.  Powers and products of genuine triples still score, and
+the default threshold still follows the entry count the device chooses;
+strict ``xfail`` tests pin both gaps.
 """
 
 import random
@@ -21,6 +22,7 @@ from psiauth import (
     build_encrypted_profile,
     carrier_challenge,
     carrier_score,
+    decide,
     device_respond,
 )
 
@@ -140,3 +142,21 @@ def test_powers_of_one_genuine_triple_count_once(enrolled):
                                 pow(entry.tag, k, n_squared))
               for k in range(1, 6)]
     assert carrier_score(session, powers) <= 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="without a stored threshold, decide derives the "
+                   "default bar from the entry count, which the device "
+                   "chooses")
+def test_one_feature_alone_is_rejected(enrolled):
+    # The profile has no stored threshold: one triple on one known profile
+    # feature meets the majority of a one-entry sample, while the same
+    # feature inside a five-value sample is rejected.
+    profile, secret = enrolled
+    rng = random.Random(8)
+    challenge, session = carrier_challenge(profile, rng)
+    sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
+    entries = device_respond(secret, challenge, sample, rng)
+    decision = decide(carrier_score(session, entries), profile, len(entries))
+    assert decision.match_count == 1
+    assert not decision.accepted

@@ -141,6 +141,39 @@ class TestEncryptDecrypt:
         assert decrypt(pk, sk, ct) == m
 
 
+class TestCrtPower:
+    """Set-up computes its full-width powers by CRT while it holds p, q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.integers(min_value=0), exponent=st.integers(min_value=0))
+    def test_equals_plain_pow(self, kp512, base, exponent):
+        pk, sk = kp512
+        base %= pk.n_squared
+        exponent %= pk.n_squared
+        assert sk.pow_mod_n_squared(base, exponent) == \
+            pow(base, exponent, pk.n_squared)
+
+    def test_edge_values(self, kp512):
+        pk, sk = kp512
+        for base in (0, 1, pk.n, pk.n_squared - 1):
+            for exponent in (0, 1, pk.n, pk.n - 1):
+                assert sk.pow_mod_n_squared(base, exponent) == \
+                    pow(base, exponent, pk.n_squared)
+
+    def test_encrypt_with_secret_key_is_unchanged(self, kp512, rng):
+        pk, sk = kp512
+        for m in (0, 1, pk.n - 1, rng.randrange(pk.n)):
+            seed = rng.getrandbits(32)
+            assert encrypt(pk, m, rng=random.Random(seed), sk=sk) == \
+                encrypt(pk, m, rng=random.Random(seed))
+
+    def test_encrypt_refuses_a_foreign_secret_key(self, kp128, kp512):
+        pk, _ = kp512
+        _, foreign = kp128
+        with pytest.raises(ValueError, match="does not match"):
+            encrypt(pk, 1, r=2, sk=foreign)
+
+
 class TestHomomorphisms:
     def test_addition_example(self, kp128, rng):
         pk, sk = kp128

@@ -189,6 +189,22 @@ class TestBuildEncryptedProfile:
             rhs = (1 + coeff * pk.n) * pow(blind, pk.n, pk.n_squared) % pk.n_squared
             assert lhs == rhs
 
+    @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
+    def test_setup_powers_equal_plain_pow(self, solver):
+        # Set-up computes r_k**n and x**d by CRT; plain powers must agree.
+        features = case_a(distinct_values(random.Random(31), 6, 32))
+        profile, secret, audit = build_encrypted_profile(
+            "alice", features, 512, random.Random(32), solver=solver,
+            keep_setup_audit=True)
+        n, n_squared = profile.public_key.n, profile.public_key.n_squared
+        for ct, coeff, r in zip(profile.enc_coeffs, audit.coeffs,
+                                audit.encryption_randomizers):
+            assert ct.value == (1 + coeff * n) * pow(r, n, n_squared) % \
+                n_squared
+        assert profile.blinded_randomizers == tuple(
+            pow(x, secret.secret_exponent, n_squared)
+            for x in audit.unblinded_randomizers)
+
     def test_device_secret_field_inventory(self, rng):
         secret = build_encrypted_profile("alice", case_a([4, 5]), 128, rng)[1]
         names = {f.name for f in dataclasses.fields(DeviceSecret)}

@@ -1,7 +1,10 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from psiauth import (
     INFINITE,
@@ -25,7 +28,8 @@ from psiauth import (
     oracle_weighted,
 )
 from psiauth.paillier import draw_unit
-from psiauth.protocol import default_threshold
+from psiauth.protocol import SessionState, _WINDOW, _fixed_base_pow, \
+    _fixed_base_table, default_threshold
 
 from helpers import distinct_values, overlap_instance
 
@@ -205,6 +209,71 @@ class TestHornerEvaluation:
                                                   sample.values)
             decision = decide(matches, profile, len(entries))
             assert decision.dissimilarity == oracle_l1(u, v)
+
+
+class TestFixedBaseTag:
+    """Tags come from a fixed-base table and must equal the plain power."""
+
+    @pytest.fixture(scope="class", params=["unit", "minus-one"])
+    def table(self, request, kp512):
+        pk, _ = kp512
+        n_squared = pk.n_squared
+        base = draw_unit(random.Random(41), n_squared) \
+            if request.param == "unit" else n_squared - 1
+        return base, _fixed_base_table(base, n_squared.bit_length(),
+                                       n_squared), n_squared
+
+    def test_edge_exponents(self, table):
+        base, powers, n_squared = table
+        edges = [0, 1] + [(1 << _WINDOW * k) - 1
+                          for k in range(1, len(powers) + 1)]
+        for exponent in edges:
+            assert _fixed_base_pow(powers, exponent, n_squared) == \
+                pow(base, exponent, n_squared)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.integers(min_value=0))
+    def test_random_randomizers(self, table, raw):
+        base, powers, n_squared = table
+        rho = raw % n_squared
+        assert _fixed_base_pow(powers, rho, n_squared) == \
+            pow(base, rho, n_squared)
+
+    def test_exponent_wider_than_table_refused(self, table):
+        _, powers, n_squared = table
+        with pytest.raises(ValueError, match="wider"):
+            _fixed_base_pow(powers, 1 << _WINDOW * len(powers), n_squared)
+
+
+class TestSplitScoringPower:
+    """The carrier forms the ratio modulo n and splits the n*theta power."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        return build_encrypted_profile("u", case_a([3, 9]), 512,
+                                       random.Random(42))[0]
+
+    def score(self, profile, theta, entry):
+        return carrier_score(SessionState(b"s", theta, profile, 0.0), [entry])
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw_y=st.integers(min_value=0), raw_x=st.integers(min_value=0),
+           raw_theta=st.one_of(st.sampled_from([1, -1]), st.integers()))
+    def test_equals_the_full_width_power(self, profile, raw_y, raw_x,
+                                         raw_theta):
+        n, n_squared = profile.public_key.n, profile.public_key.n_squared
+        theta = raw_theta % n or 1  # -1 stands for n - 1
+        y = n + raw_y % (n_squared - n)  # y >= n: the ratio is not reduced
+        x = raw_x % n_squared
+        assume(math.gcd(y * x, n) == 1)
+        expected = pow(y, n * theta, n_squared)
+        assume(expected not in (1, n_squared - 1))
+        tag = y * x % n_squared
+        assert self.score(profile, theta,
+                          AuthResponseEntry(expected, x, tag)) == 1
+        # Same residue modulo n, different modulo n**2: no match.
+        off = expected * (1 + n) % n_squared
+        assert self.score(profile, theta, AuthResponseEntry(off, x, tag)) == 0
 
 
 class TestCarrierScore:
@@ -421,3 +490,50 @@ class TestDecide:
     def test_default_threshold_values(self):
         assert default_threshold(FeatureMode.CASE_A, 5, None, None) == 3
         assert default_threshold(FeatureMode.CASE_C, 5, 3, 3) == 3
+
+
+# SHA-256 over every value a seeded 512-bit run computes in the three modes:
+# profile and secret bytes, challenge and response bytes, and the match
+# counts.  Recorded before the fixed-base, split-power and CRT rewrites of the
+# modular arithmetic, which must not change a single value.
+PINNED_TRANSCRIPT_DIGEST = ("72f89c673691b69199b904ed258216e1"
+                            "77f6558e122be544f1312bf829d98d6a")
+
+
+def transcript_blobs():
+    tent = SimilarityFunction.from_entries(
+        [(y, z, 2 - abs(z - y)) for y in range(1, 13)
+         for z in range(max(1, y - 1), min(12, y + 1) + 1)], max_weight=2)
+    runs = [
+        (hashed(FeatureMode.CASE_A, [f"tower-{i}" for i in range(6)]),
+         hashed(FeatureMode.CASE_A, ["tower-1", "tower-4", "app-x"]), None),
+        (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
+         FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]), tent),
+        (encode_numeric((3, 0, 5, 2), 5), encode_numeric((2, 1, 5, 0), 5),
+         None),
+    ]
+    for seed, (features, sample, sim) in enumerate(runs, start=0x919):
+        rng = random.Random(seed)
+        profile, secret = build_encrypted_profile("pin", features, 512, rng)
+        challenge, session = carrier_challenge(profile, rng)
+        if sim is None:
+            entries = device_respond(secret, challenge, sample, rng)
+            expected = oracle_intersection(features.values, sample.values)
+        else:
+            entries = device_respond_weighted(secret, challenge, sample, sim,
+                                              rng)
+            expected = oracle_weighted(features.values, sample.values, sim)
+        matches = carrier_score(session, entries)
+        assert matches == expected
+        yield profile.to_bytes()
+        yield secret.to_bytes()
+        yield challenge.to_bytes()
+        yield from (entry.to_bytes() for entry in entries)
+        yield matches.to_bytes(4, "big")
+
+
+def test_seeded_transcript_is_pinned():
+    digest = hashlib.sha256()
+    for blob in transcript_blobs():
+        digest.update(len(blob).to_bytes(4, "big") + blob)
+    assert digest.hexdigest() == PINNED_TRANSCRIPT_DIGEST
