@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .profiles import FeatureMode, FeatureSet, build_encrypted_profile
-from .protocol import carrier_challenge, carrier_score, decide, device_respond
+from .protocol import carrier_challenge, carrier_score, decide, \
+    device_respond, usable_cpus
 
 __all__ = ["BenchRecord", "bench_run", "format_table", "write_csv"]
 
@@ -76,12 +77,19 @@ def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
 def bench_run(sizes: Sequence[int], key_bits: int = 1024,
               solver: str = "closed-form", repetitions: int = 3,
               seed: int | None = None, *, feature_bits: int = 128,
-              workers: int = 1, include_auth: bool = True) -> list[BenchRecord]:
-    """Median-of-repetitions timings for each size; returns one record each."""
+              workers: int | None = 1,
+              include_auth: bool = True) -> list[BenchRecord]:
+    """Median-of-repetitions timings for each size; returns one record each.
+
+    ``workers`` is passed to the device response; ``None`` means one per
+    usable CPU.
+    """
     if not sizes:
         raise ValueError("no sizes to benchmark")
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    if workers is None:
+        workers = usable_cpus()
     records = []
     for size in sizes:
         setup_times = []

@@ -230,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--sample", help="file of raw feature strings, one per line")
     auth.add_argument("--values", help="Case C: whitespace-separated numeric vector")
     auth.add_argument("--table", help="Case B: similarity lines 'y z weight'")
-    auth.add_argument("--workers", type=int, default=1,
-                      help="parallel response workers")
+    auth.add_argument("--workers", type=int, default=None,
+                      help="response worker processes (default: one per "
+                           "usable CPU; 1 computes in-process)")
     auth.add_argument("--seed", type=int, default=None,
                       help="RNG seed (test mode only)")
     auth.set_defaults(func=_cmd_auth)
@@ -244,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="closed-form")
     bench.add_argument("--repetitions", type=int, default=3)
     bench.add_argument("--feature-bits", type=int, default=128)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=int, default=None,
+                       help="response worker processes (default: one per "
+                            "usable CPU; 1 computes in-process)")
     bench.add_argument("--csv", default=None, help="also write records to CSV")
     bench.add_argument("--seed", type=int, default=None,
                        help="RNG seed (test mode only)")

@@ -110,8 +110,12 @@ def authenticate(address: tuple[str, int], secret: DeviceSecret,
                  sample: FeatureSet,
                  similarity: SimilarityFunction | None = None,
                  rng: random.Random | None = None, *,
-                 workers: int = 1) -> AuthDecision:
-    """Run one authentication round trip and return the carrier's decision."""
+                 workers: int | None = None) -> AuthDecision:
+    """Run one authentication round trip and return the carrier's decision.
+
+    ``workers`` is passed to the device response: one pool process per
+    usable CPU by default, ``1`` for the in-process path.
+    """
     with CarrierConnection(address) as conn:
         reply = conn.request(wire.AuthInit(secret.user_id, sample.size))
         if not isinstance(reply, wire.Challenge):

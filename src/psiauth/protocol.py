@@ -28,15 +28,29 @@ raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
 exponents, so the encryption randomizers cancel carrier-side, and the blinding
 randomizers ``r'_i`` (``i >= 1``) lie in the order-``n`` subgroup, which the
 carrier's ``n * theta`` power removes (see ``profiles``).
+
+The per-entry powers are independent, so they run in one persistent pool of
+forked worker processes, one per usable CPU, created on first use: the
+challenge's ``C_i**theta``, the device's triples and the carrier's match
+tests.  Everything else stays in the calling process: randomizer draws, the
+anchor table, the shuffle, and every check ``carrier_score`` makes before it
+tests a match.  The secrets ``d``, ``rho`` and ``theta`` thus cross a pipe
+only to forked children of the process that holds them.  A dead worker costs
+one call its parallelism, not its result: the call finishes in-process and
+the next one builds a new pool.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
+import stat
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -62,6 +76,7 @@ __all__ = [
     "decide",
     "device_respond",
     "device_respond_weighted",
+    "usable_cpus",
 ]
 
 _SYSTEM = random.SystemRandom()
@@ -194,6 +209,89 @@ class AuthDecision:
                    read_mode(reader))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of the worker pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+# One worker pool per process, created on first use and kept until exit.
+_pool: ProcessPoolExecutor | None = None
+_pool_pid = 0
+_pool_lock = threading.Lock()
+
+
+def _close_inherited_sockets() -> None:
+    """Worker initializer: drop the caller's sockets from the forked copy.
+
+    A worker that kept a copy of a listening or connected socket would hold
+    its port or connection open after the caller closed it.  The pool talks
+    to its workers over pipes, which stay.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    for name in os.listdir(fd_dir):
+        try:
+            if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                os.close(int(name))
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+
+
+def _get_pool() -> ProcessPoolExecutor:
+    global _pool, _pool_pid
+    with _pool_lock:
+        # A forked child inherits the parent's executor but not its threads.
+        if _pool is None or _pool_pid != os.getpid():
+            # fork, not spawn or forkserver: those re-import the caller's
+            # main script in every worker, and a script without a
+            # ``__main__`` guard then runs again in each of them.
+            _pool = ProcessPoolExecutor(
+                max_workers=usable_cpus(),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_close_inherited_sockets)
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    pool.shutdown()
+
+
+def _in_pool(job, context, items: list, workers: int | None = None) -> list:
+    """``job(context, chunk)`` over ``items`` in contiguous chunks, in order.
+
+    Each of up to ``workers`` (default: every usable CPU) pool processes
+    gets one chunk, so ``context`` is pickled once per worker.  With one CPU,
+    one item or ``workers=1`` the job runs in-process.  If a worker died,
+    the pool is dropped, so the next call builds a new one, and the job
+    reruns in-process; jobs are pure, so the values are the same.
+    """
+    cpus = usable_cpus()
+    chunks = min(cpus if workers is None else workers, cpus, len(items))
+    if chunks <= 1:
+        return job(context, items)
+    pool = _get_pool()
+    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
+    try:
+        futures = [pool.submit(job, context, items[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:])]
+        return [out for future in futures for out in future.result()]
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        return job(context, items)
+
+
+def _powers_chunk(context: tuple[int, int], bases: list[int]) -> list[int]:
+    exponent, modulus = context
+    return [pow(base, exponent, modulus) for base in bases]
+
+
 def carrier_challenge(profile: EncryptedProfile,
                       rng: random.Random | None = None,
                       *,
@@ -214,7 +312,8 @@ def carrier_challenge(profile: EncryptedProfile,
     sid = session_id if session_id is not None \
         else rng.getrandbits(128).to_bytes(16, "big")
     n_squared = profile.public_key.n_squared
-    powered = tuple(pow(c.value, theta, n_squared) for c in profile.enc_coeffs)
+    powered = tuple(_in_pool(_powers_chunk, (theta, n_squared),
+                             [c.value for c in profile.enc_coeffs]))
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)
@@ -277,31 +376,30 @@ def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
     return AuthResponseEntry(cipher, correction, tag)
 
 
-def _response_entry_args(args) -> AuthResponseEntry:
-    return _response_entry(*args)
+def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, list[int]],
+                    jobs: list[tuple[int, int]]) -> list[AuthResponseEntry]:
+    secret, challenge, anchor_table = context
+    return [_response_entry(value, randomizer, secret, challenge, anchor_table)
+            for value, randomizer in jobs]
 
 
 def _respond(secret: DeviceSecret, challenge: AuthChallenge,
              values: Sequence[int], rng: random.Random,
-             workers: int) -> list[AuthResponseEntry]:
+             workers: int | None) -> list[AuthResponseEntry]:
     """One triple per listed value, randomizers drawn in list order, shuffled.
 
-    The finished triples are shuffled with the same entropy source, so a
-    seeded run is fully reproducible regardless of ``workers``.
+    The triples are built in the worker pool; the randomizers and the
+    shuffle come from ``rng`` in this process, so a seeded run is fully
+    reproducible regardless of ``workers``.
     """
     n_squared = challenge.public_key.n_squared
     anchor_d = pow(secret.anchor, secret.secret_exponent, n_squared)
     # Every tag raises anchor_d to a randomizer below n**2.
     anchor_table = _fixed_base_table(anchor_d, n_squared.bit_length(),
                                      n_squared)
-    jobs = [(value, draw_unit(rng, n_squared), secret, challenge, anchor_table)
-            for value in values]
-    if workers > 1 and len(jobs) > 1:
-        # Per-value triples are independent; spread them over processes.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_response_entry_args, jobs, chunksize=1))
-    else:
-        entries = [_response_entry(*job) for job in jobs]
+    jobs = [(value, draw_unit(rng, n_squared)) for value in values]
+    entries = _in_pool(_response_chunk, (secret, challenge, anchor_table),
+                       jobs, workers)
     rng.shuffle(entries)
     return entries
 
@@ -321,10 +419,12 @@ def _check_modes(secret: DeviceSecret, challenge: AuthChallenge,
 
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
                    sample: FeatureSet, rng: random.Random | None = None,
-                   *, workers: int = 1) -> list[AuthResponseEntry]:
+                   *, workers: int | None = None) -> list[AuthResponseEntry]:
     """Build one response triple per sample value, shuffled (step 2).
 
-    Per-value randomizers are drawn in ascending sample-value order.
+    Per-value randomizers are drawn in ascending sample-value order.  The
+    triples are spread over ``workers`` pool processes, one per usable CPU
+    by default; ``workers=1`` builds them in this process.
     """
     _check_modes(secret, challenge, sample)
     return _respond(secret, challenge, sample.values, rng or _SYSTEM, workers)
@@ -333,7 +433,8 @@ def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
 def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
                             sample: FeatureSet, sim: SimilarityFunction,
                             rng: random.Random | None = None,
-                            *, workers: int = 1) -> list[AuthResponseEntry]:
+                            *, workers: int | None = None
+                            ) -> list[AuthResponseEntry]:
     """Weighted variant (step 2'): emit one triple per unit of similarity.
 
     For every value ``z`` in the union of supports, the total weight of ``z``
@@ -354,6 +455,13 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
     return _respond(secret, challenge, values, rng or _SYSTEM, workers)
 
 
+def _match_chunk(context: tuple[int, int, int],
+                 tests: list[tuple[int, int]]) -> list[bool]:
+    theta, n, n_squared = context
+    return [cipher == pow(pow(ratio, theta, n), n, n_squared)
+            for ratio, cipher in tests]
+
+
 def carrier_score(session: SessionState,
                   entries: list[AuthResponseEntry]) -> int:
     """Count recognized triples (step 3) and consume the session.
@@ -366,7 +474,9 @@ def carrier_score(session: SessionState,
     exponent ``n * theta`` becomes a half-width power to ``theta`` and a
     full-width power to ``n``, about two thirds of the cost.  The session is
     claimed before any validation so that a malformed response still burns
-    its challenge.
+    its challenge.  Every check below runs on every entry, in this process
+    and in entry order, before any match test starts; only the match tests
+    run in the worker pool.
 
     A device that knows neither ``d`` nor the anchor can still satisfy the
     predicate when ``tag * correction**-1`` reduces modulo ``n`` to a unit
@@ -403,7 +513,7 @@ def carrier_score(session: SessionState,
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
     theta = session.session_exponent
-    matches = 0
+    tests: list[tuple[int, int]] = []
     seen: set[int] = set()
     for entry in entries:
         for value in (entry.cipher, entry.correction, entry.tag):
@@ -417,9 +527,9 @@ def carrier_score(session: SessionState,
         if ratio_class in seen:
             raise ProtocolError("response repeats a triple")
         seen.add(ratio_class)
-        if entry.cipher == pow(pow(ratio, theta, n), n, n_squared):
-            matches += 1
-    return matches
+        tests.append((ratio, entry.cipher))
+    return sum(_in_pool(_match_chunk, (theta, n, n_squared), tests))
+
 
 
 def default_threshold(mode: FeatureMode, sample_size: int,

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from psiauth import keygen, keypair_from_primes
+from psiauth import keygen, keypair_from_primes, protocol
 
 
 @pytest.fixture
@@ -28,3 +28,13 @@ def kp128():
 @pytest.fixture(scope="session")
 def kp512():
     return keygen(512, random.Random(0xB0B))
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A worker pool of at least two processes, forked by the test's first
+    pooled call, so the pool path runs even on a one-CPU machine."""
+    cpus = max(2, protocol.usable_cpus())
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    if protocol._pool is not None:
+        protocol._drop_pool(protocol._pool)

@@ -1,7 +1,13 @@
 import hashlib
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +33,7 @@ from psiauth import (
     oracle_l1,
     oracle_weighted,
 )
+from psiauth import protocol
 from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, _WINDOW, _fixed_base_pow, \
     _fixed_base_table, default_threshold
@@ -124,15 +131,136 @@ class TestDeviceRespond:
                 identity_count += 1
         assert identity_count <= 5  # expectation is 100/120
 
-    def test_workers_do_not_change_the_response(self, enrolled):
-        profile, secret = enrolled
-        sample = case_a([5, 10, 15, 20])
-        challenge, _ = carrier_challenge(profile, random.Random(1))
-        serial = device_respond(secret, challenge, sample, random.Random(2))
-        challenge, _ = carrier_challenge(profile, random.Random(1))
-        parallel = device_respond(secret, challenge, sample, random.Random(2),
-                                  workers=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
+    def test_workers_do_not_change_the_response(self, mode, fresh_pool):
+        features, sample, sim = POOL_RUNS[mode]
+        profile, secret = build_encrypted_profile("u", features, 128,
+                                                  random.Random(3))
+
+        def respond(workers):
+            challenge, _ = carrier_challenge(profile, random.Random(1))
+            if sim is not None:
+                return device_respond_weighted(secret, challenge, sample, sim,
+                                               random.Random(2),
+                                               workers=workers)
+            return device_respond(secret, challenge, sample,
+                                  random.Random(2), workers=workers)
+
+        serial = respond(1)
+        assert protocol._pool is not None  # the challenge used the pool
+        assert respond(2) == respond(None) == serial
+
+
+POOL_RUNS = {
+    "case-a": (case_a([5, 10, 15, 20, 25]), case_a([5, 7, 15, 21, 25]), None),
+    "case-b": (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
+               FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]),
+               SimilarityFunction.from_entries(
+                   [(y, z, 2 - abs(z - y)) for y in range(1, 13)
+                    for z in range(max(1, y - 1), min(12, y + 1) + 1)],
+                   max_weight=2)),
+    "case-c": (encode_numeric((3, 0, 5, 2), 5),
+               encode_numeric((2, 1, 5, 0), 5), None),
+}
+
+
+class TestWorkerPool:
+    """The pool computes exactly what the in-process path computes."""
+
+    @pytest.fixture
+    def enrolled_a(self):
+        features, sample, _ = POOL_RUNS["case-a"]
+        profile, secret = build_encrypted_profile("u", features, 128,
+                                                  random.Random(4))
+        return profile, secret, features, sample
+
+    def in_process_score(self, monkeypatch, profile, theta, entries):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "usable_cpus", lambda: 1)
+            session = SessionState(b"ref", theta, profile, 0.0)
+            return carrier_score(session, entries)
+
+    def test_challenge_powers_equal_plain_pow(self, enrolled_a, fresh_pool):
+        profile = enrolled_a[0]
+        n_squared = profile.public_key.n_squared
+        theta = random.Random(5).randrange(1, profile.public_key.n)
+        challenge, _ = carrier_challenge(profile, session_exponent=theta)
+        assert protocol._pool is not None
+        assert challenge.powered_coeffs == tuple(
+            pow(c.value, theta, n_squared) for c in profile.enc_coeffs)
+
+    def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,
+                                           monkeypatch):
+        profile, secret, features, sample = enrolled_a
+        challenge, session = carrier_challenge(profile, random.Random(6))
+        entries = device_respond(secret, challenge, sample, random.Random(7))
+        assert len(entries) > 2
+        expected = oracle_intersection(features.values, sample.values)
+        assert carrier_score(session, entries) == expected == \
+            self.in_process_score(monkeypatch, profile,
+                                  session.session_exponent, entries)
+
+    def test_repeated_class_in_last_entry_still_refused(self, enrolled_a,
+                                                        fresh_pool):
+        profile, secret, _, sample = enrolled_a
+        challenge, session = carrier_challenge(profile, random.Random(8))
+        entries = device_respond(secret, challenge, sample, random.Random(9))
+        first = entries[0]
+        n_squared = profile.public_key.n_squared
+        variant = AuthResponseEntry(first.cipher, first.correction,
+                                    first.tag * (1 + profile.public_key.n)
+                                    % n_squared)
+        with pytest.raises(ProtocolError, match="response repeats a triple"):
+            carrier_score(session, entries + [variant])
+        assert session.consumed
+
+    def test_dead_worker_costs_no_result(self, enrolled_a, fresh_pool,
+                                         monkeypatch):
+        profile, secret, features, sample = enrolled_a
+        challenge, _ = carrier_challenge(profile, random.Random(10))
+        serial = device_respond(secret, challenge, sample, random.Random(11),
+                                workers=1)
+        pool = protocol._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        # This call finishes in-process; the next one forks a new pool.
+        assert device_respond(secret, challenge, sample,
+                              random.Random(11)) == serial
+        assert protocol._pool is None
+        theta = 0x5EED
+        challenge, session = carrier_challenge(profile, session_exponent=theta)
+        assert protocol._pool not in (None, pool)
+        entries = device_respond(secret, challenge, sample, random.Random(12))
+        expected = oracle_intersection(features.values, sample.values)
+        assert carrier_score(session, entries) == expected == \
+            self.in_process_score(monkeypatch, profile, theta, entries)
+
+    def test_script_without_main_guard(self, tmp_path):
+        # A forkserver or spawn pool re-runs such a script in every worker.
+        script = tmp_path / "no_guard.py"
+        script.write_text(
+            "import random\n"
+            "from psiauth import *\n"
+            "rng = random.Random(13)\n"
+            "features = FeatureSet.from_values(FeatureMode.CASE_A, "
+            "[3, 5, 8, 13])\n"
+            "profile, secret = build_encrypted_profile('u', features, 512, "
+            "rng)\n"
+            "challenge, session = carrier_challenge(profile, rng)\n"
+            "sample = FeatureSet.from_values(FeatureMode.CASE_A, "
+            "[5, 13, 21])\n"
+            "entries = device_respond(secret, challenge, sample, rng)\n"
+            "print(carrier_score(session, entries))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(protocol.__file__).parents[1]))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == \
+            f"{oracle_intersection([3, 5, 8, 13], [5, 13, 21])}\n"
 
 
 def hashed(mode, labels):

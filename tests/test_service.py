@@ -14,7 +14,7 @@ from psiauth import (
     device_respond,
     encode_numeric,
 )
-from psiauth import client, wire
+from psiauth import client, protocol, wire
 from psiauth.encoding import encode_uint
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
@@ -233,3 +233,19 @@ class TestDeviceClient:
             matches = carrier_score(session, entries)
             local_decision = decide(matches, profile, len(entries))
             assert wire_decision == local_decision
+
+    def test_pool_workers_keep_no_socket_open(self, tmp_path, fresh_pool):
+        # The carrier forks the pool while it listens and holds a
+        # connection; after shutdown its port must refuse connections.
+        config = CarrierConfig(store_root=tmp_path / "store", seed=7)
+        with CarrierService(config) as svc:
+            address = svc.address
+            secret = client.setup_device(address, "dora", case_a([1, 2, 3]),
+                                         tmp_path / "dora.secret", bits=128,
+                                         rng=random.Random(8))
+            decision = client.authenticate(address, secret, case_a([2, 3, 4]),
+                                           rng=random.Random(9))
+            assert decision.match_count == 2
+            assert protocol._pool is not None
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
