@@ -45,8 +45,8 @@ sample = FeatureSet.from_values(
 
 challenge, session = carrier_challenge(profile, rng)
 entries = device_respond(secret, challenge, sample, rng)
-print(f"\ndevice sends {len(entries)} shuffled triples; each value is a "
-      f"unit mod n^2 and reveals nothing on its own")
+print(f"\ndevice sends {len(entries)} shuffled (cipher, ratio) pairs; each "
+      f"value is a unit and reveals nothing on its own")
 
 matches = carrier_score(session, entries)
 decision = decide(matches, profile, len(entries))

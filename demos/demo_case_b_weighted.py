@@ -1,7 +1,7 @@
 """Case B walkthrough: correlated features scored by a similarity kernel.
 
 Cell towers near each other should count as partial matches.  The device
-emits one response triple per unit of similarity weight, so the carrier's
+emits one response entry per unit of similarity weight, so the carrier's
 match count becomes the double sum of similarities between profile and
 sample, without either side revealing its set.
 
@@ -50,7 +50,7 @@ entries = device_respond_weighted(secret, challenge, sample, sim, rng)
 total_weight = sum(sim.weight(z, y) for y in sample_towers for z in TOWERS)
 print(f"profile towers: {profile_towers}")
 print(f"sample towers:  {sample_towers}")
-print(f"device sends {len(entries)} triples "
+print(f"device sends {len(entries)} entries "
       f"(= total support weight {total_weight} of the sample)")
 
 score = carrier_score(session, entries)

@@ -17,7 +17,7 @@ __all__ = ["MAX_COEFFS", "MAX_ENTRIES", "DecodeError", "Reader",
            "encode_uints"]
 
 # Decoding limits on sequence counts: polynomial coefficients (and blinded
-# randomizers) per record or challenge, and triples per response.
+# randomizers) per record or challenge, and entries per response.
 MAX_COEFFS = 1 << 20
 MAX_ENTRIES = 1 << 20
 

@@ -6,21 +6,24 @@ One authentication run:
    coefficient to it and sends those powers plus the stored blinded
    randomizers (``carrier_challenge``).
 2. For each sample value the device evaluates the powered polynomial in the
-   exponent, masks it with a per-value randomizer and its secret exponent,
-   and emits the triple (cipher, correction, tag); the triples are shuffled
+   exponent and masks it with a per-value randomizer ``rho`` and its secret
+   exponent ``d``.  It evaluates the blinded randomizers the same way,
+   modulo ``n``, and emits the pair (cipher, ratio), where the ratio is
+   ``(R'**d / blinded evaluation) ** rho mod n``; the pairs are shuffled
    before transmission (``device_respond``).
-3. The carrier divides each tag by its correction, raises the quotient to
-   ``n * theta`` and compares it against the cipher; the two collide exactly
-   when the sample value is a profile feature (``carrier_score``).
+3. The carrier raises each ratio to ``n * theta`` and compares it against
+   the cipher; the two collide exactly when the sample value is a profile
+   feature (``carrier_score``).
 
 The count of collisions is the set-intersection cardinality (Case A), the
 similarity-weighted match total (Case B, ``device_respond_weighted``) or the
 pairwise-min sum of the numeric vectors (Case C); ``decide`` turns it into a
 dissimilarity score and an accept/reject outcome.
 
-Each tag is the power ``(R'**d)**rho`` for the entry's randomizer ``rho``;
-the device builds one fixed-base table of ``R'**d`` per response, so a tag
-costs a few hundred multiplications instead of a full-width power.
+The carrier only ever needs the ratio modulo ``n``: its ``n * theta`` power
+depends on nothing else.  So the device computes ``R'**d`` once per response
+modulo ``n``, and runs the ratio leg's Horner steps and its ``rho`` power
+modulo ``n`` as well.
 
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
@@ -31,9 +34,9 @@ carrier's ``n * theta`` power removes (see ``profiles``).
 
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use: the
-challenge's ``C_i**theta``, the device's triples and the carrier's match
-tests.  Everything else stays in the calling process: randomizer draws, the
-anchor table, the shuffle, and every check ``carrier_score`` makes before it
+challenge's ``C_i**theta``, the device's entries and the carrier's match
+tests.  Everything else stays in the calling process: randomizer draws,
+``R'**d``, the shuffle, and every check ``carrier_score`` makes before it
 tests a match.  The secrets ``d``, ``rho`` and ``theta`` thus cross a pipe
 only to forked children of the process that holds them.  A dead worker costs
 one call its parallelism, not its result: the call finishes in-process and
@@ -152,24 +155,22 @@ class SessionState:
 
 @dataclass(frozen=True)
 class AuthResponseEntry:
-    """One shuffled response triple (step 2).
+    """One shuffled response pair (step 2).
 
-    ``cipher`` carries the masked polynomial evaluation, ``correction``
-    cancels the encryption randomizers carrier-side, and ``tag`` is the
-    anchor power the carrier compares against.
+    ``cipher`` carries the masked polynomial evaluation modulo ``n**2``, and
+    ``ratio``, a unit in ``[1, n)``, is what the carrier raises to
+    ``n * theta`` and compares against it.
     """
 
     cipher: int
-    correction: int
-    tag: int
+    ratio: int
 
     def to_bytes(self) -> bytes:
-        return encode_uint(self.cipher) + encode_uint(self.correction) + \
-            encode_uint(self.tag)
+        return encode_uint(self.cipher) + encode_uint(self.ratio)
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "AuthResponseEntry":
-        return cls(reader.uint(), reader.uint(), reader.uint())
+        return cls(reader.uint(), reader.uint())
 
 
 @dataclass(frozen=True)
@@ -321,85 +322,48 @@ def carrier_challenge(profile: EncryptedProfile,
     return challenge, state
 
 
-# Digit width of the fixed-base tag power: 342 table entries for the
-# 2048-bit randomizers of a 1024-bit key.
-_WINDOW = 6
-
-
-def _fixed_base_table(base: int, bits: int, modulus: int) -> list[int]:
-    """``base**(2**(_WINDOW*j)) mod modulus``, one per digit of a
-    ``bits``-bit exponent."""
-    table = [base]
-    for _ in range((bits - 1) // _WINDOW):
-        table.append(pow(table[-1], 1 << _WINDOW, modulus))
-    return table
-
-
-def _fixed_base_pow(table: list[int], exponent: int, modulus: int) -> int:
-    """``table[0]**exponent mod modulus`` by bucketed fixed-base windowing.
-
-    Brickell-Gordon-McCurley-Wilson (EUROCRYPT '92): each base-2**w digit
-    ``k`` multiplies its table entry into bucket ``k``, and two running
-    products over the buckets then raise bucket ``k`` to the ``k``-th power.
-    """
-    mask = (1 << _WINDOW) - 1
-    buckets = [1] * (mask + 1)
-    for entry in table:
-        digit = exponent & mask
-        if digit:
-            buckets[digit] = buckets[digit] * entry % modulus
-        exponent >>= _WINDOW
-    if exponent:
-        raise ValueError("exponent wider than the fixed-base table")
-    running = result = 1
-    for bucket in reversed(buckets[1:]):
-        running = running * bucket % modulus
-        result = result * running % modulus
-    return result
-
-
 def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
                     challenge: AuthChallenge,
-                    anchor_table: list[int]) -> AuthResponseEntry:
-    n_squared = challenge.public_key.n_squared
+                    anchor_d: int) -> AuthResponseEntry:
+    n, n_squared = challenge.public_key.n, challenge.public_key.n_squared
     # Horner's rule in the exponent, top coefficient first: the exponents are
     # the raw feature on both legs, so the encryption randomizers still cancel.
+    # The ratio leg is only ever read modulo n.
     *lower_coeffs, cipher_acc = challenge.powered_coeffs
-    *lower_blinded, correction_acc = challenge.blinded_randomizers
+    *lower_blinded, blinded_acc = challenge.blinded_randomizers
+    blinded_acc %= n
     for coeff, blinded in zip(reversed(lower_coeffs), reversed(lower_blinded)):
         cipher_acc = pow(cipher_acc, value, n_squared) * coeff % n_squared
-        correction_acc = pow(correction_acc, value, n_squared) * \
-            blinded % n_squared
+        blinded_acc = pow(blinded_acc, value, n) * blinded % n
+    if math.gcd(blinded_acc, n) != 1:
+        raise ProtocolError("challenge's blinded randomizers evaluate to a "
+                            "non-unit modulo n")
     cipher = pow(cipher_acc, secret.secret_exponent * randomizer, n_squared)
-    correction = pow(correction_acc, randomizer, n_squared)
-    tag = _fixed_base_pow(anchor_table, randomizer, n_squared)
-    return AuthResponseEntry(cipher, correction, tag)
+    ratio = pow(anchor_d * pow(blinded_acc, -1, n) % n, randomizer, n)
+    return AuthResponseEntry(cipher, ratio)
 
 
-def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, list[int]],
+def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, int],
                     jobs: list[tuple[int, int]]) -> list[AuthResponseEntry]:
-    secret, challenge, anchor_table = context
-    return [_response_entry(value, randomizer, secret, challenge, anchor_table)
+    secret, challenge, anchor_d = context
+    return [_response_entry(value, randomizer, secret, challenge, anchor_d)
             for value, randomizer in jobs]
 
 
 def _respond(secret: DeviceSecret, challenge: AuthChallenge,
              values: Sequence[int], rng: random.Random,
              workers: int | None) -> list[AuthResponseEntry]:
-    """One triple per listed value, randomizers drawn in list order, shuffled.
+    """One entry per listed value, randomizers drawn in list order, shuffled.
 
-    The triples are built in the worker pool; the randomizers and the
+    The entries are built in the worker pool; the randomizers and the
     shuffle come from ``rng`` in this process, so a seeded run is fully
     reproducible regardless of ``workers``.
     """
-    n_squared = challenge.public_key.n_squared
-    anchor_d = pow(secret.anchor, secret.secret_exponent, n_squared)
-    # Every tag raises anchor_d to a randomizer below n**2.
-    anchor_table = _fixed_base_table(anchor_d, n_squared.bit_length(),
-                                     n_squared)
-    jobs = [(value, draw_unit(rng, n_squared)) for value in values]
-    entries = _in_pool(_response_chunk, (secret, challenge, anchor_table),
-                       jobs, workers)
+    pk = challenge.public_key
+    anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
+    jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
+    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs,
+                       workers)
     rng.shuffle(entries)
     return entries
 
@@ -420,11 +384,13 @@ def _check_modes(secret: DeviceSecret, challenge: AuthChallenge,
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
                    sample: FeatureSet, rng: random.Random | None = None,
                    *, workers: int | None = None) -> list[AuthResponseEntry]:
-    """Build one response triple per sample value, shuffled (step 2).
+    """Build one response entry per sample value, shuffled (step 2).
 
     Per-value randomizers are drawn in ascending sample-value order.  The
-    triples are spread over ``workers`` pool processes, one per usable CPU
-    by default; ``workers=1`` builds them in this process.
+    entries are spread over ``workers`` pool processes, one per usable CPU
+    by default; ``workers=1`` builds them in this process.  A challenge
+    whose blinded randomizers evaluate to a non-unit modulo ``n`` raises
+    ``ProtocolError``.
     """
     _check_modes(secret, challenge, sample)
     return _respond(secret, challenge, sample.values, rng or _SYSTEM, workers)
@@ -435,10 +401,10 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
                             rng: random.Random | None = None,
                             *, workers: int | None = None
                             ) -> list[AuthResponseEntry]:
-    """Weighted variant (step 2'): emit one triple per unit of similarity.
+    """Weighted variant (step 2'): emit one entry per unit of similarity.
 
     For every value ``z`` in the union of supports, the total weight of ``z``
-    against the sample determines how many independent triples are built on
+    against the sample determines how many independent entries are built on
     ``z``; profile features then collect exactly their similarity weight in
     matches, so the carrier's count is the double similarity sum.
     """
@@ -456,56 +422,61 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
 
 
 def _match_chunk(context: tuple[int, int, int],
-                 tests: list[tuple[int, int]]) -> list[bool]:
+                 entries: list[AuthResponseEntry]) -> list[bool]:
     theta, n, n_squared = context
-    return [cipher == pow(pow(ratio, theta, n), n, n_squared)
-            for ratio, cipher in tests]
+    return [entry.cipher == pow(pow(entry.ratio, theta, n), n, n_squared)
+            for entry in entries]
 
 
 def carrier_score(session: SessionState,
                   entries: list[AuthResponseEntry]) -> int:
-    """Count recognized triples (step 3) and consume the session.
+    """Count recognized entries (step 3) and consume the session.
 
-    A triple matches when ``cipher == (tag * correction**-1) ** (n * theta)``
-    modulo ``n**2``.  The power is split: the ratio ``r`` is formed modulo
-    ``n`` only, raised to ``theta`` modulo ``n``, and the result raised to
-    ``n`` modulo ``n**2``.  This is exact because ``a == b (mod n)`` implies
-    ``a**n == b**n (mod n**2)``.  One full-width power to the 2|n|-bit
-    exponent ``n * theta`` becomes a half-width power to ``theta`` and a
-    full-width power to ``n``, about two thirds of the cost.  The session is
-    claimed before any validation so that a malformed response still burns
-    its challenge.  Every check below runs on every entry, in this process
-    and in entry order, before any match test starts; only the match tests
-    run in the worker pool.
+    An entry matches when ``cipher == ratio ** (n * theta)`` modulo
+    ``n**2``.  The power is split: the ratio is raised to ``theta`` modulo
+    ``n``, and the result raised to ``n`` modulo ``n**2``.  This is exact
+    because ``a == b (mod n)`` implies ``a**n == b**n (mod n**2)``.  One
+    full-width power to the 2|n|-bit exponent ``n * theta`` becomes a
+    half-width power to ``theta`` and a full-width power to ``n``, about two
+    thirds of the cost.  The session is claimed before any validation so
+    that a malformed response still burns its challenge.  Every check below
+    runs on every entry, in this process and in entry order, before any
+    match test starts; only the match tests run in the worker pool.
 
-    A device that knows neither ``d`` nor the anchor can still satisfy the
-    predicate when ``tag * correction**-1`` reduces modulo ``n`` to a unit
-    ``w`` of small order ``k``: the ``n * theta`` power then takes one of
-    only ``k`` values, whatever ``theta`` is, and a guessed cipher scores
-    with probability about ``1/k``.  ``w = 1`` always gives ``cipher = 1``
-    and ``w = -1`` gives ``cipher = n**2 - 1`` for every odd ``theta``; both
-    ciphers are refused, as is any triple sent twice.  Every other unit of
-    small known order modulo ``n`` is a nontrivial root of unity, and writing
-    one down is believed to need the factorization of ``n``: a square root
-    of 1 other than ``+-1``, for instance, splits ``n`` through
-    ``gcd(w - 1, n)``.
+    The cipher must be a unit modulo ``n**2`` and the ratio a unit in
+    ``[1, n)``.  The range keeps ``(c, r + k*n)``, which matches like
+    ``(c, r)``, from posing as an entry of its own.
 
-    Variants of one genuine triple also match: ``(c, x * w, t * w)`` keeps
-    the ratio ``r = t * x**-1``, ``(c, x, t * (1 + k*n))`` moves it within
-    its class modulo ``n`` and ``(-c, x, -t)`` flips its sign.  A response
-    that repeats a ratio class ``min(r mod n, n - r mod n)``, an identical
-    triple included, is refused; honest triples carry independent
-    randomizers, so their classes collide with negligible probability.
+    A party that knows neither ``d`` nor ``R'`` can still satisfy the
+    predicate with a ratio ``w`` of small order ``k`` modulo ``n``: the
+    ``n * theta`` power then takes one of only ``k`` values, whatever
+    ``theta`` is, and a guessed cipher scores with probability about
+    ``1/k``.  ``w = 1`` always gives ``cipher = 1`` and ``w = n - 1`` gives
+    ``cipher = n**2 - 1`` for every odd ``theta``; both ciphers are refused.
+    Every other unit of small known order modulo ``n`` is a nontrivial root
+    of unity, and writing one down is believed to need the factorization of
+    ``n``: a square root of 1 other than ``+-1``, for instance, splits ``n``
+    through ``gcd(w - 1, n)``.
 
-    Remaining gap: this check only mitigates.  Matching triples are closed
-    under multiplication, so the powers ``(c**k, x**k, t**k)`` of one genuine
-    triple, and the products of two, match with ratio classes of their own;
-    a device that holds one matching feature builds as many matches as it
-    likes without any secret, and no check on repeated classes can stop it.
-    ``decide`` also takes the sample size (``|Y|`` in Case C, the default
-    threshold in Cases A and B) from the entry count, which the device
-    chooses; pinning it to the declared sample size, or to a bound stored at
-    set-up in Case B, is still open.
+    Such a party can also reuse the genuine entries of the current session,
+    as a man in the middle could: send one twice, or flip its sign as
+    ``(n**2 - c, n - r)``, which matches for every odd ``theta``.  A response
+    that repeats a ratio class ``min(r, n - r)`` is refused; honest entries
+    carry independent randomizers, so their classes collide with negligible
+    probability.  Matching entries are closed under multiplication, though:
+    the powers ``(c**k, r**k)`` of a genuine entry, and the products of two,
+    match with classes of their own, and no check on repeated classes can
+    refuse them.
+
+    Against a party without ``(d, R')`` the count is otherwise sound.  A
+    party that holds them, a thief with the phone or its secret file, builds
+    genuine entries at will: knowing k profile features, it reaches any
+    count by sending each with fresh randomizers, or as ``b + j*n``, which
+    evaluates like the feature ``b``.  The ratio-class refusal does not stop
+    it.  ``decide`` also takes the sample size (``|Y|`` in Case C, the
+    default threshold in Cases A and B) from the entry count, which the
+    device chooses; pinning it to the declared sample size, or to a bound
+    stored at set-up in Case B, is still open.
     """
     if not entries:
         raise ProtocolError("empty response")
@@ -513,23 +484,20 @@ def carrier_score(session: SessionState,
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
     theta = session.session_exponent
-    tests: list[tuple[int, int]] = []
     seen: set[int] = set()
     for entry in entries:
-        for value in (entry.cipher, entry.correction, entry.tag):
-            if not 1 <= value < n_squared or math.gcd(value, n) != 1:
-                raise ProtocolError("response entry is not a unit modulo n**2")
+        for value, bound in ((entry.cipher, n_squared), (entry.ratio, n)):
+            if not 1 <= value < bound or math.gcd(value, n) != 1:
+                raise ProtocolError("response entry is not a unit below "
+                                    "its modulus")
         if entry.cipher in (1, n_squared - 1):
             raise ProtocolError("response cipher is +-1, which scores "
                                 "without the device's secrets")
-        ratio = entry.tag * pow(entry.correction, -1, n) % n
-        ratio_class = min(ratio, n - ratio)
+        ratio_class = min(entry.ratio, n - entry.ratio)
         if ratio_class in seen:
-            raise ProtocolError("response repeats a triple")
+            raise ProtocolError("response repeats a ratio class")
         seen.add(ratio_class)
-        tests.append((ratio, entry.cipher))
-    return sum(_in_pool(_match_chunk, (theta, n, n_squared), tests))
-
+    return sum(_in_pool(_match_chunk, (theta, n, n_squared), list(entries)))
 
 
 def default_threshold(mode: FeatureMode, sample_size: int,
@@ -551,6 +519,11 @@ def decide(match_count: int, profile: EncryptedProfile, sample_size: int,
     computes the L1 distance ``|X| + |Y| - 2 * matches`` from the stored
     profile size and the received entry count (``sample_size``) and accepts
     when it stays at or below the threshold.
+
+    The outcome is only as sound as the count (see ``carrier_score``): it
+    holds against a party without the device's ``(d, R')``, but a party
+    that holds them and knows k profile features can reach any count, and
+    so any outcome.
     """
     if match_count < 0 or sample_size < 1:
         raise ValueError("match count must be >= 0 and sample size >= 1")

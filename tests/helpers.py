@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from psiauth import FeatureMode, FeatureSet
+from psiauth import FeatureMode, FeatureSet, wire
 from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
@@ -108,5 +108,6 @@ def malformed_frames() -> dict[str, bytes]:
             0x06, encode_uint(1) + encode_uint(2) + encode_uint(4) +
             b"\x00" + case_a),
     }
-    return {name: bytes([0x01, tag]) + len(payload).to_bytes(4, "big") +
-            payload for name, (tag, payload) in payloads.items()}
+    return {name: bytes([wire.PROTOCOL_VERSION, tag]) +
+            len(payload).to_bytes(4, "big") + payload
+            for name, (tag, payload) in payloads.items()}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -34,15 +35,43 @@ from psiauth import (
     oracle_weighted,
 )
 from psiauth import protocol
+from psiauth.encoding import encode_uint
 from psiauth.paillier import draw_unit
-from psiauth.protocol import SessionState, _WINDOW, _fixed_base_pow, \
-    _fixed_base_table, default_threshold
+from psiauth.protocol import SessionState, default_threshold
 
 from helpers import distinct_values, overlap_instance
 
 
 def case_a(values):
     return FeatureSet.from_values(FeatureMode.CASE_A, values)
+
+
+def raw_entries(secret, challenge, values, rng):
+    """Unshuffled entries from raw power products, one per value in order.
+
+    Each ratio is built the long way, as ``tag * correction**-1 mod n`` from
+    the full-width powers ``tag = R'**(d * rho)`` and ``correction = B**rho``
+    modulo ``n**2``, where ``B`` is the blinded leg's raw power product.
+    """
+    n, n_squared = challenge.public_key.n, challenge.public_key.n_squared
+
+    def raw_product(bases, x):
+        acc = 1
+        for i, base in enumerate(bases):
+            acc = acc * pow(base, x ** i, n_squared) % n_squared
+        return acc
+
+    d = secret.secret_exponent
+    entries = []
+    for x in values:
+        rho = draw_unit(rng, n_squared)
+        tag = pow(secret.anchor, d * rho, n_squared)
+        correction = pow(raw_product(challenge.blinded_randomizers, x), rho,
+                         n_squared)
+        entries.append(AuthResponseEntry(
+            pow(raw_product(challenge.powered_coeffs, x), d * rho, n_squared),
+            tag * pow(correction, -1, n) % n))
+    return entries
 
 
 @pytest.fixture(scope="module")
@@ -110,26 +139,35 @@ class TestDeviceRespond:
 
     def test_output_is_shuffled(self, enrolled):
         # Randomizers are drawn per value in ascending order before the
-        # shuffle, so the tag sequence of an unshuffled response can be
-        # reconstructed from the same seed and compared.
+        # shuffle, so an unshuffled response can be reconstructed from the
+        # same seed and compared.
         profile, secret = enrolled
         sample = case_a([7, 14, 21, 28, 35])
-        n_squared = profile.public_key.n_squared
         identity_count = 0
         for seed in range(100):
             challenge, _ = carrier_challenge(profile, random.Random(seed))
             rng = random.Random(seed * 1009 + 1)
             entries = device_respond(secret, challenge, sample, rng)
-            replay = random.Random(seed * 1009 + 1)
-            expected_tags = [
-                pow(secret.anchor, draw_unit(replay, n_squared) *
-                    secret.secret_exponent, n_squared)
-                for _ in sample.values
-            ]
-            assert sorted(e.tag for e in entries) == sorted(expected_tags)
-            if [e.tag for e in entries] == expected_tags:
+            expected = raw_entries(secret, challenge, sample.values,
+                                   random.Random(seed * 1009 + 1))
+            assert set(entries) == set(expected)
+            if entries == expected:
                 identity_count += 1
         assert identity_count <= 5  # expectation is 100/120
+
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_non_unit_challenge_raises_protocol_error(self, enrolled, rng,
+                                                       workers, fresh_pool):
+        # Blinded randomizers that are multiples of n make the ratio leg
+        # evaluate to 0 modulo n, which has no inverse.
+        profile, secret = enrolled
+        challenge, _ = carrier_challenge(profile, rng)
+        crafted = dataclasses.replace(
+            challenge, blinded_randomizers=(profile.public_key.n,) *
+            len(challenge.blinded_randomizers))
+        with pytest.raises(ProtocolError, match="non-unit"):
+            device_respond(secret, crafted, case_a([11, 22, 33]), rng,
+                           workers=workers)
 
     @pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
     def test_workers_do_not_change_the_response(self, mode, fresh_pool):
@@ -151,14 +189,14 @@ class TestDeviceRespond:
         assert respond(2) == respond(None) == serial
 
 
+TENT = SimilarityFunction.from_entries(
+    [(y, z, 2 - abs(z - y)) for y in range(1, 13)
+     for z in range(max(1, y - 1), min(12, y + 1) + 1)], max_weight=2)
+
 POOL_RUNS = {
     "case-a": (case_a([5, 10, 15, 20, 25]), case_a([5, 7, 15, 21, 25]), None),
     "case-b": (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
-               FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]),
-               SimilarityFunction.from_entries(
-                   [(y, z, 2 - abs(z - y)) for y in range(1, 13)
-                    for z in range(max(1, y - 1), min(12, y + 1) + 1)],
-                   max_weight=2)),
+               FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]), TENT),
     "case-c": (encode_numeric((3, 0, 5, 2), 5),
                encode_numeric((2, 1, 5, 0), 5), None),
 }
@@ -206,11 +244,11 @@ class TestWorkerPool:
         challenge, session = carrier_challenge(profile, random.Random(8))
         entries = device_respond(secret, challenge, sample, random.Random(9))
         first = entries[0]
-        n_squared = profile.public_key.n_squared
-        variant = AuthResponseEntry(first.cipher, first.correction,
-                                    first.tag * (1 + profile.public_key.n)
-                                    % n_squared)
-        with pytest.raises(ProtocolError, match="response repeats a triple"):
+        pk = profile.public_key
+        variant = AuthResponseEntry(pk.n_squared - first.cipher,
+                                    pk.n - first.ratio)
+        with pytest.raises(ProtocolError,
+                           match="response repeats a ratio class"):
             carrier_score(session, entries + [variant])
         assert session.consumed
 
@@ -283,29 +321,13 @@ class TestHornerEvaluation:
         features = hashed(FeatureMode.CASE_A, self.PROFILE)
         profile, secret = build_encrypted_profile("u", features, 512,
                                                   random.Random(21))
-        n, n_squared = profile.public_key.n, profile.public_key.n_squared
+        n = profile.public_key.n
         sample = hashed(FeatureMode.CASE_A, self.SAMPLE)
         assert min(sample.values) ** profile.size > n
         challenge, session = carrier_challenge(profile, random.Random(22))
         entries = device_respond(secret, challenge, sample, random.Random(23))
-
-        def raw_product(bases, x):
-            acc = 1
-            for i, base in enumerate(bases):
-                acc = acc * pow(base, x ** i, n_squared) % n_squared
-            return acc
-
         replay = random.Random(23)
-        d = secret.secret_exponent
-        expected = []
-        for x in sample.values:
-            rho = draw_unit(replay, n_squared)
-            expected.append(AuthResponseEntry(
-                pow(raw_product(challenge.powered_coeffs, x), d * rho,
-                    n_squared),
-                pow(raw_product(challenge.blinded_randomizers, x), rho,
-                    n_squared),
-                pow(secret.anchor, rho * d, n_squared)))
+        expected = raw_entries(secret, challenge, sample.values, replay)
         replay.shuffle(expected)
         assert entries == expected
         assert carrier_score(session, entries) == \
@@ -339,42 +361,8 @@ class TestHornerEvaluation:
             assert decision.dissimilarity == oracle_l1(u, v)
 
 
-class TestFixedBaseTag:
-    """Tags come from a fixed-base table and must equal the plain power."""
-
-    @pytest.fixture(scope="class", params=["unit", "minus-one"])
-    def table(self, request, kp512):
-        pk, _ = kp512
-        n_squared = pk.n_squared
-        base = draw_unit(random.Random(41), n_squared) \
-            if request.param == "unit" else n_squared - 1
-        return base, _fixed_base_table(base, n_squared.bit_length(),
-                                       n_squared), n_squared
-
-    def test_edge_exponents(self, table):
-        base, powers, n_squared = table
-        edges = [0, 1] + [(1 << _WINDOW * k) - 1
-                          for k in range(1, len(powers) + 1)]
-        for exponent in edges:
-            assert _fixed_base_pow(powers, exponent, n_squared) == \
-                pow(base, exponent, n_squared)
-
-    @settings(max_examples=60, deadline=None)
-    @given(raw=st.integers(min_value=0))
-    def test_random_randomizers(self, table, raw):
-        base, powers, n_squared = table
-        rho = raw % n_squared
-        assert _fixed_base_pow(powers, rho, n_squared) == \
-            pow(base, rho, n_squared)
-
-    def test_exponent_wider_than_table_refused(self, table):
-        _, powers, n_squared = table
-        with pytest.raises(ValueError, match="wider"):
-            _fixed_base_pow(powers, 1 << _WINDOW * len(powers), n_squared)
-
-
 class TestSplitScoringPower:
-    """The carrier forms the ratio modulo n and splits the n*theta power."""
+    """The carrier splits the n*theta power of the ratio."""
 
     @pytest.fixture(scope="class")
     def profile(self):
@@ -385,23 +373,27 @@ class TestSplitScoringPower:
         return carrier_score(SessionState(b"s", theta, profile, 0.0), [entry])
 
     @settings(max_examples=30, deadline=None)
-    @given(raw_y=st.integers(min_value=0), raw_x=st.integers(min_value=0),
+    @given(raw_tag=st.integers(min_value=0),
+           raw_correction=st.integers(min_value=0),
            raw_theta=st.one_of(st.sampled_from([1, -1]), st.integers()))
-    def test_equals_the_full_width_power(self, profile, raw_y, raw_x,
-                                         raw_theta):
+    def test_equals_the_full_width_power(self, profile, raw_tag,
+                                         raw_correction, raw_theta):
+        # The expected cipher is the full-width power of the unreduced
+        # quotient tag * correction**-1 modulo n**2; the entry carries only
+        # the quotient's residue modulo n.
         n, n_squared = profile.public_key.n, profile.public_key.n_squared
         theta = raw_theta % n or 1  # -1 stands for n - 1
-        y = n + raw_y % (n_squared - n)  # y >= n: the ratio is not reduced
-        x = raw_x % n_squared
-        assume(math.gcd(y * x, n) == 1)
-        expected = pow(y, n * theta, n_squared)
+        tag, correction = raw_tag % n_squared, raw_correction % n_squared
+        assume(math.gcd(tag * correction, n) == 1)
+        expected = pow(tag * pow(correction, -1, n_squared), n * theta,
+                       n_squared)
         assume(expected not in (1, n_squared - 1))
-        tag = y * x % n_squared
+        ratio = tag * pow(correction, -1, n) % n
         assert self.score(profile, theta,
-                          AuthResponseEntry(expected, x, tag)) == 1
+                          AuthResponseEntry(expected, ratio)) == 1
         # Same residue modulo n, different modulo n**2: no match.
         off = expected * (1 + n) % n_squared
-        assert self.score(profile, theta, AuthResponseEntry(off, x, tag)) == 0
+        assert self.score(profile, theta, AuthResponseEntry(off, ratio)) == 0
 
 
 class TestCarrierScore:
@@ -462,7 +454,7 @@ class TestCarrierScore:
     def test_non_unit_entry_rejected(self, enrolled, rng):
         profile, _ = enrolled
         _, session = carrier_challenge(profile, rng)
-        bad = AuthResponseEntry(profile.public_key.n, 1, 1)
+        bad = AuthResponseEntry(profile.public_key.n, 1)
         with pytest.raises(ProtocolError, match="unit"):
             carrier_score(session, [bad])
 
@@ -622,21 +614,18 @@ class TestDecide:
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
 # profile and secret bytes, challenge and response bytes, and the match
-# counts.  Recorded before the fixed-base, split-power and CRT rewrites of the
-# modular arithmetic, which must not change a single value.
-PINNED_TRANSCRIPT_DIGEST = ("72f89c673691b69199b904ed258216e1"
-                            "77f6558e122be544f1312bf829d98d6a")
+# counts.  Recorded when response entries became (cipher, ratio) pairs; the
+# pairs themselves are pinned to the earlier construction below.
+PINNED_TRANSCRIPT_DIGEST = ("f872af57f1b88e5881dc2bdadc32bd9f"
+                            "3c38dd3cd660fe8ca51f626d650032ca")
 
 
 def transcript_blobs():
-    tent = SimilarityFunction.from_entries(
-        [(y, z, 2 - abs(z - y)) for y in range(1, 13)
-         for z in range(max(1, y - 1), min(12, y + 1) + 1)], max_weight=2)
     runs = [
         (hashed(FeatureMode.CASE_A, [f"tower-{i}" for i in range(6)]),
          hashed(FeatureMode.CASE_A, ["tower-1", "tower-4", "app-x"]), None),
         (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
-         FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]), tent),
+         FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]), TENT),
         (encode_numeric((3, 0, 5, 2), 5), encode_numeric((2, 1, 5, 0), 5),
          None),
     ]
@@ -665,3 +654,47 @@ def test_seeded_transcript_is_pinned():
     for blob in transcript_blobs():
         digest.update(len(blob).to_bytes(4, "big") + blob)
     assert digest.hexdigest() == PINNED_TRANSCRIPT_DIGEST
+
+
+# SHA-256 over the (cipher, ratio) pairs of ``seeded_entries``, recorded
+# from the three-value entries (cipher, correction, tag) that preceded the
+# pairs, with ratio = tag * correction**-1 mod n.  The pairs are computed
+# from the same randomizers, so every cipher and every ratio is unchanged.
+PINNED_PAIR_DIGEST = ("cd239ff6127ac8379e8382c6a6c15375"
+                      "81bc648a8861f7aacf2632631dab4392")
+
+
+def seeded_entries():
+    """``(n, entry)`` for two seeded 512-bit sessions in each mode.
+
+    Case A uses 20 hashed 128-bit features, so no evaluation exponent is
+    reduced; Case C uses t = 8, M = 5.
+    """
+    towers = [f"tower-{i}" for i in range(20)]
+    runs = [
+        (hashed(FeatureMode.CASE_A, towers),
+         hashed(FeatureMode.CASE_A, towers[::4] + ["app-x", "app-y"]), None),
+        (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
+         FeatureSet.from_values(FeatureMode.CASE_B, [4, 9, 11]), TENT),
+        (encode_numeric((3, 0, 5, 2, 4, 1, 5, 0), 5),
+         encode_numeric((2, 1, 5, 0, 4, 3, 0, 5), 5), None),
+    ]
+    for seed, (features, sample, sim) in enumerate(runs, start=0xA1):
+        rng = random.Random(seed)
+        profile, secret = build_encrypted_profile("pin", features, 512, rng)
+        for _ in range(2):
+            challenge, _ = carrier_challenge(profile, rng)
+            if sim is None:
+                entries = device_respond(secret, challenge, sample, rng)
+            else:
+                entries = device_respond_weighted(secret, challenge, sample,
+                                                  sim, rng)
+            for entry in entries:
+                yield profile.public_key.n, entry
+
+
+def test_pairs_equal_the_three_value_construction():
+    digest = hashlib.sha256()
+    for _, entry in seeded_entries():
+        digest.update(encode_uint(entry.cipher) + encode_uint(entry.ratio))
+    assert digest.hexdigest() == PINNED_PAIR_DIGEST

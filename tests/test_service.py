@@ -127,7 +127,8 @@ class TestServeFlow:
         raw = socket.create_connection(service.address, timeout=5)
         stream = raw.makefile("rwb")
         # valid frame header, garbage StoreProfile payload
-        stream.write(bytes([0x01, 0x01]) + (4).to_bytes(4, "big") + b"\xff" * 4)
+        stream.write(bytes([wire.PROTOCOL_VERSION, 0x01]) +
+                     (4).to_bytes(4, "big") + b"\xff" * 4)
         stream.flush()
         reply = wire.read_frame(stream)
         assert isinstance(reply, wire.ErrorReply)
@@ -137,6 +138,28 @@ class TestServeFlow:
         assert isinstance(follow_up, wire.Challenge)
         stream.close()
         raw.close()
+
+    def test_version_one_response_answered_with_decode_error(self, enrolled):
+        # A version-0x01 frame, as sent before response entries became
+        # (cipher, ratio) pairs, is refused before the session is touched.
+        service, secret, _ = enrolled
+        rng = random.Random(12)
+        with socket.create_connection(service.address, timeout=5) as raw, \
+                raw.makefile("rwb") as stream:
+            wire.write_frame(stream, wire.AuthInit("alice", 2))
+            challenge = wire.read_frame(stream).challenge
+            entries = tuple(device_respond(secret, challenge,
+                                           case_a([222, 999]), rng))
+            frame = wire.encode_frame(wire.Response(challenge.session_id,
+                                                    entries))
+            stream.write(b"\x01" + frame[1:])
+            stream.flush()
+            reply = wire.read_frame(stream)
+            assert isinstance(reply, wire.ErrorReply)
+            assert reply.code == wire.ERR_DECODE
+            stream.write(frame)
+            stream.flush()
+            assert wire.read_frame(stream).decision.match_count == 1
 
     def test_malformed_payloads_answered_with_decode_error(self, service):
         # Each frame is refused while decoding, never as an internal error,

@@ -44,8 +44,8 @@ def fake_challenge(rng, size=3, mode=FeatureMode.CASE_A):
 
 
 def fake_entries(rng, count):
-    return tuple(AuthResponseEntry(rng.getrandbits(96) | 1,
-                                   rng.getrandbits(96) | 1,
+    # A cipher is twice as wide as its ratio.
+    return tuple(AuthResponseEntry(rng.getrandbits(192) | 1,
                                    rng.getrandbits(96) | 1)
                  for _ in range(count))
 
@@ -105,10 +105,11 @@ def pinned_blobs():
         yield wire.encode_frame(random_message(rng))
 
 
-# SHA-256 over ``pinned_blobs``, recorded before the codec helpers replaced
-# the per-class encoders; every stored record and frame must stay identical.
-PINNED_DIGEST = ("c3d1ff76d33c6268f5956451397493cc"
-                 "28218fbc66d5d625c72450bd079d20f2")
+# SHA-256 over ``pinned_blobs``, recorded when response entries became
+# (cipher, ratio) pairs and the version byte 0x02; every stored record and
+# frame must stay identical.
+PINNED_DIGEST = ("dab8f9ec6068eaad1140c6b4ddef58f2"
+                 "58f7158549c10e2224bf7842c6cfc619")
 
 
 def test_encodings_are_byte_stable():
@@ -116,16 +117,16 @@ def test_encodings_are_byte_stable():
     for blob in pinned_blobs():
         digest.update(len(blob).to_bytes(4, "big") + blob)
     assert digest.hexdigest() == PINNED_DIGEST
-    assert wire.PROTOCOL_VERSION == 0x01
+    assert wire.PROTOCOL_VERSION == 0x02
 
 
 class TestFraming:
     def test_store_ack_is_six_bytes(self):
-        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("010200000000")
+        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("020200000000")
 
     def test_unknown_version_rejected(self):
         frame = bytearray(wire.encode_frame(wire.StoreAck()))
-        frame[0] = 0x02
+        frame[0] = 0x01  # the version before two-value response entries
         with pytest.raises(DecodeError, match="version"):
             wire.decode_frame(bytes(frame))
 
@@ -147,7 +148,8 @@ class TestFraming:
             wire.decode_frame(frame + b"\x00")
 
     def test_oversize_length_rejected(self):
-        header = bytes([0x01, 0x02]) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big")
+        header = bytes([wire.PROTOCOL_VERSION, 0x02]) + \
+            (wire.MAX_PAYLOAD + 1).to_bytes(4, "big")
         with pytest.raises(DecodeError, match="limit"):
             wire.decode_frame(header)
 
@@ -213,6 +215,7 @@ class TestMalformedPayloads:
         # Each of these would decode to a value that re-encodes differently.
         payload = encode_uint(3) + encode_uint(numerator) + \
             encode_uint(denominator) + bytes([0, FeatureMode.CASE_A])
-        frame = bytes([0x01, 0x06]) + len(payload).to_bytes(4, "big") + payload
+        frame = bytes([wire.PROTOCOL_VERSION, 0x06]) + \
+            len(payload).to_bytes(4, "big") + payload
         with pytest.raises(DecodeError, match="non-canonical"):
             wire.decode_frame(frame)
