@@ -55,7 +55,7 @@ print(f"carrier counts {matches} matches "
       f"(plaintext oracle agrees: "
       f"{oracle_intersection(profile_features.values, sample.values)})")
 print(f"dissimilarity 1/|intersection| = {decision.dissimilarity}, "
-      f"threshold ceil(4/2) = 2 -> {'ACCEPT' if decision.accepted else 'REJECT'}")
+      f"threshold ceil(5/2) = 3 -> {'ACCEPT' if decision.accepted else 'REJECT'}")
 
 # --- a stranger's sample is rejected with an infinite dissimilarity
 

@@ -52,8 +52,7 @@ def _distinct_features(rng: random.Random, count: int, bits: int) -> list[int]:
 
 
 def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
-             feature_bits: int, workers: int,
-             include_auth: bool) -> tuple[float, float]:
+             feature_bits: int, include_auth: bool) -> tuple[float, float]:
     pool = _distinct_features(rng, 2 * size, feature_bits)
     profile_values = pool[:size]
     sample_values = pool[size // 2: size // 2 + size]  # half overlap
@@ -67,7 +66,7 @@ def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
     sample = FeatureSet.from_values(FeatureMode.CASE_A, sample_values)
     started = time.perf_counter()
     challenge, session = carrier_challenge(profile, rng)
-    entries = device_respond(secret, challenge, sample, rng, workers=workers)
+    entries = device_respond(secret, challenge, sample, rng)
     matches = carrier_score(session, entries)
     decide(matches, profile, len(entries))
     auth_seconds = time.perf_counter() - started
@@ -77,19 +76,16 @@ def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
 def bench_run(sizes: Sequence[int], key_bits: int = 1024,
               solver: str = "closed-form", repetitions: int = 3,
               seed: int | None = None, *, feature_bits: int = 128,
-              workers: int | None = 1,
               include_auth: bool = True) -> list[BenchRecord]:
     """Median-of-repetitions timings for each size; returns one record each.
 
-    ``workers`` is passed to the device response; ``None`` means one per
-    usable CPU.
+    The device response runs on the worker pool; each record's
+    ``parallelism`` is the number of usable CPUs it had.
     """
     if not sizes:
         raise ValueError("no sizes to benchmark")
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
-    if workers is None:
-        workers = usable_cpus()
     records = []
     for size in sizes:
         setup_times = []
@@ -97,7 +93,7 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
         for _ in range(repetitions):
             rng = random.Random(seed) if seed is not None else random.Random()
             setup_s, auth_s = _measure(size, key_bits, solver, rng,
-                                       feature_bits, workers, include_auth)
+                                       feature_bits, include_auth)
             setup_times.append(setup_s)
             auth_times.append(auth_s)
         records.append(BenchRecord(
@@ -106,7 +102,7 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
             auth_seconds=statistics.median(auth_times),
             key_bits=key_bits,
             solver=solver,
-            parallelism=workers,
+            parallelism=usable_cpus(),
         ))
     return records
 

@@ -98,7 +98,7 @@ def _cmd_setup(args) -> int:
         features = _load_sample(args, mode)
         client.setup_device(args.carrier, args.user, features,
                             args.secret_file, bits=args.key_bits, rng=rng,
-                            solver=args.solver, threshold=args.threshold)
+                            threshold=args.threshold)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"setup failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -134,7 +134,7 @@ def _cmd_auth(args) -> int:
                 raise ValueError("Case B needs --table")
             similarity = _read_table_file(args.table)
         decision = client.authenticate(args.carrier, secret, sample,
-                                       similarity, rng, workers=args.workers)
+                                       similarity, rng)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"authentication failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -151,8 +151,7 @@ def _cmd_bench(args) -> int:
                                       solver=args.solver,
                                       repetitions=args.repetitions,
                                       seed=args.seed,
-                                      feature_bits=args.feature_bits,
-                                      workers=args.workers)
+                                      feature_bits=args.feature_bits)
     except (ValueError, RuntimeError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -217,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     setup.add_argument("--key-bits", type=int, default=1024)
     setup.add_argument("--threshold", type=int, default=None,
                        help="per-user decision threshold stored at the carrier")
-    setup.add_argument("--solver", choices=("closed-form", "gaussian"),
-                       default="closed-form")
     setup.add_argument("--seed", type=int, default=None,
                        help="RNG seed (test mode only)")
     setup.set_defaults(func=_cmd_setup)
@@ -230,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--sample", help="file of raw feature strings, one per line")
     auth.add_argument("--values", help="Case C: whitespace-separated numeric vector")
     auth.add_argument("--table", help="Case B: similarity lines 'y z weight'")
-    auth.add_argument("--workers", type=int, default=None,
-                      help="response worker processes (default: one per "
-                           "usable CPU; 1 computes in-process)")
     auth.add_argument("--seed", type=int, default=None,
                       help="RNG seed (test mode only)")
     auth.set_defaults(func=_cmd_auth)
@@ -245,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="closed-form")
     bench.add_argument("--repetitions", type=int, default=3)
     bench.add_argument("--feature-bits", type=int, default=128)
-    bench.add_argument("--workers", type=int, default=None,
-                       help="response worker processes (default: one per "
-                            "usable CPU; 1 computes in-process)")
     bench.add_argument("--csv", default=None, help="also write records to CSV")
     bench.add_argument("--seed", type=int, default=None,
                        help="RNG seed (test mode only)")

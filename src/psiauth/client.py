@@ -92,7 +92,6 @@ def load_device_secret(path: Path | str) -> DeviceSecret:
 def setup_device(address: tuple[str, int], user_id: str, features: FeatureSet,
                  secret_path: Path | str, bits: int = 1024,
                  rng: random.Random | None = None, *,
-                 solver: str = "closed-form",
                  threshold: int | None = None) -> DeviceSecret:
     """Full set-up: build the profile, ship it, then persist the secret.
 
@@ -100,7 +99,7 @@ def setup_device(address: tuple[str, int], user_id: str, features: FeatureSet,
     profile, so a network failure leaves no half-configured device.
     """
     profile, secret = build_encrypted_profile(
-        user_id, features, bits, rng, solver=solver, threshold=threshold)
+        user_id, features, bits, rng, threshold=threshold)
     store_profile(address, user_id, profile)
     write_device_secret(secret_path, secret)
     return secret
@@ -109,12 +108,11 @@ def setup_device(address: tuple[str, int], user_id: str, features: FeatureSet,
 def authenticate(address: tuple[str, int], secret: DeviceSecret,
                  sample: FeatureSet,
                  similarity: SimilarityFunction | None = None,
-                 rng: random.Random | None = None, *,
-                 workers: int | None = None) -> AuthDecision:
+                 rng: random.Random | None = None) -> AuthDecision:
     """Run one authentication round trip and return the carrier's decision.
 
-    ``workers`` is passed to the device response: one pool process per
-    usable CPU by default, ``1`` for the in-process path.
+    The device response uses one pool process per usable CPU; run the
+    caller with a one-CPU affinity mask to build it in-process.
     """
     with CarrierConnection(address) as conn:
         reply = conn.request(wire.AuthInit(secret.user_id, sample.size))
@@ -130,10 +128,9 @@ def authenticate(address: tuple[str, int], secret: DeviceSecret,
             if similarity is None:
                 raise ValueError("Case B authentication needs a similarity table")
             entries = device_respond_weighted(secret, challenge, sample,
-                                              similarity, rng, workers=workers)
+                                              similarity, rng)
         else:
-            entries = device_respond(secret, challenge, sample, rng,
-                                     workers=workers)
+            entries = device_respond(secret, challenge, sample, rng)
         reply = conn.request(wire.Response(challenge.session_id,
                                            tuple(entries)))
         if not isinstance(reply, wire.Result):

@@ -264,17 +264,16 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown()
 
 
-def _in_pool(job, context, items: list, workers: int | None = None) -> list:
+def _in_pool(job, context, items: list) -> list:
     """``job(context, chunk)`` over ``items`` in contiguous chunks, in order.
 
-    Each of up to ``workers`` (default: every usable CPU) pool processes
-    gets one chunk, so ``context`` is pickled once per worker.  With one CPU,
-    one item or ``workers=1`` the job runs in-process.  If a worker died,
-    the pool is dropped, so the next call builds a new one, and the job
-    reruns in-process; jobs are pure, so the values are the same.
+    Each of up to one pool process per usable CPU gets one chunk, so
+    ``context`` is pickled once per worker.  With one CPU or one item the
+    job runs in-process.  If a worker died, the pool is dropped, so the next
+    call builds a new one, and the job reruns in-process; jobs are pure, so
+    the values are the same.
     """
-    cpus = usable_cpus()
-    chunks = min(cpus if workers is None else workers, cpus, len(items))
+    chunks = min(usable_cpus(), len(items))
     if chunks <= 1:
         return job(context, items)
     pool = _get_pool()
@@ -351,19 +350,18 @@ def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, int],
 
 
 def _respond(secret: DeviceSecret, challenge: AuthChallenge,
-             values: Sequence[int], rng: random.Random,
-             workers: int | None) -> list[AuthResponseEntry]:
+             values: Sequence[int],
+             rng: random.Random) -> list[AuthResponseEntry]:
     """One entry per listed value, randomizers drawn in list order, shuffled.
 
     The entries are built in the worker pool; the randomizers and the
     shuffle come from ``rng`` in this process, so a seeded run is fully
-    reproducible regardless of ``workers``.
+    reproducible whatever the number of CPUs.
     """
     pk = challenge.public_key
     anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
     jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
-    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs,
-                       workers)
+    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs)
     rng.shuffle(entries)
     return entries
 
@@ -382,24 +380,22 @@ def _check_modes(secret: DeviceSecret, challenge: AuthChallenge,
 
 
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
-                   sample: FeatureSet, rng: random.Random | None = None,
-                   *, workers: int | None = None) -> list[AuthResponseEntry]:
+                   sample: FeatureSet, rng: random.Random | None = None
+                   ) -> list[AuthResponseEntry]:
     """Build one response entry per sample value, shuffled (step 2).
 
     Per-value randomizers are drawn in ascending sample-value order.  The
-    entries are spread over ``workers`` pool processes, one per usable CPU
-    by default; ``workers=1`` builds them in this process.  A challenge
-    whose blinded randomizers evaluate to a non-unit modulo ``n`` raises
-    ``ProtocolError``.
+    entries are spread over the worker pool, one process per usable CPU; on
+    one CPU they are built in this process.  A challenge whose blinded
+    randomizers evaluate to a non-unit modulo ``n`` raises ``ProtocolError``.
     """
     _check_modes(secret, challenge, sample)
-    return _respond(secret, challenge, sample.values, rng or _SYSTEM, workers)
+    return _respond(secret, challenge, sample.values, rng or _SYSTEM)
 
 
 def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
                             sample: FeatureSet, sim: SimilarityFunction,
-                            rng: random.Random | None = None,
-                            *, workers: int | None = None
+                            rng: random.Random | None = None
                             ) -> list[AuthResponseEntry]:
     """Weighted variant (step 2'): emit one entry per unit of similarity.
 
@@ -418,7 +414,7 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
     values = [z for z in sorted(totals) for _ in range(totals[z])]
     if not values:
         raise ProtocolError("similarity support yields an empty response")
-    return _respond(secret, challenge, values, rng or _SYSTEM, workers)
+    return _respond(secret, challenge, values, rng or _SYSTEM)
 
 
 def _match_chunk(context: tuple[int, int, int],
@@ -438,10 +434,11 @@ def carrier_score(session: SessionState,
     because ``a == b (mod n)`` implies ``a**n == b**n (mod n**2)``.  One
     full-width power to the 2|n|-bit exponent ``n * theta`` becomes a
     half-width power to ``theta`` and a full-width power to ``n``, about two
-    thirds of the cost.  The session is claimed before any validation so
-    that a malformed response still burns its challenge.  Every check below
-    runs on every entry, in this process and in entry order, before any
-    match test starts; only the match tests run in the worker pool.
+    thirds of the cost.  The session is claimed before any validation, so
+    a malformed response, an empty one included, still burns its challenge.
+    Every check below runs on every entry, in this process and in entry
+    order, before any match test starts; only the match tests run in the
+    worker pool.
 
     The cipher must be a unit modulo ``n**2`` and the ratio a unit in
     ``[1, n)``.  The range keeps ``(c, r + k*n)``, which matches like
@@ -473,14 +470,13 @@ def carrier_score(session: SessionState,
     genuine entries at will: knowing k profile features, it reaches any
     count by sending each with fresh randomizers, or as ``b + j*n``, which
     evaluates like the feature ``b``.  The ratio-class refusal does not stop
-    it.  ``decide`` also takes the sample size (``|Y|`` in Case C, the
-    default threshold in Cases A and B) from the entry count, which the
-    device chooses; pinning it to the declared sample size, or to a bound
-    stored at set-up in Case B, is still open.
+    it.  ``decide`` also takes ``|Y|`` in Case C from the entry count, which
+    the device chooses; pinning it to the declared sample size, or to a
+    bound stored at set-up in Case B, is still open.
     """
+    session.consume()
     if not entries:
         raise ProtocolError("empty response")
-    session.consume()
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
     theta = session.session_exponent
@@ -500,22 +496,23 @@ def carrier_score(session: SessionState,
     return sum(_in_pool(_match_chunk, (theta, n, n_squared), list(entries)))
 
 
-def default_threshold(mode: FeatureMode, sample_size: int,
-                      count: int | None, cap: int | None) -> int:
-    """Deployment-knob defaults: majority overlap, or a quarter of the
-    maximum L1 distance in Case C."""
-    if mode is FeatureMode.CASE_C:
-        assert count is not None and cap is not None
-        return (count * cap + 3) // 4
-    return (sample_size + 1) // 2
+def default_threshold(profile: EncryptedProfile) -> int:
+    """The bar for a profile stored without a threshold: a majority of the
+    enrolled profile in Cases A and B, a quarter of the maximum L1 distance
+    in Case C.  Both come from stored facts, never from the response."""
+    if profile.mode is FeatureMode.CASE_C:
+        assert profile.count is not None and profile.cap is not None
+        return (profile.count * profile.cap + 3) // 4
+    return (profile.size + 1) // 2
 
 
-def decide(match_count: int, profile: EncryptedProfile, sample_size: int,
-           threshold: int | None = None) -> AuthDecision:
+def decide(match_count: int, profile: EncryptedProfile,
+           sample_size: int) -> AuthDecision:
     """Turn a match count into a dissimilarity score and an outcome.
 
-    Case A/B accept when the (weighted) match count reaches the threshold;
-    the dissimilarity is its reciprocal, infinite for zero matches.  Case C
+    The threshold is the profile's stored one, or ``default_threshold``.
+    Case A/B accept when the (weighted) match count reaches it; the
+    dissimilarity is its reciprocal, infinite for zero matches.  Case C
     computes the L1 distance ``|X| + |Y| - 2 * matches`` from the stored
     profile size and the received entry count (``sample_size``) and accepts
     when it stays at or below the threshold.
@@ -527,13 +524,7 @@ def decide(match_count: int, profile: EncryptedProfile, sample_size: int,
     """
     if match_count < 0 or sample_size < 1:
         raise ValueError("match count must be >= 0 and sample size >= 1")
-    if threshold is None:
-        threshold = profile.threshold
-    if threshold is None:
-        threshold = default_threshold(profile.mode, sample_size,
-                                      profile.count, profile.cap)
-    if threshold < 1:
-        raise ValueError("threshold must be positive")
+    threshold = profile.threshold or default_threshold(profile)
     if profile.mode is FeatureMode.CASE_C:
         distance = profile.size + sample_size - 2 * match_count
         if distance < 0:

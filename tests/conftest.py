@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 from pathlib import Path
@@ -38,3 +39,15 @@ def fresh_pool(monkeypatch):
     monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
     if protocol._pool is not None:
         protocol._drop_pool(protocol._pool)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """``with one_cpu():`` runs its block as if this process could use one
+    CPU only, so every pooled job in it runs in-process."""
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "usable_cpus", lambda: 1)
+            yield
+    return patched

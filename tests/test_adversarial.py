@@ -4,10 +4,12 @@ A misbehaving device controls both values of every entry it sends.  These
 tests replay the known secret-free forgeries against a 512-bit profile and
 check that the carrier refuses them, and that it refuses to count one
 genuine entry twice, whether repeated, sign-flipped or sent with a
-non-canonical ratio.  Powers and products of genuine entries still score,
-the default threshold still follows the entry count the device chooses, and
-a device that holds ``(d, R')`` builds as many genuine matches as it likes
-from one known feature; strict ``xfail`` tests pin these gaps.
+non-canonical ratio.  Every refused response, an empty one included, burns
+its session.  Without a stored threshold the bar is a majority of the
+enrolled profile, so one known feature sent once is rejected.  Powers and
+products of genuine entries still score, and a device that holds ``(d, R')``
+builds as many genuine matches as it likes from one known feature; strict
+``xfail`` tests pin these gaps.
 """
 
 import random
@@ -80,6 +82,12 @@ def test_minus_one_cipher_forgery_rejected(enrolled):
     for _ in range(10):
         score_raises(profile, [forged] * 5, rng, "cipher")
         score_raises(profile, [forged], rng, "cipher")
+
+
+def test_empty_response_rejected(enrolled):
+    # Refused after the session is claimed, like every malformed response.
+    profile, _ = enrolled
+    score_raises(profile, [], random.Random(7), "empty response")
 
 
 def test_repeated_genuine_triple_rejected(enrolled):
@@ -155,14 +163,10 @@ def test_powers_of_one_genuine_triple_count_once(enrolled):
     assert carrier_score(session, powers) <= 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="without a stored threshold, decide derives the "
-                   "default bar from the entry count, which the device "
-                   "chooses")
 def test_one_feature_alone_is_rejected(enrolled):
-    # The profile has no stored threshold: one entry on one known profile
-    # feature meets the majority of a one-entry sample, while the same
-    # feature inside a five-value sample is rejected.
+    # The profile has no stored threshold, so the bar is a majority of its
+    # ten features: one entry on one known feature falls short, although it
+    # is every entry of the response.
     profile, secret = enrolled
     rng = random.Random(8)
     challenge, session = carrier_challenge(profile, rng)
@@ -190,7 +194,7 @@ def test_stolen_device_repeating_one_feature_is_rejected(enrolled, spread):
     values = [PROFILE[0] + (k * n if spread == "plus-k-n" else 0)
               for k in range(5)]
     challenge, session = carrier_challenge(profile, rng)
-    entries = protocol._respond(secret, challenge, values, rng, 1)
+    entries = protocol._respond(secret, challenge, values, rng)
     decision = decide(carrier_score(session, entries), profile, len(entries))
     assert decision.match_count <= 1
     assert not decision.accepted
@@ -205,7 +209,7 @@ def test_stolen_device_repeating_one_numeric_value_is_rejected():
         "mallory", encode_numeric(u, 5), 512, random.Random(0xC0), threshold=10)
     rng = random.Random(10)
     challenge, session = carrier_challenge(profile, rng)
-    entries = protocol._respond(secret, challenge, [1] * 20, rng, 1)
+    entries = protocol._respond(secret, challenge, [1] * 20, rng)
     decision = decide(carrier_score(session, entries), profile, len(entries))
     assert decision.match_count <= u[0]
     assert not decision.accepted

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from psiauth import protocol
 from psiauth.bench import BenchRecord, bench_run, format_table, write_csv
 
 
@@ -15,7 +16,7 @@ class TestBenchRun:
             assert record.auth_seconds > 0
             assert record.key_bits == 128
             assert record.solver == "closed-form"
-            assert record.parallelism == 1
+            assert record.parallelism == protocol.usable_cpus()
 
     def test_gaussian_solver_tagged(self):
         record, = bench_run([3], key_bits=128, solver="gaussian",

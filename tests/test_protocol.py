@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -155,38 +156,41 @@ class TestDeviceRespond:
                 identity_count += 1
         assert identity_count <= 5  # expectation is 100/120
 
-    @pytest.mark.parametrize("workers", [1, None])
+    @pytest.mark.parametrize("cpus", [1, None])
     def test_non_unit_challenge_raises_protocol_error(self, enrolled, rng,
-                                                       workers, fresh_pool):
+                                                       cpus, fresh_pool,
+                                                       one_cpu):
         # Blinded randomizers that are multiples of n make the ratio leg
-        # evaluate to 0 modulo n, which has no inverse.
+        # evaluate to 0 modulo n, which has no inverse.  One CPU builds the
+        # entries in-process, None leaves them to the pool.
         profile, secret = enrolled
         challenge, _ = carrier_challenge(profile, rng)
         crafted = dataclasses.replace(
             challenge, blinded_randomizers=(profile.public_key.n,) *
             len(challenge.blinded_randomizers))
-        with pytest.raises(ProtocolError, match="non-unit"):
-            device_respond(secret, crafted, case_a([11, 22, 33]), rng,
-                           workers=workers)
+        with one_cpu() if cpus == 1 else contextlib.nullcontext():
+            with pytest.raises(ProtocolError, match="non-unit"):
+                device_respond(secret, crafted, case_a([11, 22, 33]), rng)
 
     @pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
-    def test_workers_do_not_change_the_response(self, mode, fresh_pool):
+    def test_workers_do_not_change_the_response(self, mode, fresh_pool,
+                                                 one_cpu):
         features, sample, sim = POOL_RUNS[mode]
         profile, secret = build_encrypted_profile("u", features, 128,
                                                   random.Random(3))
 
-        def respond(workers):
+        def respond():
             challenge, _ = carrier_challenge(profile, random.Random(1))
             if sim is not None:
                 return device_respond_weighted(secret, challenge, sample, sim,
-                                               random.Random(2),
-                                               workers=workers)
-            return device_respond(secret, challenge, sample,
-                                  random.Random(2), workers=workers)
+                                               random.Random(2))
+            return device_respond(secret, challenge, sample, random.Random(2))
 
-        serial = respond(1)
-        assert protocol._pool is not None  # the challenge used the pool
-        assert respond(2) == respond(None) == serial
+        with one_cpu():
+            serial = respond()
+        assert protocol._pool is None  # one CPU ran everything in-process
+        assert respond() == serial
+        assert protocol._pool is not None
 
 
 TENT = SimilarityFunction.from_entries(
@@ -212,9 +216,8 @@ class TestWorkerPool:
                                                   random.Random(4))
         return profile, secret, features, sample
 
-    def in_process_score(self, monkeypatch, profile, theta, entries):
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "usable_cpus", lambda: 1)
+    def in_process_score(self, one_cpu, profile, theta, entries):
+        with one_cpu():
             session = SessionState(b"ref", theta, profile, 0.0)
             return carrier_score(session, entries)
 
@@ -228,14 +231,14 @@ class TestWorkerPool:
             pow(c.value, theta, n_squared) for c in profile.enc_coeffs)
 
     def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,
-                                           monkeypatch):
+                                           one_cpu):
         profile, secret, features, sample = enrolled_a
         challenge, session = carrier_challenge(profile, random.Random(6))
         entries = device_respond(secret, challenge, sample, random.Random(7))
         assert len(entries) > 2
         expected = oracle_intersection(features.values, sample.values)
         assert carrier_score(session, entries) == expected == \
-            self.in_process_score(monkeypatch, profile,
+            self.in_process_score(one_cpu, profile,
                                   session.session_exponent, entries)
 
     def test_repeated_class_in_last_entry_still_refused(self, enrolled_a,
@@ -253,11 +256,12 @@ class TestWorkerPool:
         assert session.consumed
 
     def test_dead_worker_costs_no_result(self, enrolled_a, fresh_pool,
-                                         monkeypatch):
+                                         one_cpu):
         profile, secret, features, sample = enrolled_a
         challenge, _ = carrier_challenge(profile, random.Random(10))
-        serial = device_respond(secret, challenge, sample, random.Random(11),
-                                workers=1)
+        with one_cpu():
+            serial = device_respond(secret, challenge, sample,
+                                    random.Random(11))
         pool = protocol._pool
         os.kill(next(iter(pool._processes)), signal.SIGKILL)
         deadline = time.monotonic() + 30
@@ -274,7 +278,7 @@ class TestWorkerPool:
         entries = device_respond(secret, challenge, sample, random.Random(12))
         expected = oracle_intersection(features.values, sample.values)
         assert carrier_score(session, entries) == expected == \
-            self.in_process_score(monkeypatch, profile, theta, entries)
+            self.in_process_score(one_cpu, profile, theta, entries)
 
     def test_script_without_main_guard(self, tmp_path):
         # A forkserver or spawn pool re-runs such a script in every worker.
@@ -576,15 +580,18 @@ class TestDecide:
         assert not decision.accepted
 
     def test_boundary_acceptance(self, rng):
-        profile = self.make_profile(rng)
-        decision = decide(2, profile, sample_size=4, threshold=2)
+        profile = dataclasses.replace(self.make_profile(rng), threshold=2)
+        decision = decide(2, profile, sample_size=4)
         assert decision.accepted
         assert decision.dissimilarity == Fraction(1, 2)
 
     def test_default_threshold_is_majority(self, rng):
+        # A majority of the five enrolled features, ceil(5/2) = 3, whatever
+        # the entry count.
         profile = self.make_profile(rng)
-        assert decide(2, profile, sample_size=4).accepted  # ceil(4/2) = 2
-        assert not decide(1, profile, sample_size=4).accepted
+        for sample_size in (1, 4, 9):
+            assert decide(3, profile, sample_size).accepted
+            assert not decide(2, profile, sample_size).accepted
 
     def test_stored_threshold_used(self, rng):
         profile = self.make_profile(rng, threshold=1)
@@ -604,12 +611,20 @@ class TestDecide:
 
     def test_threshold_must_be_positive(self, rng):
         profile = self.make_profile(rng)
-        with pytest.raises(ValueError):
-            decide(1, profile, sample_size=4, threshold=0)
+        with pytest.raises(ValueError, match="positive"):
+            dataclasses.replace(profile, threshold=0)
 
-    def test_default_threshold_values(self):
-        assert default_threshold(FeatureMode.CASE_A, 5, None, None) == 3
-        assert default_threshold(FeatureMode.CASE_C, 5, 3, 3) == 3
+    def test_default_threshold_values(self, rng):
+        def default(features):
+            return default_threshold(
+                build_encrypted_profile("u", features, 128, rng)[0])
+
+        assert default(FeatureSet.from_values(FeatureMode.CASE_A,
+                                              [1, 2, 3, 4])) == 2
+        assert default(FeatureSet.from_values(FeatureMode.CASE_B,
+                                              [1, 2, 3, 4, 5])) == 3
+        # |X| = 8, but t = 3 and M = 4: a quarter of the maximum distance 12.
+        assert default(encode_numeric((4, 0, 4), 4)) == 3
 
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
