@@ -17,7 +17,6 @@ Layers:
 """
 
 from .paillier import (
-    Ciphertext,
     KeyGenerationError,
     MalformedCiphertextError,
     PaillierPublicKey,
@@ -74,7 +73,6 @@ __all__ = [
     "AuthResponseEntry",
     "BenchRecord",
     "BlindingSolution",
-    "Ciphertext",
     "DegenerateSystemError",
     "DeviceSecret",
     "DuplicateFeatureError",

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, FeatureSet, \
     build_encrypted_profile
-from .protocol import AuthDecision, device_respond, device_respond_weighted
+from .protocol import AuthDecision, check_sample, device_respond, \
+    device_respond_weighted
 from .similarity import SimilarityFunction
 from . import wire
 
@@ -111,22 +112,18 @@ def authenticate(address: tuple[str, int], secret: DeviceSecret,
                  rng: random.Random | None = None) -> AuthDecision:
     """Run one authentication round trip and return the carrier's decision.
 
-    The device response uses one pool process per usable CPU; run the
-    caller with a one-CPU affinity mask to build it in-process.
+    ``check_sample`` runs before the carrier opens a session.  The device
+    response uses one pool process per usable CPU; run the caller with a
+    one-CPU affinity mask to build it in-process.
     """
+    check_sample(secret, sample, similarity)
     with CarrierConnection(address) as conn:
         reply = conn.request(wire.AuthInit(secret.user_id, sample.size))
         if not isinstance(reply, wire.Challenge):
             raise wire.DecodeError(
                 f"expected Challenge, got {type(reply).__name__}", 0)
         challenge = reply.challenge
-        if challenge.mode is not secret.mode:
-            raise wire.DecodeError(
-                f"challenge mode {challenge.mode.name} does not match "
-                f"secret mode {secret.mode.name}", 0)
         if secret.mode is FeatureMode.CASE_B:
-            if similarity is None:
-                raise ValueError("Case B authentication needs a similarity table")
             entries = device_respond_weighted(secret, challenge, sample,
                                               similarity, rng)
         else:

@@ -66,10 +66,6 @@ class Reader:
         self._data = data
         self._pos = 0
 
-    @property
-    def position(self) -> int:
-        return self._pos
-
     def fail(self, message: str) -> NoReturn:
         raise DecodeError(message, self._pos)
 
@@ -91,13 +87,13 @@ class Reader:
             self.fail("non-canonical integer (leading zero byte)")
         return int.from_bytes(magnitude, "big")
 
-    def bytes_lp(self, max_length: int | None = None) -> bytes:
+    def bytes_lp(self, max_length: int) -> bytes:
         length = int.from_bytes(self.take(4), "big")
-        if max_length is not None and length > max_length:
+        if length > max_length:
             self.fail(f"length {length} exceeds limit {max_length}")
         return self.take(length)
 
-    def str_lp(self, max_length: int | None = None) -> str:
+    def str_lp(self, max_length: int) -> str:
         raw = self.bytes_lp(max_length)
         try:
             return raw.decode("utf-8")

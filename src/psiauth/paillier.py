@@ -12,9 +12,11 @@ Homomorphic identities, for plaintexts reduced modulo ``n``:
 * ``decrypt(add_cipher(E(m1), E(m2))) == m1 + m2``
 * ``decrypt(scalar_pow(E(m), k)) == k * m``
 
-All operations are pure; keys and ciphertexts are immutable and safe to share
-across concurrent sessions.  Functions that need randomness accept any
-``random.Random``-compatible source and default to ``random.SystemRandom``.
+A ciphertext is a plain integer in ``[1, n**2)``; every operation that takes
+one checks that it is a unit modulo ``n**2``.  All operations are pure; keys
+are immutable and safe to share across concurrent sessions.  Functions that
+need randomness accept any ``random.Random``-compatible source and default
+to ``random.SystemRandom``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from .encoding import Reader, encode_uint
 
 __all__ = [
-    "Ciphertext",
     "KeyGenerationError",
     "MalformedCiphertextError",
     "PaillierPublicKey",
@@ -67,17 +68,16 @@ class MalformedCiphertextError(ValueError):
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
-    """Public key ``(n, g)`` with ``g = 1 + n`` and ``n**2`` cached."""
+    """Public key ``n`` (the generator is ``g = 1 + n``), ``n**2`` cached."""
 
     n: int
-    g: int
     n_squared: int
 
     @classmethod
     def from_modulus(cls, n: int) -> "PaillierPublicKey":
         if n < 3:
             raise ValueError("modulus too small")
-        return cls(n=n, g=n + 1, n_squared=n * n)
+        return cls(n=n, n_squared=n * n)
 
     def to_bytes(self) -> bytes:
         return encode_uint(self.n)
@@ -113,14 +113,7 @@ class PaillierSecretKey:
         return at_q + q_squared * lift
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    """An element of ``[1, n**2 - 1]`` coprime to ``n``."""
-
-    value: int
-
-
-def is_probable_prime(candidate: int, rounds: int = PRIMALITY_ROUNDS,
+def is_probable_prime(candidate: int,
                       rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with randomly chosen bases."""
     if candidate < 2:
@@ -138,7 +131,7 @@ def is_probable_prime(candidate: int, rounds: int = PRIMALITY_ROUNDS,
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(PRIMALITY_ROUNDS):
         a = rng.randrange(2, candidate - 1)
         x = pow(a, d, candidate)
         if x == 1 or x == candidate - 1:
@@ -233,16 +226,16 @@ def draw_unit(rng: random.Random, modulus: int) -> int:
             return value
 
 
-def _check_cipher(pk: PaillierPublicKey, c: Ciphertext) -> None:
-    if not 1 <= c.value < pk.n_squared:
+def _check_cipher(pk: PaillierPublicKey, c: int) -> None:
+    if not 1 <= c < pk.n_squared:
         raise MalformedCiphertextError("ciphertext outside [1, n**2 - 1]")
-    if math.gcd(c.value, pk.n) != 1:
+    if math.gcd(c, pk.n) != 1:
         raise MalformedCiphertextError("ciphertext shares a factor with n")
 
 
 def encrypt(pk: PaillierPublicKey, m: int, r: int | None = None,
             rng: random.Random | None = None, *,
-            sk: PaillierSecretKey | None = None) -> tuple[Ciphertext, int]:
+            sk: PaillierSecretKey | None = None) -> tuple[int, int]:
     """Encrypt ``m`` as ``(1 + m*n) * r**n mod n**2``.
 
     Args:
@@ -266,11 +259,10 @@ def encrypt(pk: PaillierPublicKey, m: int, r: int | None = None,
         raise ValueError("randomizer must be a unit in [1, n)")
     r_to_n = sk.pow_mod_n_squared(r, pk.n) if sk else \
         pow(r, pk.n, pk.n_squared)
-    value = (1 + m * pk.n) * r_to_n % pk.n_squared
-    return Ciphertext(value), r
+    return (1 + m * pk.n) * r_to_n % pk.n_squared, r
 
 
-def decrypt(pk: PaillierPublicKey, sk: PaillierSecretKey, c: Ciphertext) -> int:
+def decrypt(pk: PaillierPublicKey, sk: PaillierSecretKey, c: int) -> int:
     """Recover the plaintext in ``[0, n)``.
 
     Raises:
@@ -278,23 +270,23 @@ def decrypt(pk: PaillierPublicKey, sk: PaillierSecretKey, c: Ciphertext) -> int:
             the L-function division is not exact.
     """
     _check_cipher(pk, c)
-    u = pow(c.value, sk.lam, pk.n_squared)
+    u = pow(c, sk.lam, pk.n_squared)
     quotient, remainder = divmod(u - 1, pk.n)
     if remainder:
         raise MalformedCiphertextError("L-function division not exact")
     return quotient * sk.mu % pk.n
 
 
-def add_cipher(pk: PaillierPublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
+def add_cipher(pk: PaillierPublicKey, c1: int, c2: int) -> int:
     """Ciphertext of ``m1 + m2 mod n``: the product ``c1 * c2 mod n**2``."""
     _check_cipher(pk, c1)
     _check_cipher(pk, c2)
-    return Ciphertext(c1.value * c2.value % pk.n_squared)
+    return c1 * c2 % pk.n_squared
 
 
-def scalar_pow(pk: PaillierPublicKey, c: Ciphertext, k: int) -> Ciphertext:
+def scalar_pow(pk: PaillierPublicKey, c: int, k: int) -> int:
     """Ciphertext of ``k * m mod n``: the power ``c**k mod n**2``."""
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     _check_cipher(pk, c)
-    return Ciphertext(pow(c.value, k, pk.n_squared))
+    return pow(c, k, pk.n_squared)

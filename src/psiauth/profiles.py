@@ -7,8 +7,14 @@ satisfy, for every profile feature ``a``,
 
     r'_0 * r'_1**a * r'_2**(a**2) * ... * r'_s**(a**s) == R'  (mod n**2)
 
-so that during authentication a sample value hitting a root of the polynomial
-collapses to a power of the anchor ``R'`` that the carrier can recognize.
+Both solvers draw ``r'_1 .. r'_s`` from the order-``n`` subgroup, so each is
+``1`` modulo ``n`` and ``r'_0 == R' (mod n)``: modulo ``n`` the product is
+``R'`` at every value, a root or not.  The device reads the blinded
+randomizers only modulo ``n``, so no cipher or ratio depends on the blinding;
+membership is decided by the cipher leg alone, where the polynomial vanishes.
+The blinding changes only the residues modulo ``n**2`` that the carrier
+stores, and whether that buys any privacy is an open question.
+
 After set-up the device keeps only its user id, the secret exponent ``d`` and
 the anchor ``R'``; every other intermediate (secret key, coefficients,
 randomizers, plaintext features) is dropped.  While it still holds ``p`` and
@@ -27,10 +33,10 @@ Two solvers produce the blinding randomizers:
 
 Both draw the exponent base from the order-``n`` subgroup of units modulo
 ``n**2`` (the elements ``1 + k*n``).  Powers of such a base depend on the
-exponent only modulo ``n``, which keeps the blinding identity exact whether
-evaluation powers ``a**k`` are used raw or reduced modulo ``n``; the
-authentication protocol evaluates by Horner's rule, which amounts to raw
-powers.
+exponent only modulo ``n``, so neither solver needs the secret key to reduce
+its exponents, and the blinding identity stays exact whether evaluation
+powers ``a**k`` are used raw or reduced modulo ``n``; the authentication
+protocol evaluates by Horner's rule, which amounts to raw powers.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from typing import Iterable, Sequence
 from .encoding import MAX_COEFFS, Reader, encode_str, encode_uint, \
     encode_uints
 from .paillier import (
-    Ciphertext,
     PaillierPublicKey,
     PaillierSecretKey,
     draw_unit,
@@ -158,9 +163,9 @@ class FeatureSet:
             raise ValueError("count/cap only apply to Case C")
 
     @classmethod
-    def from_values(cls, mode: FeatureMode, values: Iterable[int],
-                    count: int | None = None, cap: int | None = None) -> "FeatureSet":
-        return cls(mode, tuple(sorted(set(values))), count=count, cap=cap)
+    def from_values(cls, mode: FeatureMode,
+                    values: Iterable[int]) -> "FeatureSet":
+        return cls(mode, tuple(sorted(set(values))))
 
     @property
     def size(self) -> int:
@@ -245,7 +250,6 @@ def _subgroup_pow(k: int, exponent: int, n: int, n_squared: int) -> int:
 
 
 def solve_blinding(coeffs: Sequence[int], anchor: int, pk: PaillierPublicKey,
-                   sk: PaillierSecretKey,
                    rng: random.Random | None = None) -> BlindingSolution:
     """Closed-form blinding randomizers for the given polynomial.
 
@@ -259,7 +263,6 @@ def solve_blinding(coeffs: Sequence[int], anchor: int, pk: PaillierPublicKey,
     n, n_squared = pk.n, pk.n_squared
     if not 1 <= anchor < n_squared or math.gcd(anchor, n) != 1:
         raise ValueError("anchor must be a unit modulo n**2")
-    exponent_modulus = n * sk.lam
     while True:
         k = rng.randrange(1, n)
         scale = rng.randrange(1, n)
@@ -267,8 +270,7 @@ def solve_blinding(coeffs: Sequence[int], anchor: int, pk: PaillierPublicKey,
             break
     randomizers = []
     for index, coeff in enumerate(coeffs):
-        exponent = -scale * coeff % exponent_modulus
-        value = _subgroup_pow(k, exponent, n, n_squared)
+        value = _subgroup_pow(k, -scale * coeff, n, n_squared)
         if index == 0:
             value = value * anchor % n_squared
         randomizers.append(value)
@@ -314,7 +316,7 @@ def _solve_scaled_integer_system(matrix: list[list[int]],
 
 
 def solve_blinding_gaussian(features: FeatureSet, anchor: int,
-                            pk: PaillierPublicKey, sk: PaillierSecretKey,
+                            pk: PaillierPublicKey,
                             rng: random.Random | None = None) -> BlindingSolution:
     """Blinding randomizers via exact Gaussian elimination (benchmark path).
 
@@ -351,8 +353,7 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
         log.warning("gaussian blinding solve degenerate (%s); "
                     "falling back to the closed-form solver", exc)
         coeffs = poly_from_roots(features, n)
-        return solve_blinding(coeffs, anchor, pk, sk, rng)
-    exponent_modulus = n * sk.lam
+        return solve_blinding(coeffs, anchor, pk, rng)
     while True:
         k = rng.randrange(1, n)
         target = rng.randrange(1, n)
@@ -360,10 +361,9 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
             break
     randomizers = [anchor]
     for x in solution:
-        exponent = target * x % exponent_modulus
-        randomizers.append(_subgroup_pow(k, exponent, n, n_squared))
-    anchor_out = anchor * _subgroup_pow(
-        k, target * det % exponent_modulus, n, n_squared) % n_squared
+        randomizers.append(_subgroup_pow(k, target * x, n, n_squared))
+    anchor_out = anchor * _subgroup_pow(k, target * det, n, n_squared) \
+        % n_squared
     return BlindingSolution(tuple(randomizers), anchor_out)
 
 
@@ -378,7 +378,7 @@ class EncryptedProfile:
     """
 
     public_key: PaillierPublicKey
-    enc_coeffs: tuple[Ciphertext, ...]
+    enc_coeffs: tuple[int, ...]
     blinded_randomizers: tuple[int, ...]
     size: int
     mode: FeatureMode
@@ -396,7 +396,7 @@ class EncryptedProfile:
 
     def to_bytes(self) -> bytes:
         return (self.public_key.to_bytes() +
-                encode_uints(c.value for c in self.enc_coeffs) +
+                encode_uints(self.enc_coeffs) +
                 encode_uints(self.blinded_randomizers) +
                 encode_uint(self.size) +
                 encode_mode(self.mode, self.count, self.cap) +
@@ -405,7 +405,7 @@ class EncryptedProfile:
     @classmethod
     def from_reader(cls, reader: Reader) -> "EncryptedProfile":
         pk = PaillierPublicKey.from_reader(reader)
-        coeffs = tuple(map(Ciphertext, reader.uints(MAX_COEFFS)))
+        coeffs = reader.uints(MAX_COEFFS)
         blinded = reader.uints(len(coeffs))
         if len(blinded) != len(coeffs):
             reader.fail("randomizer count differs from coefficient count")
@@ -507,9 +507,9 @@ def build_encrypted_profile(
         enc_randomizers.append(r)
     anchor_seed = draw_unit(rng, pk.n_squared)
     if solver == "gaussian":
-        blinding = solve_blinding_gaussian(features, anchor_seed, pk, sk, rng)
+        blinding = solve_blinding_gaussian(features, anchor_seed, pk, rng)
     else:
-        blinding = solve_blinding(coeffs, anchor_seed, pk, sk, rng)
+        blinding = solve_blinding(coeffs, anchor_seed, pk, rng)
     n_squared = pk.n_squared
     unblinded = [rp * pow(r, -1, n_squared) % n_squared
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]

@@ -76,6 +76,7 @@ __all__ = [
     "SessionState",
     "carrier_challenge",
     "carrier_score",
+    "check_sample",
     "decide",
     "device_respond",
     "device_respond_weighted",
@@ -296,12 +297,11 @@ def carrier_challenge(profile: EncryptedProfile,
                       rng: random.Random | None = None,
                       *,
                       session_exponent: int | None = None,
-                      session_id: bytes | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
     """Open a session: raise the encrypted coefficients to a fresh exponent.
 
-    ``session_exponent`` and ``session_id`` are test hooks; production use
-    leaves both to the entropy source.
+    ``session_exponent`` is a test hook; production use leaves it to the
+    entropy source.
     """
     rng = rng or _SYSTEM
     n = profile.public_key.n
@@ -309,11 +309,10 @@ def carrier_challenge(profile: EncryptedProfile,
         else rng.randrange(1, n)
     if not 1 <= theta < n:
         raise ValueError("session exponent outside [1, n)")
-    sid = session_id if session_id is not None \
-        else rng.getrandbits(128).to_bytes(16, "big")
+    sid = rng.getrandbits(128).to_bytes(16, "big")
     n_squared = profile.public_key.n_squared
     powered = tuple(_in_pool(_powers_chunk, (theta, n_squared),
-                             [c.value for c in profile.enc_coeffs]))
+                             list(profile.enc_coeffs)))
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)
@@ -366,17 +365,34 @@ def _respond(secret: DeviceSecret, challenge: AuthChallenge,
     return entries
 
 
-def _check_modes(secret: DeviceSecret, challenge: AuthChallenge,
-                 sample: FeatureSet) -> None:
-    if secret.mode is not challenge.mode or sample.mode is not challenge.mode:
+def _check_params(secret: DeviceSecret, other: FeatureSet | AuthChallenge,
+                  what: str) -> None:
+    if (other.mode, other.count, other.cap) != \
+            (secret.mode, secret.count, secret.cap):
         raise ModeMismatchError(
-            f"modes differ: secret={secret.mode.name} "
-            f"challenge={challenge.mode.name} sample={sample.mode.name}")
-    if challenge.mode is FeatureMode.CASE_C and \
-            (sample.count != challenge.count or sample.cap != challenge.cap):
-        raise ModeMismatchError(
-            f"numeric parameters differ: sample t={sample.count} M={sample.cap}"
-            f" vs enrolled t={challenge.count} M={challenge.cap}")
+            f"modes or numeric parameters differ: {what} {other.mode.name} "
+            f"t={other.count} M={other.cap} vs enrolled {secret.mode.name} "
+            f"t={secret.count} M={secret.cap}")
+
+
+def check_sample(secret: DeviceSecret, sample: FeatureSet,
+                 similarity: SimilarityFunction | None = None) -> None:
+    """Refuse a sample the device cannot answer for, before any session.
+
+    The sample needs the secret's mode, in Case C its ``(t, M)``, and in
+    Case B a similarity table that covers every sample value and gives the
+    response at least one entry.
+    """
+    _check_params(secret, sample, "sample")
+    if secret.mode is FeatureMode.CASE_B:
+        if similarity is None:
+            raise ValueError("Case B authentication needs a similarity table")
+        uncovered = set(sample.values).difference(similarity.table)
+        if uncovered:
+            raise ValueError(
+                f"similarity support does not cover {min(uncovered)}")
+        if not any(similarity.table[y] for y in sample.values):
+            raise ProtocolError("similarity support yields an empty response")
 
 
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
@@ -388,8 +404,11 @@ def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
     entries are spread over the worker pool, one process per usable CPU; on
     one CPU they are built in this process.  A challenge whose blinded
     randomizers evaluate to a non-unit modulo ``n`` raises ``ProtocolError``.
+    ``check_sample`` refuses a Case B sample here: Case B responses are
+    weighted (``device_respond_weighted``).
     """
-    _check_modes(secret, challenge, sample)
+    check_sample(secret, sample)
+    _check_params(secret, challenge, "challenge")
     return _respond(secret, challenge, sample.values, rng or _SYSTEM)
 
 
@@ -406,14 +425,13 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
     """
     if sample.mode is not FeatureMode.CASE_B:
         raise ModeMismatchError("weighted responses require a Case B sample")
-    _check_modes(secret, challenge, sample)
+    check_sample(secret, sample, sim)
+    _check_params(secret, challenge, "challenge")
     totals: dict[int, int] = {}
     for y in sample.values:
         for z, weight in sim.support_for(y):
             totals[z] = totals.get(z, 0) + weight
     values = [z for z in sorted(totals) for _ in range(totals[z])]
-    if not values:
-        raise ProtocolError("similarity support yields an empty response")
     return _respond(secret, challenge, values, rng or _SYSTEM)
 
 

@@ -9,6 +9,7 @@ from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
     encode_bytes,
+    encode_seq,
     encode_str,
     encode_uint,
     encode_uints,
@@ -82,7 +83,19 @@ def malformed_frames() -> dict[str, bytes]:
     session = encode_bytes(b"\x01" * 16)
     user = encode_str("mallory")
     case_a = bytes([FeatureMode.CASE_A])
+    # Valid but for one length-prefixed field one byte over its limit.
+    long_user = encode_str("m" * (wire.MAX_USER_ID_BYTES + 1))
+    long_session = encode_bytes(b"\x01" * 65)
+    profile = modulus + encode_uints([2, 3]) + encode_uints([2, 3]) + \
+        encode_uint(1) + case_a + encode_uint(0)
     payloads = {
+        "store user id over limit": (0x01, long_user + profile),
+        "auth-init user id over limit": (0x03, long_user + encode_uint(1)),
+        "response session id over limit": (
+            0x05, long_session + encode_seq([encode_uint(2) + encode_uint(3)])),
+        "challenge session id over limit": (
+            0x04, long_session + modulus + encode_uints([2]) +
+            encode_uints([2]) + case_a),
         "challenge coefficient count over limit": (
             0x04, session + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
         "challenge legs shorter": (

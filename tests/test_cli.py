@@ -52,6 +52,10 @@ class TestSetupAndAuth:
         assert main(["auth", "--carrier", carrier, "--secret-file",
                      secret_file, "--values", sample, "--seed", "6"]) == EXIT_OK
         assert "dissimilarity 2" in capsys.readouterr().out
+        short = write(tmp_path / "w.txt", "1 1")
+        assert main(["auth", "--carrier", carrier, "--secret-file",
+                     secret_file, "--values", short]) == EXIT_ERROR
+        assert "numeric parameters" in capsys.readouterr().err
 
     def test_case_b_cycle(self, carrier, tmp_path, capsys):
         features = write(tmp_path / "f.txt", "red\nblue\n")

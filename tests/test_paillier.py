@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psiauth import (
-    Ciphertext,
     KeyGenerationError,
     MalformedCiphertextError,
     add_cipher,
@@ -22,7 +21,7 @@ from psiauth.paillier import is_probable_prime
 class TestKeygen:
     def test_micro_parameters(self, tiny_keypair):
         pk, sk = tiny_keypair
-        assert (pk.n, pk.g, pk.n_squared) == (15, 16, 225)
+        assert (pk.n, pk.n_squared) == (15, 225)
         assert sk.lam == 4  # lcm(2, 4)
         assert sk.lam * sk.mu % pk.n == 1
 
@@ -45,7 +44,7 @@ class TestKeygen:
         for _ in range(100):
             pk, sk = keygen(64, rng)
             assert pk.n.bit_length() == 64
-            assert pk.g == pk.n + 1 and pk.n_squared == pk.n * pk.n
+            assert pk.n_squared == pk.n * pk.n
             assert sk.p != sk.q and sk.p * sk.q == pk.n
             assert sk.lam == math.lcm(sk.p - 1, sk.q - 1)
             assert math.gcd(pk.n, sk.lam) == 1
@@ -58,9 +57,10 @@ class TestKeygen:
 
     def test_generator_order(self, kp128):
         pk, _ = kp128
-        assert pow(pk.g, pk.n, pk.n_squared) == 1
-        assert pow(pk.g, 1, pk.n_squared) != 1
-        assert pow(pk.g, 2, pk.n_squared) != 1
+        g = 1 + pk.n
+        assert pow(g, pk.n, pk.n_squared) == 1
+        assert pow(g, 1, pk.n_squared) != 1
+        assert pow(g, 2, pk.n_squared) != 1
 
     def test_primality_helper_rejects_composites(self):
         assert is_probable_prime(2) and is_probable_prime(65537)
@@ -74,15 +74,15 @@ class TestEncryptDecrypt:
         # n=15, m=7, r=2 gives 106 * 143 mod 225 = 83.
         pk, sk = tiny_keypair
         ct, r = encrypt(pk, 7, r=2)
-        assert (ct.value, r) == (83, 2)
-        assert ct.value == (1 + 7 * 15) * pow(2, 15, 225) % 225
+        assert (ct, r) == (83, 2)
+        assert ct == (1 + 7 * 15) * pow(2, 15, 225) % 225
         assert decrypt(pk, sk, ct) == 7
 
     def test_encrypt_zero_is_randomizer_power(self, kp128, rng):
         pk, sk = kp128
         r = draw_unit(rng, pk.n)
         ct, _ = encrypt(pk, 0, r=r)
-        assert ct.value == pow(r, pk.n, pk.n_squared)
+        assert ct == pow(r, pk.n, pk.n_squared)
         assert decrypt(pk, sk, ct) == 0
 
     def test_randomizer_is_returned_when_drawn(self, kp128, rng):
@@ -90,7 +90,7 @@ class TestEncryptDecrypt:
         ct, r = encrypt(pk, 5, rng=rng)
         assert 1 <= r < pk.n and math.gcd(r, pk.n) == 1
         expected = (1 + 5 * pk.n) * pow(r, pk.n, pk.n_squared) % pk.n_squared
-        assert ct.value == expected
+        assert ct == expected
 
     def test_plaintext_range_checked(self, tiny_keypair):
         pk, _ = tiny_keypair
@@ -107,16 +107,16 @@ class TestEncryptDecrypt:
 
     def test_decrypt_one_is_zero(self, tiny_keypair):
         pk, sk = tiny_keypair
-        assert decrypt(pk, sk, Ciphertext(1)) == 0
+        assert decrypt(pk, sk, 1) == 0
 
     def test_decrypt_rejects_malformed(self, tiny_keypair):
         pk, sk = tiny_keypair
         with pytest.raises(MalformedCiphertextError):
-            decrypt(pk, sk, Ciphertext(15))  # divisible by n
+            decrypt(pk, sk, 15)  # divisible by n
         with pytest.raises(MalformedCiphertextError):
-            decrypt(pk, sk, Ciphertext(0))
+            decrypt(pk, sk, 0)
         with pytest.raises(MalformedCiphertextError):
-            decrypt(pk, sk, Ciphertext(225))
+            decrypt(pk, sk, 225)
 
     def test_roundtrip_random_plaintexts(self, kp512):
         pk, sk = kp512
@@ -129,7 +129,7 @@ class TestEncryptDecrypt:
     def test_probabilistic_encryption(self, kp128):
         pk, _ = kp128
         rng = random.Random(7)
-        seen = {encrypt(pk, 42, rng=rng)[0].value for _ in range(100)}
+        seen = {encrypt(pk, 42, rng=rng)[0] for _ in range(100)}
         assert len(seen) == 100
 
     @settings(max_examples=40, deadline=None)
@@ -205,7 +205,7 @@ class TestHomomorphisms:
         pk, sk = kp128
         c, _ = encrypt(pk, 77, rng=rng)
         result = scalar_pow(pk, c, 0)
-        assert result.value == 1
+        assert result == 1
         assert decrypt(pk, sk, result) == 0
 
     def test_scalar_exponent_beyond_modulus(self, kp128, rng):

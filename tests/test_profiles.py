@@ -11,8 +11,12 @@ from psiauth import (
     EncryptedProfile,
     FeatureMode,
     FeatureSet,
+    SimilarityFunction,
     build_encrypted_profile,
+    carrier_challenge,
     decode_numeric,
+    device_respond,
+    device_respond_weighted,
     decrypt,
     encode_numeric,
     hash_feature,
@@ -49,7 +53,7 @@ class TestFeatureSet:
         with pytest.raises(ValueError):
             FeatureSet.from_values(FeatureMode.CASE_C, [1, 2])
         with pytest.raises(ValueError):
-            FeatureSet.from_values(FeatureMode.CASE_A, [1], count=2, cap=3)
+            FeatureSet(FeatureMode.CASE_A, (1,), count=2, cap=3)
 
 
 class TestPolyFromRoots:
@@ -81,32 +85,32 @@ class TestPolyFromRoots:
 
 class TestBlindingSolvers:
     def test_closed_form_single_root_identity(self, kp128, rng):
-        pk, sk = kp128
+        pk, _ = kp128
         root = 12345
         coeffs = poly_from_roots(case_a([root]), pk.n)
         anchor = draw_unit(rng, pk.n_squared)
-        solution = solve_blinding(coeffs, anchor, pk, sk, rng)
+        solution = solve_blinding(coeffs, anchor, pk, rng)
         r0, r1 = solution.randomizers
         assert r0 * pow(r1, root, pk.n_squared) % pk.n_squared == anchor
 
     def test_solution_is_nontrivial(self, kp128):
-        pk, sk = kp128
+        pk, _ = kp128
         for seed in range(10):
             rng = random.Random(seed)
             values = distinct_values(rng, 5, 32)
             coeffs = poly_from_roots(case_a(values), pk.n)
             solution = solve_blinding(coeffs, draw_unit(rng, pk.n_squared),
-                                      pk, sk, rng)
+                                      pk, rng)
             assert any(r != 1 for r in solution.randomizers[1:])
 
     def test_anchor_must_be_unit(self, kp128, rng):
-        pk, sk = kp128
+        pk, _ = kp128
         with pytest.raises(ValueError):
-            solve_blinding([1, 1], pk.n, pk, sk, rng)
+            solve_blinding([1, 1], pk.n, pk, rng)
 
     @pytest.mark.parametrize("solver", [solve_blinding, solve_blinding_gaussian])
     def test_identity_on_random_profiles(self, kp128, solver):
-        pk, sk = kp128
+        pk, _ = kp128
         rng = random.Random(77)
         for _ in range(30):
             values = distinct_values(rng, rng.randint(1, 12), 32)
@@ -114,20 +118,20 @@ class TestBlindingSolvers:
             anchor = draw_unit(rng, pk.n_squared)
             if solver is solve_blinding:
                 solution = solver(poly_from_roots(features, pk.n), anchor,
-                                  pk, sk, rng)
+                                  pk, rng)
             else:
-                solution = solver(features, anchor, pk, sk, rng)
+                solution = solver(features, anchor, pk, rng)
             assert blinding_identity_holds(
                 solution.randomizers, solution.anchor, values, pk.n_squared)
 
     def test_identity_with_reduced_powers_too(self, kp128, rng):
         # The subgroup randomizers depend on feature powers only modulo n,
         # so the identity holds with reduced powers as well as raw ones.
-        pk, sk = kp128
+        pk, _ = kp128
         values = distinct_values(rng, 8, 32)
         coeffs = poly_from_roots(case_a(values), pk.n)
         solution = solve_blinding(coeffs, draw_unit(rng, pk.n_squared),
-                                  pk, sk, rng)
+                                  pk, rng)
         for root in values:
             acc = solution.randomizers[0]
             power = 1
@@ -150,17 +154,17 @@ class TestBlindingSolvers:
         rng = random.Random(3)
         with caplog.at_level(logging.WARNING, logger="psiauth.profiles"):
             solution = solve_blinding_gaussian(
-                features, draw_unit(rng, pk.n_squared), pk, sk, rng)
+                features, draw_unit(rng, pk.n_squared), pk, rng)
         assert "falling back" in caplog.text
         assert blinding_identity_holds(
             solution.randomizers, solution.anchor, features.values,
             pk.n_squared, reduce_mod=pk.n * sk.lam)
 
     def test_gaussian_does_not_log_on_clean_input(self, kp128, rng, caplog):
-        pk, sk = kp128
+        pk, _ = kp128
         with caplog.at_level(logging.WARNING, logger="psiauth.profiles"):
             solve_blinding_gaussian(case_a([5, 9, 14]),
-                                    draw_unit(rng, pk.n_squared), pk, sk, rng)
+                                    draw_unit(rng, pk.n_squared), pk, rng)
         assert not caplog.records
 
 
@@ -185,7 +189,7 @@ class TestBuildEncryptedProfile:
         for ct, coeff, big_r, blind in zip(profile.enc_coeffs, audit.coeffs,
                                            audit.unblinded_randomizers,
                                            audit.blinding.randomizers):
-            lhs = ct.value * pow(big_r, pk.n, pk.n_squared) % pk.n_squared
+            lhs = ct * pow(big_r, pk.n, pk.n_squared) % pk.n_squared
             rhs = (1 + coeff * pk.n) * pow(blind, pk.n, pk.n_squared) % pk.n_squared
             assert lhs == rhs
 
@@ -199,11 +203,53 @@ class TestBuildEncryptedProfile:
         n, n_squared = profile.public_key.n, profile.public_key.n_squared
         for ct, coeff, r in zip(profile.enc_coeffs, audit.coeffs,
                                 audit.encryption_randomizers):
-            assert ct.value == (1 + coeff * n) * pow(r, n, n_squared) % \
+            assert ct == (1 + coeff * n) * pow(r, n, n_squared) % \
                 n_squared
         assert profile.blinded_randomizers == tuple(
             pow(x, secret.secret_exponent, n_squared)
             for x in audit.unblinded_randomizers)
+
+    @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
+    def test_blinding_shows_only_modulo_n_squared(self, solver):
+        # r'_k is 1 modulo n for k >= 1 and r'_0 is R' modulo n, so each
+        # stored value is congruent modulo n to the blinding-free
+        # (r_k**-1)**d, times R'**d for k = 0.  The device reads the
+        # randomizers only modulo n, so its response is the same without
+        # the blinding; only the residues modulo n**2 differ.
+        rng = random.Random(71)
+        differ = 0
+        for features, sim in (
+                (case_a(distinct_values(rng, 6, 32)), None),
+                (FeatureSet.from_values(FeatureMode.CASE_B, [3, 8, 21]),
+                 SimilarityFunction.equality([3, 8, 21])),
+                (encode_numeric((3, 0, 2, 1), 4), None)):
+            profile, secret, audit = build_encrypted_profile(
+                "alice", features, 128, rng, solver=solver,
+                keep_setup_audit=True)
+            n, n_squared = profile.public_key.n, profile.public_key.n_squared
+            anchor = audit.blinding.anchor
+            assert anchor == secret.anchor
+            assert audit.blinding.randomizers[0] % n == anchor % n
+            assert all(r % n == 1 for r in audit.blinding.randomizers[1:])
+            free = tuple(
+                pow(pow(r, -1, n_squared) * (anchor if k == 0 else 1),
+                    secret.secret_exponent, n_squared)
+                for k, r in enumerate(audit.encryption_randomizers))
+            for stored, plain in zip(profile.blinded_randomizers, free):
+                assert stored % n == plain % n
+                differ += stored != plain
+
+            def respond(record):
+                challenge, _ = carrier_challenge(record, random.Random(5))
+                if sim is None:
+                    return device_respond(secret, challenge, features,
+                                          random.Random(6))
+                return device_respond_weighted(secret, challenge, features,
+                                               sim, random.Random(6))
+
+            assert respond(profile) == respond(dataclasses.replace(
+                profile, blinded_randomizers=free))
+        assert differ > 0
 
     def test_device_secret_field_inventory(self, rng):
         secret = build_encrypted_profile("alice", case_a([4, 5]), 128, rng)[1]

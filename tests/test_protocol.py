@@ -94,8 +94,7 @@ class TestCarrierChallenge:
     def test_identity_exponent_hook(self, enrolled, rng):
         profile, _ = enrolled
         challenge, session = carrier_challenge(profile, rng, session_exponent=1)
-        assert challenge.powered_coeffs == tuple(
-            c.value for c in profile.enc_coeffs)
+        assert challenge.powered_coeffs == profile.enc_coeffs
         assert session.session_exponent == 1
 
     def test_fresh_exponents_across_sessions(self, enrolled, rng):
@@ -228,7 +227,7 @@ class TestWorkerPool:
         challenge, _ = carrier_challenge(profile, session_exponent=theta)
         assert protocol._pool is not None
         assert challenge.powered_coeffs == tuple(
-            pow(c.value, theta, n_squared) for c in profile.enc_coeffs)
+            pow(c, theta, n_squared) for c in profile.enc_coeffs)
 
     def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,
                                            one_cpu):

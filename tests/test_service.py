@@ -7,6 +7,9 @@ import pytest
 from psiauth import (
     FeatureMode,
     FeatureSet,
+    ModeMismatchError,
+    ProtocolError,
+    SimilarityFunction,
     build_encrypted_profile,
     carrier_challenge,
     carrier_score,
@@ -180,6 +183,29 @@ class TestServeFlow:
             assert excinfo.value.code == wire.ERR_PROTOCOL
 
 
+def case_b(values):
+    return FeatureSet.from_values(FeatureMode.CASE_B, values)
+
+
+# (enrolled features, sample, similarity table, exception the call raises)
+UNANSWERABLE = {
+    "case-b-without-table": (case_b([2, 5, 9]), case_b([5]), None,
+                             ValueError),
+    "case-a-secret-case-c-sample": (case_a([111, 222]),
+                                    encode_numeric((1, 2), 3), None,
+                                    ModeMismatchError),
+    "case-c-other-length": (encode_numeric((2, 1), 3),
+                            encode_numeric((1, 1, 1), 3), None,
+                            ModeMismatchError),
+    "case-b-value-outside-table": (case_b([2, 5, 9]), case_b([5, 40]),
+                                   SimilarityFunction.equality([2, 5, 9]),
+                                   ValueError),
+    "case-b-empty-support": (case_b([2, 5, 9]), case_b([5]),
+                             SimilarityFunction({5: ()}, max_weight=1),
+                             ProtocolError),
+}
+
+
 class TestDeviceClient:
     def test_setup_writes_restricted_secret_file(self, enrolled, tmp_path):
         path = tmp_path / "alice.secret"
@@ -233,6 +259,21 @@ class TestDeviceClient:
                                        rng=rng)
         assert decision.match_count == 4
         assert decision.dissimilarity == 2  # L1 distance
+
+    @pytest.mark.parametrize("name", sorted(UNANSWERABLE))
+    def test_unanswerable_sample_opens_no_session(self, service, tmp_path,
+                                                  name):
+        # The device can refuse each of these samples on its own, so it
+        # must do so before the carrier opens a session for it.
+        features, sample, similarity, error = UNANSWERABLE[name]
+        secret = client.setup_device(service.address, "erin", features,
+                                     tmp_path / "erin.secret", bits=256,
+                                     rng=random.Random(14))
+        with pytest.raises(error) as excinfo:
+            client.authenticate(service.address, secret, sample, similarity,
+                                rng=random.Random(15))
+        assert type(excinfo.value) is error
+        assert service.sessions._sessions == {}
 
     def test_loopback_equals_in_process(self, service):
         rng = random.Random(0x10CA1)

@@ -15,7 +15,6 @@ from psiauth import (
 )
 from psiauth.encoding import DecodeError, encode_uint
 from psiauth.profiles import DeviceSecret, EncryptedProfile
-from psiauth.paillier import Ciphertext
 from psiauth import wire
 
 from helpers import malformed_frames
@@ -24,8 +23,7 @@ from helpers import malformed_frames
 def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
     n = rng.getrandbits(64) | (1 << 63) | 1
     pk = PaillierPublicKey.from_modulus(n)
-    coeffs = tuple(Ciphertext(rng.randrange(1, pk.n_squared))
-                   for _ in range(size + 1))
+    coeffs = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
     blinded = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
     count = cap = None
     if mode is FeatureMode.CASE_C:
@@ -36,7 +34,7 @@ def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
 
 def fake_challenge(rng, size=3, mode=FeatureMode.CASE_A):
     profile = fake_profile(rng, size, mode)
-    powered = tuple(c.value for c in profile.enc_coeffs)
+    powered = profile.enc_coeffs
     return AuthChallenge(rng.getrandbits(128).to_bytes(16, "big"),
                          profile.public_key, powered,
                          profile.blinded_randomizers, mode,
