@@ -10,6 +10,7 @@ Layers:
 * ``paillier``: the homomorphic cryptosystem.
 * ``profiles``: device-side set-up, blinding solvers, profile/secret records.
 * ``protocol``: the three-message challenge/response and the decision rule.
+* ``pool``: the persistent fork pool for set-up and per-entry powers.
 * ``similarity``: finite-support integer similarity functions (Case B).
 * ``oracles``: plaintext reference scoring, independent of the crypto path.
 * ``wire``/``service``/``client``: framed TCP transport, carrier and device.

@@ -79,8 +79,8 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
               include_auth: bool = True) -> list[BenchRecord]:
     """Median-of-repetitions timings for each size; returns one record each.
 
-    The device response runs on the worker pool; each record's
-    ``parallelism`` is the number of usable CPUs it had.
+    Set-up's powers and the device response run on the worker pool; each
+    record's ``parallelism`` is the number of usable CPUs both had.
     """
     if not sizes:
         raise ValueError("no sizes to benchmark")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .encoding import Reader, encode_uint
 
@@ -54,6 +54,19 @@ _SMALL_PRIMES = (
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227,
     229, 233, 239, 241, 251,
 )
+
+
+def _sieve_product(low: int, high: int) -> int:
+    """The product of the primes in ``[low, high)``, ``low >= 2``."""
+    sieve = bytearray([1]) * high
+    for i in range(2, math.isqrt(high) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, high, i)))
+    return math.prod(i for i in range(low, high) if sieve[i])
+
+
+# The primes from 257 to 2**16, past trial division (``is_probable_prime``).
+_SIEVE_PRODUCT = _sieve_product(_SMALL_PRIMES[-1] + 1, 1 << 16)
 
 _SYSTEM = random.SystemRandom()
 
@@ -92,12 +105,27 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
-    """Prime factors plus ``lambda(n)`` and ``mu = lambda(n)**-1 mod n``."""
+    """Prime factors plus ``lambda(n)`` and ``mu = lambda(n)**-1 mod n``.
+
+    ``crt_lift``, the CRT constant ``(q**2)**-1 mod p**2``, is derived once
+    per key.
+    """
 
     p: int
     q: int
     lam: int
     mu: int
+    crt_lift: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "crt_lift",
+                           pow(self.q * self.q, -1, self.p * self.p))
+
+    def _combine(self, at_p: int, at_q: int) -> int:
+        """The residue modulo ``n**2`` of ones modulo ``p**2`` and ``q**2``."""
+        q_squared = self.q * self.q
+        return at_q + q_squared * ((at_p - at_q) * self.crt_lift %
+                                   (self.p * self.p))
 
     def pow_mod_n_squared(self, base: int, exponent: int) -> int:
         """``base**exponent mod n**2`` by CRT modulo ``p**2`` and ``q**2``.
@@ -107,15 +135,48 @@ class PaillierSecretKey:
         residue, equal to ``pow(base, exponent, n**2)``.
         """
         p_squared, q_squared = self.p * self.p, self.q * self.q
-        at_p = pow(base, exponent, p_squared)
-        at_q = pow(base, exponent, q_squared)
-        lift = (at_p - at_q) * pow(q_squared, -1, p_squared) % p_squared
-        return at_q + q_squared * lift
+        return self._combine(pow(base, exponent, p_squared),
+                             pow(base, exponent, q_squared))
+
+    def pow_n_mod_n_squared(self, base: int) -> int:
+        """``base**n mod n**2``, the randomizer power of an encryption.
+
+        Modulo ``p**2``, ``x**p`` depends only on ``x mod p``, and by Fermat
+        ``base**q == base**(q mod (p-1)) (mod p)``; so ``base**n`` is
+        ``(base**(q mod (p-1)) mod p)**p`` modulo ``p**2``, and the same
+        with ``p`` and ``q`` swapped modulo ``q**2``.  A base divisible by
+        ``p`` gives ``0`` on both sides.  Each half costs about two thirds
+        of the half-width power to ``n`` in ``pow_mod_n_squared``; the value
+        equals ``pow(base, n, n**2)``.
+        """
+        p, q = self.p, self.q
+        return self._combine(pow(pow(base, q % (p - 1), p), p, p * p),
+                             pow(pow(base, p % (q - 1), q), q, q * q))
+
+
+def _passes_round(base: int, d: int, r: int, modulus: int) -> bool:
+    """One Miller-Rabin round, ``modulus - 1 == d * 2**r`` with ``d`` odd:
+    ``base**d`` is ``+-1`` or one of its ``r - 1`` squarings is ``-1``."""
+    x = pow(base, d, modulus)
+    if x == 1 or x == modulus - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % modulus
+        if x == modulus - 1:
+            return True
+    return False
 
 
 def is_probable_prime(candidate: int,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with randomly chosen bases."""
+    """Miller-Rabin primality test with randomly chosen bases.
+
+    A candidate with a prime factor below ``2**16`` is rejected by the
+    first round that fails modulo ``g``, the product of those factors: a
+    round that passes modulo the candidate passes modulo ``g``.  That is the
+    round, and so the number of bases drawn, at which the plain test
+    rejects it, at a small fraction of the cost.
+    """
     if candidate < 2:
         return False
     if candidate == 2:
@@ -131,16 +192,12 @@ def is_probable_prime(candidate: int,
     while d % 2 == 0:
         d //= 2
         r += 1
+    small = math.gcd(candidate, _SIEVE_PRODUCT)
     for _ in range(PRIMALITY_ROUNDS):
         a = rng.randrange(2, candidate - 1)
-        x = pow(a, d, candidate)
-        if x == 1 or x == candidate - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % candidate
-            if x == candidate - 1:
-                break
-        else:
+        if small > 1 and not _passes_round(a, d, r, small):
+            return False
+        if not _passes_round(a, d, r, candidate):
             return False
     return True
 
@@ -243,7 +300,9 @@ def encrypt(pk: PaillierPublicKey, m: int, r: int | None = None,
         r: randomizer, a unit in ``[1, n)``; drawn uniformly when omitted.
         rng: entropy source used when ``r`` is omitted.
         sk: the matching secret key, if the caller holds it; ``r**n`` is
-            then computed by CRT, with the same result.
+            then computed by CRT through ``r mod p`` and ``r mod q``
+            (``PaillierSecretKey.pow_n_mod_n_squared``), with the same
+            result.
 
     Returns:
         The ciphertext together with the randomizer actually used (the
@@ -257,7 +316,7 @@ def encrypt(pk: PaillierPublicKey, m: int, r: int | None = None,
         r = draw_unit(rng or _SYSTEM, pk.n)
     elif not 1 <= r < pk.n or math.gcd(r, pk.n) != 1:
         raise ValueError("randomizer must be a unit in [1, n)")
-    r_to_n = sk.pow_mod_n_squared(r, pk.n) if sk else \
+    r_to_n = sk.pow_n_mod_n_squared(r) if sk else \
         pow(r, pk.n, pk.n_squared)
     return (1 + m * pk.n) * r_to_n % pk.n_squared, r
 

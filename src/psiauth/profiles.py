@@ -18,9 +18,14 @@ stores, and whether that buys any privacy is an open question.
 After set-up the device keeps only its user id, the secret exponent ``d`` and
 the anchor ``R'``; every other intermediate (secret key, coefficients,
 randomizers, plaintext features) is dropped.  While it still holds ``p`` and
-``q``, set-up computes its full-width powers (``r**n`` in each coefficient
-encryption, ``x**d`` for each unblinded randomizer) by CRT modulo ``p**2``
-and ``q**2``, which gives the same values at about half the cost.
+``q``, set-up computes its full-width powers by CRT modulo ``p**2`` and
+``q**2``: ``x**d`` for each unblinded randomizer at about half the cost of
+a plain power, and ``r**n`` in each coefficient encryption through
+``r mod p`` and ``r mod q`` at about two fifths
+(``PaillierSecretKey.pow_n_mod_n_squared``).  Every randomizer, the
+blinding solve and ``d`` are drawn first, in this process; then all
+``2(s+1)`` powers go to the worker pool in one call (``pool``), so a seeded
+set-up gives the same record whatever the number of CPUs.
 
 Two solvers produce the blinding randomizers:
 
@@ -58,6 +63,7 @@ from .paillier import (
     encrypt,
     keygen,
 )
+from .pool import _in_pool
 
 __all__ = [
     "BlindingSolution",
@@ -471,6 +477,15 @@ class SetupAudit:
     unblinded_randomizers: tuple[int, ...]
 
 
+def _setup_chunk(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
+                 jobs: list[tuple[int | None, int]]) -> list[int]:
+    """The cipher of ``coeff`` under randomizer ``base`` for a job
+    ``(coeff, base)``, and ``base**d mod n**2`` for a job ``(None, base)``."""
+    pk, sk, d = context
+    return [sk.pow_mod_n_squared(base, d) if coeff is None
+            else encrypt(pk, coeff, base, sk=sk)[0] for coeff, base in jobs]
+
+
 def build_encrypted_profile(
     user_id: str,
     features: FeatureSet,
@@ -499,12 +514,7 @@ def build_encrypted_profile(
     rng = rng or _SYSTEM
     pk, sk = keygen(bits, rng)
     coeffs = poly_from_roots(features, pk.n)
-    enc_coeffs = []
-    enc_randomizers = []
-    for coeff in coeffs:
-        ciphertext, r = encrypt(pk, coeff, rng=rng, sk=sk)
-        enc_coeffs.append(ciphertext)
-        enc_randomizers.append(r)
+    enc_randomizers = [draw_unit(rng, pk.n) for _ in coeffs]
     anchor_seed = draw_unit(rng, pk.n_squared)
     if solver == "gaussian":
         blinding = solve_blinding_gaussian(features, anchor_seed, pk, rng)
@@ -514,10 +524,16 @@ def build_encrypted_profile(
     unblinded = [rp * pow(r, -1, n_squared) % n_squared
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]
     d = rng.randrange(1, pk.n)
-    blinded = tuple(sk.pow_mod_n_squared(value, d) for value in unblinded)
+    # Every draw is made; the two kinds of power alternate, so each worker's
+    # contiguous chunk gets a like share of the cheaper encryptions.
+    jobs = []
+    for coeff, r, value in zip(coeffs, enc_randomizers, unblinded):
+        jobs += [(coeff, r), (None, value)]
+    powers = _in_pool(_setup_chunk, (pk, sk, d), jobs)
     profile = EncryptedProfile(
-        pk, tuple(enc_coeffs), blinded, features.size, features.mode,
-        count=features.count, cap=features.cap, threshold=threshold)
+        pk, tuple(powers[0::2]), tuple(powers[1::2]), features.size,
+        features.mode, count=features.count, cap=features.cap,
+        threshold=threshold)
     secret = DeviceSecret(user_id, d, blinding.anchor, features.mode,
                           count=features.count, cap=features.cap)
     if keep_setup_audit:

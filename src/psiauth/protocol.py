@@ -33,27 +33,23 @@ randomizers ``r'_i`` (``i >= 1``) lie in the order-``n`` subgroup, which the
 carrier's ``n * theta`` power removes (see ``profiles``).
 
 The per-entry powers are independent, so they run in one persistent pool of
-forked worker processes, one per usable CPU, created on first use: the
+forked worker processes, one per usable CPU, created on first use (``pool``):
+set-up's coefficient encryptions and blinded randomizers (``profiles``), the
 challenge's ``C_i**theta``, the device's entries and the carrier's match
-tests.  Everything else stays in the calling process: randomizer draws,
-``R'**d``, the shuffle, and every check ``carrier_score`` makes before it
-tests a match.  The secrets ``d``, ``rho`` and ``theta`` thus cross a pipe
-only to forked children of the process that holds them.  A dead worker costs
-one call its parallelism, not its result: the call finishes in-process and
-the next one builds a new pool.
+tests.  Everything else stays in the calling process: key generation,
+randomizer draws, ``R'**d``, the shuffle, and every check ``carrier_score``
+makes before it tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and
+``theta`` thus cross a pipe only to forked children of the process that
+holds them.  A dead worker costs one call its parallelism, not its result:
+the call finishes in-process and the next one builds a new pool.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import random
-import stat
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -61,6 +57,7 @@ from typing import Sequence
 from .encoding import MAX_COEFFS, Reader, encode_bytes, encode_uint, \
     encode_uints
 from .paillier import PaillierPublicKey, draw_unit
+from .pool import _in_pool, usable_cpus
 from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, \
     FeatureSet, encode_mode, read_mode, read_mode_params
 from .similarity import SimilarityFunction
@@ -143,6 +140,7 @@ class SessionState:
     session_exponent: int  # theta, uniform in [1, n)
     profile: EncryptedProfile
     created_at: float
+    sample_size: int | None = None  # declared by the device, if it did
     consumed: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -209,83 +207,6 @@ class AuthDecision:
             reader.fail("accepted flag must be 0 or 1")
         return cls(match_count, dissimilarity, bool(accepted_byte),
                    read_mode(reader))
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: the size of the worker pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
-# One worker pool per process, created on first use and kept until exit.
-_pool: ProcessPoolExecutor | None = None
-_pool_pid = 0
-_pool_lock = threading.Lock()
-
-
-def _close_inherited_sockets() -> None:
-    """Worker initializer: drop the caller's sockets from the forked copy.
-
-    A worker that kept a copy of a listening or connected socket would hold
-    its port or connection open after the caller closed it.  The pool talks
-    to its workers over pipes, which stay.
-    """
-    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
-    for name in os.listdir(fd_dir):
-        try:
-            if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
-                os.close(int(name))
-        except OSError:  # the listing's own descriptor, closed by now
-            pass
-
-
-def _get_pool() -> ProcessPoolExecutor:
-    global _pool, _pool_pid
-    with _pool_lock:
-        # A forked child inherits the parent's executor but not its threads.
-        if _pool is None or _pool_pid != os.getpid():
-            # fork, not spawn or forkserver: those re-import the caller's
-            # main script in every worker, and a script without a
-            # ``__main__`` guard then runs again in each of them.
-            _pool = ProcessPoolExecutor(
-                max_workers=usable_cpus(),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_close_inherited_sockets)
-            _pool_pid = os.getpid()
-        return _pool
-
-
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    global _pool
-    with _pool_lock:
-        if _pool is pool:
-            _pool = None
-    pool.shutdown()
-
-
-def _in_pool(job, context, items: list) -> list:
-    """``job(context, chunk)`` over ``items`` in contiguous chunks, in order.
-
-    Each of up to one pool process per usable CPU gets one chunk, so
-    ``context`` is pickled once per worker.  With one CPU or one item the
-    job runs in-process.  If a worker died, the pool is dropped, so the next
-    call builds a new one, and the job reruns in-process; jobs are pure, so
-    the values are the same.
-    """
-    chunks = min(usable_cpus(), len(items))
-    if chunks <= 1:
-        return job(context, items)
-    pool = _get_pool()
-    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
-    try:
-        futures = [pool.submit(job, context, items[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:])]
-        return [out for future in futures for out in future.result()]
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        return job(context, items)
 
 
 def _powers_chunk(context: tuple[int, int], bases: list[int]) -> list[int]:
@@ -488,13 +409,21 @@ def carrier_score(session: SessionState,
     genuine entries at will: knowing k profile features, it reaches any
     count by sending each with fresh randomizers, or as ``b + j*n``, which
     evaluates like the feature ``b``.  The ratio-class refusal does not stop
-    it.  ``decide`` also takes ``|Y|`` in Case C from the entry count, which
-    the device chooses; pinning it to the declared sample size, or to a
-    bound stored at set-up in Case B, is still open.
+    it.  In Cases A and C, a session opened for a declared sample size
+    refuses a response with any other entry count, so ``decide`` takes
+    Case C's ``|Y|`` from the declaration, not from the entries.  The device
+    declares that size too, so a thief declares what it sends.  Case B
+    sends one entry per unit of similarity, and bounding its entry count
+    needs a bound stored at set-up, which is still open.
     """
     session.consume()
     if not entries:
         raise ProtocolError("empty response")
+    declared = session.sample_size
+    if declared is not None and len(entries) != declared and \
+            session.profile.mode is not FeatureMode.CASE_B:
+        raise ProtocolError(f"response has {len(entries)} entries, "
+                            f"{declared} declared")
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
     theta = session.session_exponent
@@ -532,8 +461,9 @@ def decide(match_count: int, profile: EncryptedProfile,
     Case A/B accept when the (weighted) match count reaches it; the
     dissimilarity is its reciprocal, infinite for zero matches.  Case C
     computes the L1 distance ``|X| + |Y| - 2 * matches`` from the stored
-    profile size and the received entry count (``sample_size``) and accepts
-    when it stays at or below the threshold.
+    profile size and the sample size ``|Y|`` and accepts when it stays at
+    or below the threshold; the carrier passes the declared sample size,
+    which ``carrier_score`` holds the entry count to.
 
     The outcome is only as sound as the count (see ``carrier_score``): it
     holds against a party without the device's ``(d, R')``, but a party

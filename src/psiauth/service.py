@@ -195,9 +195,12 @@ class CarrierService:
         return wire.StoreAck()
 
     def _handle_init(self, msg: wire.AuthInit) -> wire.Message:
+        if msg.sample_size < 1:
+            raise ProtocolError("declared sample size must be positive")
         profile = self.store.load(msg.user_id)
         with self._rng_lock:
             challenge, session = carrier_challenge(profile, self._rng)
+        session.sample_size = msg.sample_size
         self.sessions.add(session)
         log.info("session %s opened for %r (declared sample size %d)",
                  session.session_id.hex()[:8], msg.user_id, msg.sample_size)
@@ -206,7 +209,7 @@ class CarrierService:
     def _handle_response(self, msg: wire.Response) -> wire.Message:
         session = self.sessions.claim(msg.session_id)
         matches = carrier_score(session, list(msg.entries))
-        decision = decide(matches, session.profile, len(msg.entries))
+        decision = decide(matches, session.profile, session.sample_size)
         # The observed entry count can exceed the declared sample size in
         # Case B (one entry per similarity unit); worth surfacing.
         log.info("session %s scored: %d entries observed, %d matches, %s",

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from psiauth import keygen, keypair_from_primes, protocol
+from psiauth import keygen, keypair_from_primes, pool
 
 
 @pytest.fixture
@@ -35,10 +35,10 @@ def kp512():
 def fresh_pool(monkeypatch):
     """A worker pool of at least two processes, forked by the test's first
     pooled call, so the pool path runs even on a one-CPU machine."""
-    cpus = max(2, protocol.usable_cpus())
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
-    if protocol._pool is not None:
-        protocol._drop_pool(protocol._pool)
+    cpus = max(2, pool.usable_cpus())
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+    if pool._pool is not None:
+        pool._drop_pool(pool._pool)
 
 
 @pytest.fixture
@@ -48,6 +48,6 @@ def one_cpu(monkeypatch):
     @contextlib.contextmanager
     def patched():
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "usable_cpus", lambda: 1)
+            patch.setattr(pool, "usable_cpus", lambda: 1)
             yield
     return patched

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import time
 
 from psiauth import FeatureMode, FeatureSet, wire
 from psiauth.encoding import (
@@ -18,6 +21,15 @@ from psiauth.encoding import (
 # Tests keep feature values far below the smaller prime factor of each key
 # size, so the profile polynomial cannot vanish modulo n at a non-member and
 # scores are exact, not statistical.
+
+
+def kill_one_worker(executor) -> None:
+    """SIGKILL one worker of a process pool and wait until it is broken."""
+    os.kill(next(iter(executor._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not executor._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert executor._broken
 
 
 def distinct_values(rng: random.Random, count: int, bits: int) -> list[int]:

@@ -4,9 +4,11 @@ A misbehaving device controls both values of every entry it sends.  These
 tests replay the known secret-free forgeries against a 512-bit profile and
 check that the carrier refuses them, and that it refuses to count one
 genuine entry twice, whether repeated, sign-flipped or sent with a
-non-canonical ratio.  Every refused response, an empty one included, burns
-its session.  Without a stored threshold the bar is a majority of the
-enrolled profile, so one known feature sent once is rejected.  Powers and
+non-canonical ratio.  A live carrier also refuses a Case A or Case C
+response whose entry count differs from the declared sample size.  Every
+refused response, an empty one included, burns its session.  Without a
+stored threshold the bar is a majority of the enrolled profile, so one
+known feature sent once is rejected.  Powers and
 products of genuine entries still score, and a device that holds ``(d, R')``
 builds as many genuine matches as it likes from one known feature; strict
 ``xfail`` tests pin these gaps.
@@ -29,7 +31,8 @@ from psiauth import (
     device_respond,
     encode_numeric,
 )
-from psiauth import protocol
+from psiauth import client, protocol, wire
+from psiauth.service import CarrierConfig, CarrierService
 
 from helpers import distinct_values
 
@@ -102,6 +105,45 @@ def test_repeated_genuine_triple_rejected(enrolled):
     with pytest.raises(ProtocolError, match="repeat"):
         carrier_score(session, [entry, entry])
     assert session.consumed
+
+
+NUMERIC = (2, 3, 1, 4, 0, 5, 3, 2)  # t = 8, M = 5, |X| = 20
+
+
+@pytest.mark.parametrize("delta", [1, -1], ids=["one-more", "one-fewer"])
+@pytest.mark.parametrize("mode", ["case-a", "case-c"])
+def test_entry_count_differs_from_declared_size(enrolled, tmp_path, mode,
+                                                delta):
+    # Cases A and C send one entry per sample value, so the carrier holds
+    # the response to the sample size declared in AuthInit; the Case C
+    # distance is computed from that size, not from the entry count.
+    if mode == "case-a":
+        profile, secret = enrolled
+        declared = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:4])
+        sent = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:4 + delta])
+    else:
+        profile, secret = build_encrypted_profile(
+            "mallory", encode_numeric(NUMERIC, 5), 512, random.Random(0xC1))
+        declared = encode_numeric(NUMERIC, 5)
+        sent = encode_numeric(NUMERIC[:-1] + (NUMERIC[-1] + delta,), 5)
+    assert sent.size == declared.size + delta
+    config = CarrierConfig(store_root=tmp_path / "store", seed=0xC0)
+    with CarrierService(config) as service:
+        client.store_profile(service.address, "mallory", profile)
+        with client.CarrierConnection(service.address) as conn:
+            reply = conn.request(wire.AuthInit("mallory", declared.size))
+            challenge = reply.challenge
+            entries = device_respond(secret, challenge, sent,
+                                     random.Random(11))
+            response = wire.Response(challenge.session_id, tuple(entries))
+            with pytest.raises(client.CarrierReplyError,
+                               match="declared") as refused:
+                conn.request(response)
+            assert refused.value.code == wire.ERR_PROTOCOL
+            # The refused response burned its session.
+            with pytest.raises(client.CarrierReplyError) as replayed:
+                conn.request(response)
+            assert replayed.value.code == wire.ERR_SESSION
 
 
 def test_honest_response_unaffected(enrolled):

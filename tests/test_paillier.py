@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from psiauth import (
     KeyGenerationError,
@@ -15,7 +15,27 @@ from psiauth import (
     keypair_from_primes,
     scalar_pow,
 )
-from psiauth.paillier import is_probable_prime
+from psiauth.paillier import PRIMALITY_ROUNDS, _SMALL_PRIMES, \
+    is_probable_prime
+
+
+def plain_miller_rabin(candidate, rng):
+    """Reference: the Miller-Rabin test without the small-factor shortcut."""
+    d, r = candidate - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for _ in range(PRIMALITY_ROUNDS):
+        a = rng.randrange(2, candidate - 1)
+        x = pow(a, d, candidate)
+        if x in (1, candidate - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % candidate
+            if x == candidate - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestKeygen:
@@ -61,6 +81,26 @@ class TestKeygen:
         assert pow(g, pk.n, pk.n_squared) == 1
         assert pow(g, 1, pk.n_squared) != 1
         assert pow(g, 2, pk.n_squared) != 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(small=st.sampled_from([1, 257, 4099, 65521]),
+           cofactor=st.integers(min_value=3, max_value=1 << 256),
+           seed=st.integers(min_value=0, max_value=1 << 32))
+    # Strong pseudoprimes to small bases, each with a factor below 2**16.
+    @example(small=1, cofactor=1373653, seed=1)
+    @example(small=1, cofactor=25326001, seed=2)
+    @example(small=1, cofactor=2152302898747, seed=3)
+    @example(small=1, cofactor=3474749660383, seed=4)
+    def test_small_factor_shortcut_draws_like_the_plain_test(self, small,
+                                                             cofactor, seed):
+        # Same answer and the same bases drawn, so a seeded key generation
+        # finds the same primes.
+        candidate = small * (cofactor | 1)
+        assume(all(candidate % p for p in _SMALL_PRIMES))
+        fast, plain = random.Random(seed), random.Random(seed)
+        assert is_probable_prime(candidate, fast) == \
+            plain_miller_rabin(candidate, plain)
+        assert fast.getstate() == plain.getstate()
 
     def test_primality_helper_rejects_composites(self):
         assert is_probable_prime(2) and is_probable_prime(65537)
@@ -172,6 +212,33 @@ class TestCrtPower:
         _, foreign = kp128
         with pytest.raises(ValueError, match="does not match"):
             encrypt(pk, 1, r=2, sk=foreign)
+
+
+class TestNthPowerRoute:
+    """``r**n`` modulo ``p**2`` as ``(r**(q mod (p-1)) mod p)**p``, and the
+    same modulo ``q**2`` with ``p`` and ``q`` swapped."""
+
+    @pytest.fixture(scope="class", params=["p-above-q", "p-below-q"])
+    def key(self, kp512, request):
+        _, sk = kp512
+        low, high = sorted((sk.p, sk.q))
+        p, q = (high, low) if request.param == "p-above-q" else (low, high)
+        return keypair_from_primes(p, q, insecure_test_mode=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.one_of(st.sampled_from(["1", "n-1"]),
+                          st.integers(min_value=2)),
+           m=st.integers(min_value=0))
+    @example(base="1", m=0)
+    @example(base="n-1", m=1)
+    def test_equals_plain_pow(self, key, base, m):
+        pk, sk = key
+        r = {"1": 1, "n-1": pk.n - 1}[base] if isinstance(base, str) \
+            else base % pk.n
+        assume(math.gcd(r, pk.n) == 1)
+        assert sk.pow_n_mod_n_squared(r) == pow(r, pk.n, pk.n_squared)
+        m %= pk.n
+        assert encrypt(pk, m, r, sk=sk) == encrypt(pk, m, r)
 
 
 class TestHomomorphisms:

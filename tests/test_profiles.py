@@ -24,11 +24,13 @@ from psiauth import (
     solve_blinding,
     solve_blinding_gaussian,
 )
+from psiauth import pool
 from psiauth.encoding import DecodeError
 from psiauth.paillier import draw_unit, keypair_from_primes
 from psiauth.profiles import _solve_scaled_integer_system
 
-from helpers import blinding_identity_holds, distinct_values
+from helpers import blinding_identity_holds, distinct_values, \
+    kill_one_worker
 
 
 def case_a(values):
@@ -168,6 +170,13 @@ class TestBlindingSolvers:
         assert not caplog.records
 
 
+SETUP_RUNS = {
+    "case-a": case_a(distinct_values(random.Random(33), 6, 32)),
+    "case-b": FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
+    "case-c": encode_numeric((3, 0, 5, 2), 5),
+}
+
+
 class TestBuildEncryptedProfile:
     def test_sizes_and_monicity(self, rng):
         features = case_a([10, 20, 30])
@@ -195,7 +204,8 @@ class TestBuildEncryptedProfile:
 
     @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
     def test_setup_powers_equal_plain_pow(self, solver):
-        # Set-up computes r_k**n and x**d by CRT; plain powers must agree.
+        # Set-up computes r_k**n and x**d by CRT, in the pool when there is
+        # more than one CPU; plain powers must agree.
         features = case_a(distinct_values(random.Random(31), 6, 32))
         profile, secret, audit = build_encrypted_profile(
             "alice", features, 512, random.Random(32), solver=solver,
@@ -250,6 +260,31 @@ class TestBuildEncryptedProfile:
             assert respond(profile) == respond(dataclasses.replace(
                 profile, blinded_randomizers=free))
         assert differ > 0
+
+    @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
+    @pytest.mark.parametrize("mode", sorted(SETUP_RUNS))
+    def test_setup_does_not_depend_on_the_cpu_count(self, mode, solver,
+                                                    fresh_pool, one_cpu):
+        # Every draw is made in this process before the powers go to the
+        # pool, so one CPU, the pool and a pool with a dead worker all give
+        # the same record and secret.
+        def setup_bytes():
+            profile, secret = build_encrypted_profile(
+                "u", SETUP_RUNS[mode], 512, random.Random(34), solver=solver)
+            return profile.to_bytes(), secret.to_bytes()
+
+        with one_cpu():
+            serial = setup_bytes()
+        assert pool._pool is None  # one CPU ran everything in-process
+        assert setup_bytes() == serial
+        dead = pool._pool
+        assert dead is not None
+        kill_one_worker(dead)
+        # This set-up finishes in-process; the next one forks a new pool.
+        assert setup_bytes() == serial
+        assert pool._pool is None
+        assert setup_bytes() == serial
+        assert pool._pool not in (None, dead)
 
     def test_device_secret_field_inventory(self, rng):
         secret = build_encrypted_profile("alice", case_a([4, 5]), 128, rng)[1]

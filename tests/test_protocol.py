@@ -4,10 +4,8 @@ import hashlib
 import math
 import os
 import random
-import signal
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,12 +33,12 @@ from psiauth import (
     oracle_l1,
     oracle_weighted,
 )
-from psiauth import protocol
+from psiauth import pool
 from psiauth.encoding import encode_uint
 from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, default_threshold
 
-from helpers import distinct_values, overlap_instance
+from helpers import distinct_values, kill_one_worker, overlap_instance
 
 
 def case_a(values):
@@ -175,8 +173,6 @@ class TestDeviceRespond:
     def test_workers_do_not_change_the_response(self, mode, fresh_pool,
                                                  one_cpu):
         features, sample, sim = POOL_RUNS[mode]
-        profile, secret = build_encrypted_profile("u", features, 128,
-                                                  random.Random(3))
 
         def respond():
             challenge, _ = carrier_challenge(profile, random.Random(1))
@@ -186,10 +182,12 @@ class TestDeviceRespond:
             return device_respond(secret, challenge, sample, random.Random(2))
 
         with one_cpu():
+            profile, secret = build_encrypted_profile("u", features, 128,
+                                                      random.Random(3))
             serial = respond()
-        assert protocol._pool is None  # one CPU ran everything in-process
+        assert pool._pool is None  # one CPU ran everything in-process
         assert respond() == serial
-        assert protocol._pool is not None
+        assert pool._pool is not None
 
 
 TENT = SimilarityFunction.from_entries(
@@ -225,7 +223,7 @@ class TestWorkerPool:
         n_squared = profile.public_key.n_squared
         theta = random.Random(5).randrange(1, profile.public_key.n)
         challenge, _ = carrier_challenge(profile, session_exponent=theta)
-        assert protocol._pool is not None
+        assert pool._pool is not None
         assert challenge.powered_coeffs == tuple(
             pow(c, theta, n_squared) for c in profile.enc_coeffs)
 
@@ -261,19 +259,15 @@ class TestWorkerPool:
         with one_cpu():
             serial = device_respond(secret, challenge, sample,
                                     random.Random(11))
-        pool = protocol._pool
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while not pool._broken and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert pool._broken
+        dead = pool._pool
+        kill_one_worker(dead)
         # This call finishes in-process; the next one forks a new pool.
         assert device_respond(secret, challenge, sample,
                               random.Random(11)) == serial
-        assert protocol._pool is None
+        assert pool._pool is None
         theta = 0x5EED
         challenge, session = carrier_challenge(profile, session_exponent=theta)
-        assert protocol._pool not in (None, pool)
+        assert pool._pool not in (None, dead)
         entries = device_respond(secret, challenge, sample, random.Random(12))
         expected = oracle_intersection(features.values, sample.values)
         assert carrier_score(session, entries) == expected == \
@@ -296,7 +290,7 @@ class TestWorkerPool:
             "entries = device_respond(secret, challenge, sample, rng)\n"
             "print(carrier_score(session, entries))\n")
         env = dict(os.environ,
-                   PYTHONPATH=str(Path(protocol.__file__).parents[1]))
+                   PYTHONPATH=str(Path(pool.__file__).parents[1]))
         done = subprocess.run([sys.executable, str(script)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")

@@ -17,7 +17,7 @@ from psiauth import (
     device_respond,
     encode_numeric,
 )
-from psiauth import client, protocol, wire
+from psiauth import client, pool, wire
 from psiauth.encoding import encode_uint
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
@@ -92,6 +92,16 @@ class TestServeFlow:
             with pytest.raises(client.CarrierReplyError) as excinfo:
                 conn.request(wire.AuthInit("ghost", 1))
             assert excinfo.value.code == wire.ERR_UNKNOWN_USER
+
+    def test_non_positive_sample_size_opens_no_session(self, enrolled):
+        # The declared size is what a Case A or C response is held to and
+        # what decide divides by, so zero is refused before any session.
+        service, _, _ = enrolled
+        with client.CarrierConnection(service.address) as conn:
+            with pytest.raises(client.CarrierReplyError) as excinfo:
+                conn.request(wire.AuthInit("alice", 0))
+            assert excinfo.value.code == wire.ERR_PROTOCOL
+        assert service.sessions._sessions == {}
 
     def test_replayed_response_rejected(self, enrolled):
         service, secret, _ = enrolled
@@ -310,6 +320,6 @@ class TestDeviceClient:
             decision = client.authenticate(address, secret, case_a([2, 3, 4]),
                                            rng=random.Random(9))
             assert decision.match_count == 2
-            assert protocol._pool is not None
+            assert pool._pool is not None
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=5).close()
