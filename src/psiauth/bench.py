@@ -80,7 +80,12 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
     """Median-of-repetitions timings for each size; returns one record each.
 
     Set-up's powers and the device response run on the worker pool; each
-    record's ``parallelism`` is the number of usable CPUs both had.
+    record's ``parallelism`` is the number of usable CPUs both had.  Every
+    repetition builds a profile and challenges it once.  Unseeded, each
+    profile is new, so ``auth_seconds`` always pays the carrier's cache miss
+    (the teeth of every coefficient, see ``carrier_challenge``).  With a
+    seed, each repetition of a size rebuilds the same profile, so the
+    repetitions after the first reuse the cached teeth.
     """
     if not sizes:
         raise ValueError("no sizes to benchmark")

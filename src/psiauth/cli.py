@@ -75,11 +75,16 @@ def _load_sample(args, mode: FeatureMode) -> FeatureSet:
 
 
 def _cmd_serve(args) -> int:
+    host, port = args.listen
+    try:
+        config = CarrierConfig(store_root=Path(args.data_dir), host=host,
+                               port=port, session_timeout=args.session_timeout,
+                               seed=args.seed)
+    except ValueError as exc:
+        print(f"serve failed: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    host, port = args.listen
-    config = CarrierConfig(store_root=Path(args.data_dir), host=host, port=port,
-                           session_timeout=args.session_timeout, seed=args.seed)
     service = CarrierService(config)
     bound_host, bound_port = service.address
     print(f"carrier listening on {bound_host}:{bound_port}, "
@@ -194,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="HOST:PORT", help="listen address (default %(default)s)")
     serve.add_argument("--data-dir", required=True, help="profile store root")
     serve.add_argument("--session-timeout", type=float, default=60.0,
-                       help="seconds before a pending session expires")
+                       help="seconds before a pending session expires and an "
+                            "idle connection closes")
     serve.add_argument("--seed", type=int, default=None,
                        help="RNG seed (test mode only)")
     serve.set_defaults(func=_cmd_serve)

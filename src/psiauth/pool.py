@@ -9,6 +9,7 @@ holds it.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import stat
@@ -17,6 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 __all__ = ["usable_cpus"]
+
+log = logging.getLogger(__name__)
 
 
 def usable_cpus() -> int:
@@ -80,7 +83,8 @@ def _in_pool(job, context, items: list) -> list:
     ``context`` is pickled once per worker.  With one CPU or one item the
     job runs in-process.  If a worker died, the pool is dropped, so the next
     call builds a new one, and the job reruns in-process; jobs are pure, so
-    the values are the same.
+    the values are the same.  The rebuild is logged with the job's name and
+    the worker count only: contexts and items may hold secrets.
     """
     chunks = min(usable_cpus(), len(items))
     if chunks <= 1:
@@ -92,5 +96,8 @@ def _in_pool(job, context, items: list) -> list:
                    for lo, hi in zip(bounds, bounds[1:])]
         return [out for future in futures for out in future.result()]
     except BrokenProcessPool:
+        log.warning("worker pool of %d processes broke in %s; finishing "
+                    "in-process, the next call forks a new pool",
+                    pool._max_workers, job.__name__)
         _drop_pool(pool)
         return job(context, items)

@@ -32,6 +32,18 @@ exponents, so the encryption randomizers cancel carrier-side, and the blinding
 randomizers ``r'_i`` (``i >= 1``) lie in the order-``n`` subgroup, which the
 carrier's ``n * theta`` power removes (see ``profiles``).
 
+The challenge powers ``C_i**theta`` have the same bases in every session, so
+the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
+over the coefficient's teeth ``C_i**(2**(j * w))``, ``j < 6``,
+``w = ceil(|n| / 6)``: ``w`` squarings and up to ``w`` products, where a
+plain power takes ``|n|`` squarings.  The teeth of the 1024 coefficients
+that missed most recently are cached (about 1.8 MB at 1024-bit keys), first
+in, first out.  They are public values derived from the stored record,
+never ``theta``.  A miss squares its way to the teeth and then runs the comb,
+which costs about one plain power (1.04 at 1024 bits), so the cache gains only
+where a profile is challenged again before 1024 other coefficients' misses
+evict its teeth.
+
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
 set-up's coefficient encryptions and blinded randomizers (``profiles``), the
@@ -209,9 +221,58 @@ class AuthDecision:
                    read_mode(reader))
 
 
-def _powers_chunk(context: tuple[int, int], bases: list[int]) -> list[int]:
-    exponent, modulus = context
-    return [pow(base, exponent, modulus) for base in bases]
+# Teeth per challenged coefficient, and how many coefficients' teeth the
+# carrier keeps: 1024 of them hold about 1.8 MB at 1024-bit keys.
+_TEETH = 6
+_TEETH_CACHE_SIZE = 1024
+_teeth_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+_teeth_lock = threading.Lock()
+
+
+def _comb_width(n: int) -> int:
+    """Bits per comb limb: ``_TEETH`` limbs cover any exponent below ``n``."""
+    return -(-n.bit_length() // _TEETH)
+
+
+def _challenge_chunk(context: tuple[int, int, int],
+                     items: list[tuple[int, tuple[int, ...] | None]]
+                     ) -> list[tuple[int, tuple[int, ...] | None]]:
+    """``(C**theta, new teeth or None)`` for each ``(C, teeth)``.
+
+    The teeth of ``C`` are ``C**(2**(j * width))`` for ``j < _TEETH``; the
+    first is ``C`` itself, so ``teeth`` holds the others.  Their
+    ``2**_TEETH`` products form the comb's table, and ``theta``'s limbs,
+    read one bit column at a time from the top, pick one entry per squaring
+    (Lim and Lee, CRYPTO 1994).  On a miss ``teeth`` is ``None`` to get the
+    new teeth back, or ``()`` to drop them.  They are squared one step at a
+    time: ``pow`` by ``2**width`` was about a tenth slower at 1024 bits.
+    """
+    theta, width, modulus = context
+    columns = [sum(((theta >> (j * width + bit)) & 1) << j
+                   for j in range(_TEETH))
+               for bit in reversed(range(width))]
+    out = []
+    for base, teeth in items:
+        fresh = None
+        if not teeth:
+            tooth, new = base, []
+            for _ in range(_TEETH - 1):
+                for _ in range(width):
+                    tooth = tooth * tooth % modulus
+                new.append(tooth)
+            if teeth is None:
+                fresh = tuple(new)
+            teeth = new
+        table = [1, base]
+        for tooth in teeth:
+            table += [entry * tooth % modulus for entry in table]
+        acc = 1
+        for column in columns:
+            acc = acc * acc % modulus
+            if column:
+                acc = acc * table[column] % modulus
+        out.append((acc, fresh))
+    return out
 
 
 def carrier_challenge(profile: EncryptedProfile,
@@ -220,6 +281,15 @@ def carrier_challenge(profile: EncryptedProfile,
                       session_exponent: int | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
     """Open a session: raise the encrypted coefficients to a fresh exponent.
+
+    Each power ``C_i**theta`` is a comb over the teeth of ``C_i`` (see the
+    module docstring).  The teeth of the ``_TEETH_CACHE_SIZE`` coefficients
+    that missed most recently are kept (first in, first out: a hit does not
+    refresh an entry), keyed by ``(n**2, C_i)``, so a profile stored
+    again under the same user id never meets stale teeth.  A coefficient
+    without cached teeth gets them in the same pooled job as its power, and
+    only the first ``_TEETH_CACHE_SIZE`` misses of a challenge send them
+    back.  A miss costs about 1.04 plain powers, a hit about a third.
 
     ``session_exponent`` is a test hook; production use leaves it to the
     entropy source.
@@ -232,8 +302,26 @@ def carrier_challenge(profile: EncryptedProfile,
         raise ValueError("session exponent outside [1, n)")
     sid = rng.getrandbits(128).to_bytes(16, "big")
     n_squared = profile.public_key.n_squared
-    powered = tuple(_in_pool(_powers_chunk, (theta, n_squared),
-                             list(profile.enc_coeffs)))
+    with _teeth_lock:
+        items, misses = [], 0
+        for coeff in profile.enc_coeffs:
+            teeth = _teeth_cache.get((n_squared, coeff))
+            if teeth is None:
+                # Teeth past the cache's size would be evicted at once, so
+                # the workers do not send them back.
+                if misses >= _TEETH_CACHE_SIZE:
+                    teeth = ()
+                misses += 1
+            items.append((coeff, teeth))
+    results = _in_pool(_challenge_chunk, (theta, _comb_width(n), n_squared),
+                       items)
+    with _teeth_lock:
+        for coeff, (_, teeth) in zip(profile.enc_coeffs, results):
+            if teeth is not None:
+                _teeth_cache[n_squared, coeff] = teeth
+        while len(_teeth_cache) > _TEETH_CACHE_SIZE:
+            del _teeth_cache[next(iter(_teeth_cache))]
+    powered = tuple(power for power, _ in results)
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)

@@ -114,8 +114,24 @@ class CarrierConfig:
     session_timeout: float = 60.0
     seed: int | None = None  # test mode only; production keeps OS entropy
 
+    def __post_init__(self):
+        # Also every connection's socket timeout: settimeout raises on a
+        # value that is infinite, NaN or above TIMEOUT_MAX, and 0 makes the
+        # socket non-blocking.  Refuse such a value here, not per connection.
+        if not 0 < self.session_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError("session timeout must be positive and at most "
+                             f"{threading.TIMEOUT_MAX:.0f} s, "
+                             f"got {self.session_timeout!r}")
+
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        # A peer silent for longer than a session lives could finish no
+        # session anyway; its read then times out, an OSError, and the
+        # handler ends.
+        self.timeout = self.server.service.config.session_timeout  # type: ignore[attr-defined]
+        super().setup()
+
     def handle(self):
         service: "CarrierService" = self.server.service  # type: ignore[attr-defined]
         while True:

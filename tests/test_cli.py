@@ -100,6 +100,18 @@ class TestSetupAndAuth:
         assert code == EXIT_ERROR
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("timeout", ["inf", "0"])
+    def test_unusable_session_timeout_refused(self, tmp_path, capsys,
+                                              timeout):
+        code = main(["serve", "--listen", "127.0.0.1:0", "--data-dir",
+                     str(tmp_path / "store"), "--session-timeout", timeout])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert "session timeout" in err
+        assert "listening" not in out
+
+
 class TestOracleCommand:
     def test_case_a(self, tmp_path, capsys):
         a = write(tmp_path / "a.txt", "x\ny\nz\n")

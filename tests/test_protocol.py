@@ -1,16 +1,18 @@
 import contextlib
 import dataclasses
 import hashlib
+import logging
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from psiauth import (
     INFINITE,
@@ -29,11 +31,12 @@ from psiauth import (
     device_respond_weighted,
     encode_numeric,
     hash_feature,
+    keygen,
     oracle_intersection,
     oracle_l1,
     oracle_weighted,
 )
-from psiauth import pool
+from psiauth import pool, protocol
 from psiauth.encoding import encode_uint
 from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, default_threshold
@@ -110,6 +113,117 @@ class TestCarrierChallenge:
         profile, _ = enrolled
         with pytest.raises(ValueError):
             carrier_challenge(profile, rng, session_exponent=0)
+
+
+class TestChallengeComb:
+    """The comb over a coefficient's teeth computes the plain power."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.integers(min_value=16, max_value=512),
+           seed=st.integers(min_value=0, max_value=2 ** 32),
+           base=st.sampled_from(["1", "n**2-1", "unit"]),
+           theta=st.sampled_from(["1", "2**w", "n-1", "random"]))
+    @example(bits=16, seed=0, base="unit", theta="n-1")
+    @example(bits=18, seed=1, base="n**2-1", theta="2**w")
+    @example(bits=511, seed=2, base="unit", theta="random")
+    @example(bits=512, seed=3, base="unit", theta="n-1")
+    def test_miss_and_hit_equal_plain_pow(self, bits, seed, base, theta):
+        rng = random.Random(seed)
+        pk, _ = keygen(bits, rng)
+        n, n_squared = pk.n, pk.n_squared
+        width = protocol._comb_width(n)
+        assert protocol._TEETH * width >= bits
+        base = {"1": 1, "n**2-1": n_squared - 1,
+                "unit": draw_unit(rng, n_squared)}[base]
+        theta = {"1": 1, "2**w": 1 << width, "n-1": n - 1,
+                 "random": rng.randrange(1, n)}[theta]
+        context = (theta, width, n_squared)
+        (miss, teeth), = protocol._challenge_chunk(context, [(base, None)])
+        assert teeth == tuple(pow(base, 1 << (j * width), n_squared)
+                              for j in range(1, protocol._TEETH))
+        (hit, fresh), = protocol._challenge_chunk(context, [(base, teeth)])
+        (dropped, kept), = protocol._challenge_chunk(context, [(base, ())])
+        assert miss == hit == dropped == pow(base, theta, n_squared)
+        assert fresh is None and kept is None
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_teeth_cache", {})
+        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 10)
+        rng = random.Random(23)
+        for user in range(6):
+            profile, _ = build_encrypted_profile(
+                f"u{user}", case_a([3, 5, 7 + user]), 64, rng)
+            carrier_challenge(profile, rng)
+            assert len(protocol._teeth_cache) <= 10
+        # Oldest first out: the last profile's four coefficients stay.
+        n_squared = profile.public_key.n_squared
+        assert all((n_squared, coeff) in protocol._teeth_cache
+                   for coeff in profile.enc_coeffs)
+
+    def test_concurrent_challenges_share_the_cache(self, monkeypatch,
+                                                   one_cpu):
+        # Carrier threads challenge at once; in-process jobs keep every
+        # thread inside the cache's read-compute-insert-evict sequence.
+        monkeypatch.setattr(protocol, "_teeth_cache", {})
+        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 10)
+        profiles = [build_encrypted_profile(f"u{i}", case_a([3, 5, 7 + i]),
+                                            64, random.Random(40 + i))[0]
+                    for i in range(8)]
+        wrong = []
+
+        def challenge_thrice(profile):
+            n_squared = profile.public_key.n_squared
+            for theta in (5, 1 << 11, 0xBEEF):
+                challenge, _ = carrier_challenge(profile,
+                                                 session_exponent=theta)
+                if challenge.powered_coeffs != tuple(
+                        pow(c, theta, n_squared) for c in profile.enc_coeffs):
+                    wrong.append(theta)
+
+        threads = [threading.Thread(target=challenge_thrice, args=(p,))
+                   for p in profiles]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with one_cpu():
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(protocol._teeth_cache) <= 10
+        for (n_squared, coeff), teeth in protocol._teeth_cache.items():
+            width = -(-math.isqrt(n_squared).bit_length() // protocol._TEETH)
+            assert teeth == tuple(pow(coeff, 1 << (j * width), n_squared)
+                                  for j in range(1, protocol._TEETH))
+
+    def test_profile_wider_than_the_cache(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_teeth_cache", {})
+        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 3)
+        returned = []
+
+        def in_pool(job, context, items):
+            results = pool._in_pool(job, context, items)
+            returned.append(sum(teeth is not None for _, teeth in results))
+            return results
+
+        monkeypatch.setattr(protocol, "_in_pool", in_pool)
+        profile, _ = build_encrypted_profile(
+            "u", case_a([2, 3, 5, 7, 11, 13, 17]), 128, random.Random(24))
+        n_squared = profile.public_key.n_squared
+        for theta in (0xC0FFEE, 0xC0FFEE, 0xBEEF):
+            challenge, _ = carrier_challenge(profile, session_exponent=theta)
+            assert challenge.powered_coeffs == tuple(
+                pow(c, theta, n_squared) for c in profile.enc_coeffs)
+            assert len(protocol._teeth_cache) == 3
+            assert set(protocol._teeth_cache) <= {
+                (n_squared, coeff) for coeff in profile.enc_coeffs}
+        # Five or eight of the eight coefficients miss each time, but only
+        # the three that the cache keeps come back with their teeth.
+        assert returned == [3, 3, 3]
 
 
 class TestDeviceRespond:
@@ -218,14 +332,49 @@ class TestWorkerPool:
             session = SessionState(b"ref", theta, profile, 0.0)
             return carrier_score(session, entries)
 
-    def test_challenge_powers_equal_plain_pow(self, enrolled_a, fresh_pool):
+    def test_challenge_powers_equal_plain_pow(self, enrolled_a, fresh_pool,
+                                              one_cpu, monkeypatch):
         profile = enrolled_a[0]
         n_squared = profile.public_key.n_squared
         theta = random.Random(5).randrange(1, profile.public_key.n)
-        challenge, _ = carrier_challenge(profile, session_exponent=theta)
+        expected = tuple(pow(c, theta, n_squared) for c in profile.enc_coeffs)
+        monkeypatch.setattr(protocol, "_teeth_cache", {})
+
+        def powers():
+            challenge, _ = carrier_challenge(profile, session_exponent=theta)
+            return challenge.powered_coeffs
+
+        assert powers() == expected  # miss: the workers compute the teeth
         assert pool._pool is not None
-        assert challenge.powered_coeffs == tuple(
-            pow(c, theta, n_squared) for c in profile.enc_coeffs)
+        cached = dict(protocol._teeth_cache)
+        assert list(cached) == [(n_squared, c) for c in profile.enc_coeffs]
+        assert powers() == expected  # hit
+        with one_cpu():
+            assert powers() == expected
+            protocol._teeth_cache.clear()
+            assert powers() == expected
+        assert protocol._teeth_cache == cached
+        kill_one_worker(pool._pool)
+        assert powers() == expected
+        assert pool._pool is None
+
+    def test_rebuild_logged_without_the_context(self, enrolled_a, fresh_pool,
+                                                caplog):
+        profile = enrolled_a[0]
+        theta = random.Random(14).randrange(1, profile.public_key.n)
+        carrier_challenge(profile, session_exponent=theta)
+        kill_one_worker(pool._pool)
+        with caplog.at_level(logging.WARNING, logger="psiauth.pool"):
+            carrier_challenge(profile, session_exponent=theta)
+        record, = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"worker pool of {pool.usable_cpus()} processes broke in "
+            f"_challenge_chunk; finishing in-process, the next call forks a "
+            f"new pool")
+        for secret in (theta, profile.public_key.n_squared,
+                       *profile.enc_coeffs):
+            assert str(secret) not in caplog.text
 
     def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,
                                            one_cpu):

@@ -1,5 +1,6 @@
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from psiauth import (
     decide,
     device_respond,
     encode_numeric,
+    oracle_intersection,
 )
 from psiauth import client, pool, wire
 from psiauth.encoding import encode_uint
@@ -128,12 +130,43 @@ class TestServeFlow:
                                          bits=128, rng=rng)
             with client.CarrierConnection(service.address) as conn:
                 challenge = conn.request(wire.AuthInit("bob", 1)).challenge
-                entries = tuple(device_respond(secret, challenge,
-                                               case_a([7]), rng))
-                time.sleep(0.1)
+            entries = tuple(device_respond(secret, challenge, case_a([7]),
+                                           rng))
+            time.sleep(0.1)
+            # A connection idle for the session timeout is closed, so the
+            # late response comes over a new one.
+            with client.CarrierConnection(service.address) as conn:
                 with pytest.raises(client.CarrierReplyError) as excinfo:
                     conn.request(wire.Response(challenge.session_id, entries))
                 assert excinfo.value.code == wire.ERR_SESSION
+
+    def test_idle_connection_closed_after_session_timeout(self, tmp_path):
+        config = CarrierConfig(store_root=tmp_path / "store", seed=1,
+                               session_timeout=0.5)
+        with CarrierService(config) as service:
+            before = set(threading.enumerate())
+            started = time.monotonic()
+            with socket.create_connection(service.address, timeout=10) as idle:
+                # The carrier's handler ends, so its end of the socket closes.
+                assert idle.recv(1) == b""
+            assert 0.4 < time.monotonic() - started < 5
+
+            def handlers():
+                return [t for t in threading.enumerate() if t not in before
+                        and "process_request_thread" in t.name]
+            deadline = time.monotonic() + 5
+            while handlers() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handlers() == []
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0.0,
+                                         -1.0, 1e10])
+    def test_unusable_session_timeout_refused(self, tmp_path, timeout):
+        # Each connection's socket takes the session timeout, and would
+        # refuse these on every connection; the config refuses them first.
+        with pytest.raises(ValueError, match="session timeout"):
+            CarrierConfig(store_root=tmp_path / "store",
+                          session_timeout=timeout)
 
     def test_malformed_payload_keeps_connection(self, enrolled):
         service, _, features = enrolled
@@ -246,6 +279,27 @@ class TestDeviceClient:
         decision = client.authenticate(service.address, new_secret,
                                        case_a([9, 10]), rng=rng)
         assert decision.accepted and decision.match_count == 2
+
+    def test_restored_profile_scores_as_its_own(self, service, tmp_path):
+        # The carrier keeps each challenged coefficient's teeth; a profile
+        # stored again under the same user id must still score as its own,
+        # on a cache miss and on a hit.
+        rng = random.Random(57)
+        sample = case_a([2, 3, 4, 5])
+        outcomes = []
+        for features in (case_a([1, 2, 3]), case_a([4, 6, 7, 8, 9])):
+            secret = client.setup_device(service.address, "carol", features,
+                                         tmp_path / "carol.secret", bits=128,
+                                         rng=rng)
+            matches = oracle_intersection(features.values, sample.values)
+            for _ in range(2):
+                decision = client.authenticate(service.address, secret,
+                                               sample, rng=rng)
+                assert decision.match_count == matches
+                assert decision.accepted == \
+                    (matches >= (features.size + 1) // 2)
+            outcomes.append(decision.accepted)
+        assert outcomes == [True, False]
 
     def test_accept_and_reject_flows(self, enrolled):
         service, secret, _ = enrolled
