@@ -5,10 +5,11 @@ way the reference measurements were taken: set-up covers key generation
 through the finished carrier record, authentication covers challenge,
 response, scoring and decision.
 
-With a seed, every size re-runs the generator from the same state, so the
-keypair (and its generation cost) is identical across sizes and the series
-isolates the size-dependent work; unseeded runs pay a fresh key generation
-per measurement.
+With a seed, every size re-runs the profile's generator from the seed, and
+the features come from a generator of their own, so the keypair (and its
+generation cost) is identical across sizes and the series isolates the
+size-dependent work; unseeded runs pay a fresh key generation per
+measurement.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def _distinct_features(rng: random.Random, count: int, bits: int) -> list[int]:
 
 
 def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
-             feature_bits: int, include_auth: bool) -> tuple[float, float]:
-    pool = _distinct_features(rng, 2 * size, feature_bits)
+             features_rng: random.Random, feature_bits: int,
+             include_auth: bool) -> tuple[float, float]:
+    pool = _distinct_features(features_rng, 2 * size, feature_bits)
     profile_values = pool[:size]
     sample_values = pool[size // 2: size // 2 + size]  # half overlap
     features = FeatureSet.from_values(FeatureMode.CASE_A, profile_values)
@@ -96,9 +98,14 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
         setup_times = []
         auth_times = []
         for _ in range(repetitions):
-            rng = random.Random(seed) if seed is not None else random.Random()
+            if seed is None:
+                rng, features_rng = random.Random(), random.Random()
+            else:
+                rng = random.Random(seed)
+                features_rng = random.Random(f"features {seed}")
             setup_s, auth_s = _measure(size, key_bits, solver, rng,
-                                       feature_bits, include_auth)
+                                       features_rng, feature_bits,
+                                       include_auth)
             setup_times.append(setup_s)
             auth_times.append(auth_s)
         records.append(BenchRecord(

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from psiauth import protocol
+from psiauth import bench, protocol
 from psiauth.bench import BenchRecord, bench_run, format_table, write_csv
 
 
@@ -27,6 +27,19 @@ class TestBenchRun:
         record, = bench_run([3], key_bits=128, repetitions=1, seed=7,
                             feature_bits=16, include_auth=False)
         assert record.auth_seconds == 0.0
+
+    def test_seeded_run_keeps_one_key_across_sizes(self, monkeypatch):
+        moduli = []
+        original = bench.build_encrypted_profile
+
+        def build(*args, **kwargs):
+            profile, secret = original(*args, **kwargs)
+            moduli.append(profile.public_key.n)
+            return profile, secret
+
+        monkeypatch.setattr(bench, "build_encrypted_profile", build)
+        bench_run([2, 4, 8], key_bits=128, seed=7, include_auth=False)
+        assert len(moduli) == 9 and len(set(moduli)) == 1
 
     def test_seeded_runs_reproduce_workload(self):
         first = bench_run([3], key_bits=128, repetitions=1, seed=11,

@@ -19,6 +19,12 @@ from psiauth.paillier import PRIMALITY_ROUNDS, _SMALL_PRIMES, \
     is_probable_prime
 
 
+# Cofactors ``k * _PERIOD + unit`` are odd, at least 257 and coprime to every
+# prime in ``_SMALL_PRIMES``, so they pass trial division by construction.
+_PERIOD = 2 * math.prod(_SMALL_PRIMES)
+_UNITS = [p for p in range(257, 1000, 2) if is_probable_prime(p)]
+
+
 def plain_miller_rabin(candidate, rng):
     """Reference: the Miller-Rabin test without the small-factor shortcut."""
     d, r = candidate - 1, 0
@@ -84,7 +90,9 @@ class TestKeygen:
 
     @settings(max_examples=150, deadline=None)
     @given(small=st.sampled_from([1, 257, 4099, 65521]),
-           cofactor=st.integers(min_value=3, max_value=1 << 256),
+           cofactor=st.builds(lambda k, unit: k * _PERIOD + unit,
+                              st.integers(min_value=0, max_value=1 << 64),
+                              st.sampled_from(_UNITS)),
            seed=st.integers(min_value=0, max_value=1 << 32))
     # Strong pseudoprimes to small bases, each with a factor below 2**16.
     @example(small=1, cofactor=1373653, seed=1)
@@ -212,6 +220,48 @@ class TestCrtPower:
         _, foreign = kp128
         with pytest.raises(ValueError, match="does not match"):
             encrypt(pk, 1, r=2, sk=foreign)
+
+
+class TestDigitPairPower:
+    """``PaillierPublicKey.power`` computes ``pow(base, exponent, n**2)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.integers(min_value=16, max_value=512),
+           seed=st.integers(min_value=0, max_value=1 << 32),
+           base=st.sampled_from(["0", "1", "n", "p*k", "n**2-1", ">=n**2",
+                                 "random"]),
+           exponent=st.sampled_from(["0", "1", "2", "2**k", "2**k-1",
+                                     "2**k+1", "random"]))
+    @example(bits=16, seed=0, base="n**2-1", exponent="2**k-1")
+    @example(bits=17, seed=1, base="p*k", exponent="random")
+    @example(bits=511, seed=2, base=">=n**2", exponent="2**k+1")
+    @example(bits=512, seed=3, base="random", exponent="random")
+    def test_equals_plain_pow(self, bits, seed, base, exponent):
+        rng = random.Random(seed)
+        pk, sk = keygen(bits, rng)
+        n, n_squared = pk.n, pk.n_squared
+        k = rng.randrange(1, 3 * bits + 1)
+        base = {"0": 0, "1": 1, "n": n,
+                "p*k": sk.p * rng.randrange(1, sk.q * n),
+                "n**2-1": n_squared - 1,
+                ">=n**2": rng.randrange(n_squared, n_squared ** 2),
+                "random": rng.randrange(n_squared)}[base]
+        exponent = {"0": 0, "1": 1, "2": 2, "2**k": 1 << k,
+                    "2**k-1": (1 << k) - 1, "2**k+1": (1 << k) + 1,
+                    "random": rng.getrandbits(k)}[exponent]
+        assert pk.power(base, exponent) == pow(base, exponent, n_squared)
+
+    def test_every_small_case(self, tiny_keypair):
+        pk, _ = tiny_keypair
+        for base in range(2 * pk.n_squared):
+            for exponent in range(70):
+                assert pk.power(base, exponent) == \
+                    pow(base, exponent, pk.n_squared)
+
+    def test_negative_exponent_rejected(self, kp128):
+        pk, _ = kp128
+        with pytest.raises(ValueError, match="nonnegative"):
+            pk.power(2, -1)
 
 
 class TestNthPowerRoute:

@@ -121,7 +121,7 @@ class TestChallengeComb:
     @settings(max_examples=60, deadline=None)
     @given(bits=st.integers(min_value=16, max_value=512),
            seed=st.integers(min_value=0, max_value=2 ** 32),
-           base=st.sampled_from(["1", "n**2-1", "unit"]),
+           base=st.sampled_from(["1", "n**2-1", "unit", "0", "p*k"]),
            theta=st.sampled_from(["1", "2**w", "n-1", "random"]))
     @example(bits=16, seed=0, base="unit", theta="n-1")
     @example(bits=18, seed=1, base="n**2-1", theta="2**w")
@@ -129,15 +129,18 @@ class TestChallengeComb:
     @example(bits=512, seed=3, base="unit", theta="n-1")
     def test_miss_and_hit_equal_plain_pow(self, bits, seed, base, theta):
         rng = random.Random(seed)
-        pk, _ = keygen(bits, rng)
+        pk, sk = keygen(bits, rng)
         n, n_squared = pk.n, pk.n_squared
         width = protocol._comb_width(n)
         assert protocol._TEETH * width >= bits
+        # The miss path squares to the teeth in base-n digit pairs; a
+        # non-unit base (0, or a multiple of p) must come out the same.
         base = {"1": 1, "n**2-1": n_squared - 1,
-                "unit": draw_unit(rng, n_squared)}[base]
+                "unit": draw_unit(rng, n_squared), "0": 0,
+                "p*k": sk.p * rng.randrange(1, sk.q * n)}[base]
         theta = {"1": 1, "2**w": 1 << width, "n-1": n - 1,
                  "random": rng.randrange(1, n)}[theta]
-        context = (theta, width, n_squared)
+        context = (theta, width, pk)
         (miss, teeth), = protocol._challenge_chunk(context, [(base, None)])
         assert teeth == tuple(pow(base, 1 << (j * width), n_squared)
                               for j in range(1, protocol._TEETH))
@@ -352,11 +355,18 @@ class TestWorkerPool:
         with one_cpu():
             assert powers() == expected
             protocol._teeth_cache.clear()
-            assert powers() == expected
+            assert powers() == expected  # miss in-process
         assert protocol._teeth_cache == cached
         kill_one_worker(pool._pool)
-        assert powers() == expected
+        assert powers() == expected  # hit, finished in-process
         assert pool._pool is None
+        protocol._teeth_cache.clear()
+        assert powers() == expected  # miss on a new pool
+        kill_one_worker(pool._pool)
+        protocol._teeth_cache.clear()
+        assert powers() == expected  # miss, finished in-process
+        assert pool._pool is None
+        assert protocol._teeth_cache == cached
 
     def test_rebuild_logged_without_the_context(self, enrolled_a, fresh_pool,
                                                 caplog):
@@ -855,3 +865,41 @@ def test_pairs_equal_the_three_value_construction():
     for _, entry in seeded_entries():
         digest.update(encode_uint(entry.cipher) + encode_uint(entry.ratio))
     assert digest.hexdigest() == PINNED_PAIR_DIGEST
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
+def test_2048_bit_keys_score_like_the_oracles(mode):
+    """One authentication per case at 2048-bit keys."""
+    towers = [f"tower-{i}" for i in range(8)]
+    u, v = (3, 0, 5, 2), (2, 1, 5, 0)
+    features, sample, sim = {
+        "case-a": (hashed(FeatureMode.CASE_A, towers),
+                   hashed(FeatureMode.CASE_A, towers[::2] + ["app-x"]), None),
+        "case-b": (FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
+                   FeatureSet.from_values(FeatureMode.CASE_B, [4, 9]), TENT),
+        "case-c": (encode_numeric(u, 5), encode_numeric(v, 5), None),
+    }[mode]
+    expected = {
+        "case-a": oracle_intersection(features.values, sample.values),
+        "case-b": oracle_weighted(features.values, sample.values, TENT),
+        "case-c": (sum(u) + sum(v) - oracle_l1(u, v)) // 2,
+    }[mode]
+    rng = random.Random(0x2048)
+    profile, secret = build_encrypted_profile("big", features, 2048, rng)
+    assert profile.public_key.n.bit_length() == 2048
+    challenge, session = carrier_challenge(profile, rng)
+    if sim is None:
+        entries = device_respond(secret, challenge, sample, rng)
+    else:
+        entries = device_respond_weighted(secret, challenge, sample, sim, rng)
+    matches = carrier_score(session, entries)
+    decision = decide(matches, profile, len(sample.values))
+    assert matches == expected
+    threshold = default_threshold(profile)
+    if mode == "case-c":
+        assert decision.dissimilarity == oracle_l1(u, v)
+        assert decision.accepted == (oracle_l1(u, v) <= threshold)
+    else:
+        assert decision.dissimilarity == Fraction(1, expected)
+        assert decision.accepted == (expected >= threshold)
