@@ -83,11 +83,10 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
 
     Set-up's powers and the device response run on the worker pool; each
     record's ``parallelism`` is the number of usable CPUs both had.  Every
-    repetition builds a profile and challenges it once.  Unseeded, each
-    profile is new, so ``auth_seconds`` always pays the carrier's cache miss
-    (the teeth of every coefficient, see ``carrier_challenge``).  With a
-    seed, each repetition of a size rebuilds the same profile, so the
-    repetitions after the first reuse the cached teeth.
+    repetition builds a profile and challenges it once, so ``auth_seconds``
+    always includes squaring to the teeth of every coefficient
+    (``challenge_teeth``), seeded or not: the cost of a carrier's first
+    challenge of a stored record.
     """
     if not sizes:
         raise ValueError("no sizes to benchmark")

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import random
 import socket
-import tempfile
 from pathlib import Path
 
+from .encoding import write_atomically
 from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, FeatureSet, \
     build_encrypted_profile
 from .protocol import AuthDecision, check_sample, device_respond, \
@@ -75,15 +74,7 @@ def write_device_secret(path: Path | str, secret: DeviceSecret) -> None:
     """Write the secret file atomically with owner-only permissions."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(secret.to_bytes())
-        os.chmod(temp_name, 0o600)
-        os.replace(temp_name, path)
-    except BaseException:
-        os.unlink(temp_name)
-        raise
+    write_atomically(path, secret.to_bytes())
 
 
 def load_device_secret(path: Path | str) -> DeviceSecret:

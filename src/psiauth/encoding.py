@@ -10,11 +10,14 @@ refuses counts above a caller-given limit before reading any item.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence, TypeVar
 
 __all__ = ["MAX_COEFFS", "MAX_ENTRIES", "DecodeError", "Reader",
            "encode_bytes", "encode_seq", "encode_str", "encode_uint",
-           "encode_uints"]
+           "encode_uints", "write_atomically"]
 
 # Decoding limits on sequence counts: polynomial coefficients (and blinded
 # randomizers) per record or challenge, and entries per response.
@@ -113,3 +116,17 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             self.fail(f"{len(self._data) - self._pos} trailing bytes")
+
+
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` through a temporary file renamed over ``path``: a
+    reader sees the old bytes or the new, and only the owner may read them
+    (``mkstemp``)."""
+    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp_name, path)
+    except BaseException:
+        os.unlink(temp_name)
+        raise

@@ -31,7 +31,7 @@ product by ``n`` rather than by ``n**2`` and give the same integer as
 ``pow`` at about two thirds to three quarters of its cost at 1024-bit keys:
 the device's Horner steps and its cipher mask ``acc**(d * rho)``, the
 carrier's ``n``-th power in each match test, and the challenge comb with the
-teeth a cache miss squares its way to.
+squarings to its teeth.
 
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
@@ -44,19 +44,18 @@ The challenge powers ``C_i**theta`` have the same bases in every session, so
 the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
 over the coefficient's teeth ``C_i**(2**(j * w))``, ``j < 6``,
 ``w = ceil(|n| / 6)``: ``w`` squarings and up to ``w`` products, where a
-plain power takes ``|n|`` squarings.  The teeth of the 1024 coefficients
-that missed most recently are cached (about 1.8 MB at 1024-bit keys), first
-in, first out.  They are public values derived from the stored record,
-never ``theta``.  A miss squares its way to the teeth and then runs the comb,
-which costs about 0.8 of a plain ``pow`` at 1024 bits, and a hit about 0.28;
-the cache gains only where a profile is challenged again before 1024 other
-coefficients' misses evict its teeth.
+plain power takes ``|n|`` squarings.  The teeth are public values derived
+from the stored record alone, never from ``theta``, so the carrier keeps
+them beside the record (``service.ProfileStore.teeth``) from its first
+challenge on.  Squaring to them (``challenge_teeth``) and then running the
+comb costs about 0.8 of a plain ``pow`` at 1024 bits; the comb over stored
+teeth costs about 0.28.
 
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
 set-up's coefficient encryptions and blinded randomizers (``profiles``), the
-challenge's ``C_i**theta``, the device's entries and the carrier's match
-tests.  Everything else stays in the calling process: key generation,
+challenge's teeth and ``C_i**theta``, the device's entries and the carrier's
+match tests.  Everything else stays in the calling process: key generation,
 randomizer draws, ``R'**d``, the shuffle, and every check ``carrier_score``
 makes before it tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and
 ``theta`` thus cross a pipe only to forked children of the process that
@@ -93,6 +92,7 @@ __all__ = [
     "SessionState",
     "carrier_challenge",
     "carrier_score",
+    "challenge_teeth",
     "check_sample",
     "decide",
     "device_respond",
@@ -229,12 +229,8 @@ class AuthDecision:
                    read_mode(reader))
 
 
-# Teeth per challenged coefficient, and how many coefficients' teeth the
-# carrier keeps: 1024 of them hold about 1.8 MB at 1024-bit keys.
+# Teeth per challenged coefficient: the coefficient itself and five more.
 _TEETH = 6
-_TEETH_CACHE_SIZE = 1024
-_teeth_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-_teeth_lock = threading.Lock()
 
 
 def _comb_width(n: int) -> int:
@@ -242,61 +238,63 @@ def _comb_width(n: int) -> int:
     return -(-n.bit_length() // _TEETH)
 
 
-def _challenge_chunk(context: tuple[int, int, PaillierPublicKey],
-                     items: list[tuple[int, tuple[int, ...] | None]]
-                     ) -> list[tuple[int, tuple[int, ...] | None]]:
-    """``(C**theta, new teeth or None)`` for each ``(C, teeth)``.
+def _teeth_chunk(pk: PaillierPublicKey, coeffs: list[int]) -> list[int]:
+    """The teeth of each ``C`` after ``C`` itself, flat, in digit pairs."""
+    width = _comb_width(pk.n)
+    out = []
+    for tooth in coeffs:
+        for _ in range(_TEETH - 1):
+            tooth = pk.power(tooth, 1 << width)
+            out.append(tooth)
+    return out
 
-    The teeth of ``C`` are ``C**(2**(j * width))`` for ``j < _TEETH``; the
+
+def challenge_teeth(profile: EncryptedProfile) -> tuple[int, ...]:
+    """``C_i**(2**(j * w))`` for each coefficient ``C_i`` and ``0 < j < 6``,
+    flat: the teeth ``carrier_challenge`` combs over, in one pooled job."""
+    return tuple(_in_pool(_teeth_chunk, profile.public_key,
+                          list(profile.enc_coeffs)))
+
+
+def _challenge_chunk(context: tuple[int, PaillierPublicKey],
+                     items: list[tuple[int, Sequence[int]]]) -> list[int]:
+    """``C**theta`` for each ``(C, teeth)``.
+
+    The teeth of ``C`` are ``C**(2**(j * w))`` for ``j < _TEETH``; the
     first is ``C`` itself, so ``teeth`` holds the others.  Their
     ``2**_TEETH`` products form the comb's table, and ``theta``'s limbs,
     read one bit column at a time from the top, pick one entry per squaring
-    (Lim and Lee, CRYPTO 1994).  On a miss ``teeth`` is ``None`` to get the
-    new teeth back, or ``()`` to drop them; each tooth is the one before it
-    to the power ``2**width``.  The table and the walk run in base-``n``
-    digit pairs, like every power modulo ``n**2`` (``PaillierPublicKey``).
+    (Lim and Lee, CRYPTO 1994).  The table and the walk run in base-``n``
+    digit pairs.
     """
-    theta, width, pk = context
+    theta, pk = context
+    width = _comb_width(pk.n)
     steps = [(1, sum(((theta >> (j * width + bit)) & 1) << j
                      for j in range(_TEETH)))
              for bit in reversed(range(width))]
     out = []
     for base, teeth in items:
-        fresh = None
-        if not teeth:
-            tooth, new = base, []
-            for _ in range(_TEETH - 1):
-                tooth = pk.power(tooth, 1 << width)
-                new.append(tooth)
-            if teeth is None:
-                fresh = tuple(new)
-            teeth = new
         table = [(1, 0), pk.digits(base)]
         for tooth in teeth:
             tooth = pk.digits(tooth)
             table += [pk.times(entry, tooth) for entry in table]
-        out.append((pk.walk(table, steps), fresh))
+        out.append(pk.walk(table, steps))
     return out
 
 
 def carrier_challenge(profile: EncryptedProfile,
                       rng: random.Random | None = None,
                       *,
+                      teeth: Sequence[int] | None = None,
                       session_exponent: int | None = None,
+                      session_id: bytes | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
     """Open a session: raise the encrypted coefficients to a fresh exponent.
 
-    Each power ``C_i**theta`` is a comb over the teeth of ``C_i`` (see the
-    module docstring).  The teeth of the ``_TEETH_CACHE_SIZE`` coefficients
-    that missed most recently are kept (first in, first out: a hit does not
-    refresh an entry), keyed by ``(n**2, C_i)``, so a profile stored
-    again under the same user id never meets stale teeth.  A coefficient
-    without cached teeth gets them in the same pooled job as its power, and
-    only the first ``_TEETH_CACHE_SIZE`` misses of a challenge send them
-    back.  A miss costs about 0.8 of a plain ``pow``, a hit about 0.28.
-
-    ``session_exponent`` is a test hook; production use leaves it to the
-    entropy source.
+    Each power ``C_i**theta`` is a comb over ``teeth``, the profile's
+    ``challenge_teeth``, computed first if not given (see the module
+    docstring).  ``session_exponent`` and ``session_id`` replace the draws
+    from ``rng``, so a carrier can lock its generator for the draws only.
     """
     rng = rng or _SYSTEM
     n = profile.public_key.n
@@ -304,28 +302,17 @@ def carrier_challenge(profile: EncryptedProfile,
         else rng.randrange(1, n)
     if not 1 <= theta < n:
         raise ValueError("session exponent outside [1, n)")
-    sid = rng.getrandbits(128).to_bytes(16, "big")
-    n_squared = profile.public_key.n_squared
-    with _teeth_lock:
-        items, misses = [], 0
-        for coeff in profile.enc_coeffs:
-            teeth = _teeth_cache.get((n_squared, coeff))
-            if teeth is None:
-                # Teeth past the cache's size would be evicted at once, so
-                # the workers do not send them back.
-                if misses >= _TEETH_CACHE_SIZE:
-                    teeth = ()
-                misses += 1
-            items.append((coeff, teeth))
-    results = _in_pool(_challenge_chunk,
-                       (theta, _comb_width(n), profile.public_key), items)
-    with _teeth_lock:
-        for coeff, (_, teeth) in zip(profile.enc_coeffs, results):
-            if teeth is not None:
-                _teeth_cache[n_squared, coeff] = teeth
-        while len(_teeth_cache) > _TEETH_CACHE_SIZE:
-            del _teeth_cache[next(iter(_teeth_cache))]
-    powered = tuple(power for power, _ in results)
+    sid = session_id if session_id is not None \
+        else rng.getrandbits(128).to_bytes(16, "big")
+    if teeth is None:
+        teeth = challenge_teeth(profile)
+    per_coeff = _TEETH - 1
+    if len(teeth) != per_coeff * len(profile.enc_coeffs):
+        raise ValueError("teeth do not fit the profile's coefficients")
+    items = [(coeff, teeth[k * per_coeff:(k + 1) * per_coeff])
+             for k, coeff in enumerate(profile.enc_coeffs)]
+    powered = tuple(_in_pool(_challenge_chunk, (theta, profile.public_key),
+                             items))
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)

@@ -10,23 +10,23 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import random
 import socketserver
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import DecodeError
+from .encoding import DecodeError, Reader, encode_uints, write_atomically
 from .profiles import EncryptedProfile
 from .protocol import (
+    _TEETH,
     ProtocolError,
     SessionError,
     SessionState,
     carrier_challenge,
     carrier_score,
+    challenge_teeth,
     decide,
 )
 from . import wire
@@ -41,29 +41,18 @@ class UnknownUserError(KeyError):
 
 
 class ProfileStore:
-    """One record per user under a root directory; writes are atomic."""
+    """One record per user, and its challenge teeth; writes are atomic."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
-    def _path(self, user_id: str) -> Path:
+    def _path(self, user_id: str, suffix: str = ".profile") -> Path:
         digest = hashlib.sha256(user_id.encode("utf-8")).hexdigest()
-        return self.root / f"{digest}.profile"
+        return self.root / f"{digest}{suffix}"
 
     def save(self, user_id: str, profile: EncryptedProfile) -> None:
-        data = profile.to_bytes()
-        target = self._path(user_id)
-        with self._write_lock:
-            fd, temp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(temp_name, target)
-            except BaseException:
-                os.unlink(temp_name)
-                raise
+        write_atomically(self._path(user_id), profile.to_bytes())
 
     def load(self, user_id: str) -> EncryptedProfile:
         target = self._path(user_id)
@@ -72,6 +61,27 @@ class ProfileStore:
         except FileNotFoundError:
             raise UnknownUserError(user_id) from None
         return EncryptedProfile.from_bytes(data)
+
+    def teeth(self, user_id: str, profile: EncryptedProfile
+              ) -> tuple[int, ...]:
+        """``challenge_teeth(profile)``, kept behind the SHA-256 of the
+        record's bytes so that no other record's teeth are ever used; a
+        missing or mismatched file is computed again and rewritten."""
+        digest = hashlib.sha256(profile.to_bytes()).digest()
+        target = self._path(user_id, ".teeth")
+        count = (_TEETH - 1) * len(profile.enc_coeffs)
+        try:
+            reader = Reader(target.read_bytes())
+            if reader.take(len(digest)) == digest:
+                teeth = reader.uints(count)
+                reader.expect_end()
+                if len(teeth) == count:
+                    return teeth
+        except (OSError, DecodeError):
+            pass
+        teeth = challenge_teeth(profile)
+        write_atomically(target, digest + encode_uints(teeth))
+        return teeth
 
     def exists(self, user_id: str) -> bool:
         return self._path(user_id).exists()
@@ -214,8 +224,13 @@ class CarrierService:
         if msg.sample_size < 1:
             raise ProtocolError("declared sample size must be positive")
         profile = self.store.load(msg.user_id)
+        # Lock the draws only: one user's teeth and comb stall no other's.
         with self._rng_lock:
-            challenge, session = carrier_challenge(profile, self._rng)
+            theta = self._rng.randrange(1, profile.public_key.n)
+            sid = self._rng.getrandbits(128).to_bytes(16, "big")
+        challenge, session = carrier_challenge(
+            profile, teeth=self.store.teeth(msg.user_id, profile),
+            session_exponent=theta, session_id=sid)
         session.sample_size = msg.sample_size
         self.sessions.add(session)
         log.info("session %s opened for %r (declared sample size %d)",

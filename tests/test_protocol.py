@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from psiauth import (
     INFINITE,
     AuthResponseEntry,
+    EncryptedProfile,
     FeatureMode,
     FeatureSet,
     ModeMismatchError,
@@ -133,100 +133,29 @@ class TestChallengeComb:
         n, n_squared = pk.n, pk.n_squared
         width = protocol._comb_width(n)
         assert protocol._TEETH * width >= bits
-        # The miss path squares to the teeth in base-n digit pairs; a
-        # non-unit base (0, or a multiple of p) must come out the same.
+        # The teeth are squared to in base-n digit pairs; a non-unit base
+        # (0, or a multiple of p) must come out the same.
         base = {"1": 1, "n**2-1": n_squared - 1,
                 "unit": draw_unit(rng, n_squared), "0": 0,
                 "p*k": sk.p * rng.randrange(1, sk.q * n)}[base]
         theta = {"1": 1, "2**w": 1 << width, "n-1": n - 1,
                  "random": rng.randrange(1, n)}[theta]
-        context = (theta, width, pk)
-        (miss, teeth), = protocol._challenge_chunk(context, [(base, None)])
+        profile = EncryptedProfile(pk, (base,), (1,), 0, FeatureMode.CASE_A)
+        teeth = protocol.challenge_teeth(profile)
         assert teeth == tuple(pow(base, 1 << (j * width), n_squared)
                               for j in range(1, protocol._TEETH))
-        (hit, fresh), = protocol._challenge_chunk(context, [(base, teeth)])
-        (dropped, kept), = protocol._challenge_chunk(context, [(base, ())])
-        assert miss == hit == dropped == pow(base, theta, n_squared)
-        assert fresh is None and kept is None
+        # Over the given teeth, and over teeth the challenge computes.
+        for given_teeth in (teeth, None):
+            challenge, _ = carrier_challenge(profile, rng, teeth=given_teeth,
+                                             session_exponent=theta)
+            assert challenge.powered_coeffs == (pow(base, theta, n_squared),)
 
-    def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_teeth_cache", {})
-        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 10)
-        rng = random.Random(23)
-        for user in range(6):
-            profile, _ = build_encrypted_profile(
-                f"u{user}", case_a([3, 5, 7 + user]), 64, rng)
-            carrier_challenge(profile, rng)
-            assert len(protocol._teeth_cache) <= 10
-        # Oldest first out: the last profile's four coefficients stay.
-        n_squared = profile.public_key.n_squared
-        assert all((n_squared, coeff) in protocol._teeth_cache
-                   for coeff in profile.enc_coeffs)
-
-    def test_concurrent_challenges_share_the_cache(self, monkeypatch,
-                                                   one_cpu):
-        # Carrier threads challenge at once; in-process jobs keep every
-        # thread inside the cache's read-compute-insert-evict sequence.
-        monkeypatch.setattr(protocol, "_teeth_cache", {})
-        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 10)
-        profiles = [build_encrypted_profile(f"u{i}", case_a([3, 5, 7 + i]),
-                                            64, random.Random(40 + i))[0]
-                    for i in range(8)]
-        wrong = []
-
-        def challenge_thrice(profile):
-            n_squared = profile.public_key.n_squared
-            for theta in (5, 1 << 11, 0xBEEF):
-                challenge, _ = carrier_challenge(profile,
-                                                 session_exponent=theta)
-                if challenge.powered_coeffs != tuple(
-                        pow(c, theta, n_squared) for c in profile.enc_coeffs):
-                    wrong.append(theta)
-
-        threads = [threading.Thread(target=challenge_thrice, args=(p,))
-                   for p in profiles]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with one_cpu():
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        assert len(protocol._teeth_cache) <= 10
-        for (n_squared, coeff), teeth in protocol._teeth_cache.items():
-            width = -(-math.isqrt(n_squared).bit_length() // protocol._TEETH)
-            assert teeth == tuple(pow(coeff, 1 << (j * width), n_squared)
-                                  for j in range(1, protocol._TEETH))
-
-    def test_profile_wider_than_the_cache(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_teeth_cache", {})
-        monkeypatch.setattr(protocol, "_TEETH_CACHE_SIZE", 3)
-        returned = []
-
-        def in_pool(job, context, items):
-            results = pool._in_pool(job, context, items)
-            returned.append(sum(teeth is not None for _, teeth in results))
-            return results
-
-        monkeypatch.setattr(protocol, "_in_pool", in_pool)
-        profile, _ = build_encrypted_profile(
-            "u", case_a([2, 3, 5, 7, 11, 13, 17]), 128, random.Random(24))
-        n_squared = profile.public_key.n_squared
-        for theta in (0xC0FFEE, 0xC0FFEE, 0xBEEF):
-            challenge, _ = carrier_challenge(profile, session_exponent=theta)
-            assert challenge.powered_coeffs == tuple(
-                pow(c, theta, n_squared) for c in profile.enc_coeffs)
-            assert len(protocol._teeth_cache) == 3
-            assert set(protocol._teeth_cache) <= {
-                (n_squared, coeff) for coeff in profile.enc_coeffs}
-        # Five or eight of the eight coefficients miss each time, but only
-        # the three that the cache keeps come back with their teeth.
-        assert returned == [3, 3, 3]
+    def test_teeth_that_do_not_fit_refused(self, enrolled, rng):
+        profile, _ = enrolled
+        teeth = protocol.challenge_teeth(profile)
+        for wrong in (teeth[:-1], teeth + (1,)):
+            with pytest.raises(ValueError):
+                carrier_challenge(profile, rng, teeth=wrong)
 
 
 class TestDeviceRespond:
@@ -336,46 +265,49 @@ class TestWorkerPool:
             return carrier_score(session, entries)
 
     def test_challenge_powers_equal_plain_pow(self, enrolled_a, fresh_pool,
-                                              one_cpu, monkeypatch):
+                                              one_cpu):
         profile = enrolled_a[0]
         n_squared = profile.public_key.n_squared
+        width = protocol._comb_width(profile.public_key.n)
         theta = random.Random(5).randrange(1, profile.public_key.n)
         expected = tuple(pow(c, theta, n_squared) for c in profile.enc_coeffs)
-        monkeypatch.setattr(protocol, "_teeth_cache", {})
+        expected_teeth = tuple(pow(c, 1 << (j * width), n_squared)
+                               for c in profile.enc_coeffs
+                               for j in range(1, protocol._TEETH))
 
-        def powers():
-            challenge, _ = carrier_challenge(profile, session_exponent=theta)
+        def powers(teeth=None):
+            challenge, _ = carrier_challenge(profile, teeth=teeth,
+                                             session_exponent=theta)
             return challenge.powered_coeffs
 
-        assert powers() == expected  # miss: the workers compute the teeth
+        teeth = protocol.challenge_teeth(profile)
         assert pool._pool is not None
-        cached = dict(protocol._teeth_cache)
-        assert list(cached) == [(n_squared, c) for c in profile.enc_coeffs]
-        assert powers() == expected  # hit
+        assert teeth == expected_teeth  # the workers compute the teeth
+        assert powers(teeth) == expected
+        assert powers() == expected  # teeth and comb on the pool
         with one_cpu():
-            assert powers() == expected
-            protocol._teeth_cache.clear()
-            assert powers() == expected  # miss in-process
-        assert protocol._teeth_cache == cached
+            assert protocol.challenge_teeth(profile) == expected_teeth
+            assert powers(teeth) == expected
+            assert powers() == expected  # both in-process
         kill_one_worker(pool._pool)
-        assert powers() == expected  # hit, finished in-process
+        assert powers(teeth) == expected  # comb finished in-process
         assert pool._pool is None
-        protocol._teeth_cache.clear()
-        assert powers() == expected  # miss on a new pool
+        assert powers() == expected  # both on a new pool
         kill_one_worker(pool._pool)
-        protocol._teeth_cache.clear()
-        assert powers() == expected  # miss, finished in-process
+        # Teeth finished in-process, then the comb on a new pool.
+        assert powers() == expected
+        kill_one_worker(pool._pool)
+        assert protocol.challenge_teeth(profile) == expected_teeth
         assert pool._pool is None
-        assert protocol._teeth_cache == cached
 
     def test_rebuild_logged_without_the_context(self, enrolled_a, fresh_pool,
                                                 caplog):
         profile = enrolled_a[0]
         theta = random.Random(14).randrange(1, profile.public_key.n)
-        carrier_challenge(profile, session_exponent=theta)
+        teeth = protocol.challenge_teeth(profile)
         kill_one_worker(pool._pool)
         with caplog.at_level(logging.WARNING, logger="psiauth.pool"):
-            carrier_challenge(profile, session_exponent=theta)
+            carrier_challenge(profile, teeth=teeth, session_exponent=theta)
         record, = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
@@ -383,7 +315,7 @@ class TestWorkerPool:
             f"_challenge_chunk; finishing in-process, the next call forks a "
             f"new pool")
         for secret in (theta, profile.public_key.n_squared,
-                       *profile.enc_coeffs):
+                       *profile.enc_coeffs, *teeth):
             assert str(secret) not in caplog.text
 
     def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,

@@ -19,8 +19,9 @@ from psiauth import (
     encode_numeric,
     oracle_intersection,
 )
-from psiauth import client, pool, wire
-from psiauth.encoding import encode_uint
+from psiauth import client, pool, protocol, wire
+from psiauth import service as service_module
+from psiauth.encoding import encode_uint, encode_uints
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
 from helpers import malformed_frames, overlap_instance
@@ -62,14 +63,19 @@ class TestProfileStore:
 
     def test_no_feature_value_in_stored_bytes(self, tmp_path, rng):
         # Carrier-side bytes hold only ciphertext-space and blinded values;
-        # the canonical encoding of any profile feature must not appear.
+        # the canonical encoding of any profile feature must not appear in
+        # any stored file, the record's challenge teeth included.
         values = [0xDEADBEEFCAFE + i for i in range(4)]
         store = ProfileStore(tmp_path)
         profile, _ = build_encrypted_profile("u", case_a(values), 128, rng)
         store.save("u", profile)
-        blob = next(tmp_path.glob("*.profile")).read_bytes()
-        for value in values:
-            assert encode_uint(value) not in blob
+        carrier_challenge(profile, rng, teeth=store.teeth("u", profile))
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert {path.suffix for path in files} == {".profile", ".teeth"}
+        for path in files:
+            blob = path.read_bytes()
+            for value in values:
+                assert encode_uint(value) not in blob
 
     def test_overwrite_replaces_record(self, tmp_path, rng):
         store = ProfileStore(tmp_path)
@@ -79,6 +85,93 @@ class TestProfileStore:
         store.save("u", second)
         assert store.load("u") == second
         assert len(list(tmp_path.glob("*.profile"))) == 1
+
+
+def count_teeth_jobs(monkeypatch):
+    """Patch the pool entry point; the returned list counts teeth jobs."""
+    jobs = []
+
+    def in_pool(job, context, items):
+        if job is protocol._teeth_chunk:
+            jobs.append(len(items))
+        return pool._in_pool(job, context, items)
+
+    monkeypatch.setattr(protocol, "_in_pool", in_pool)
+    return jobs
+
+
+def plain_powers(service, challenge):
+    session = service.sessions._sessions[challenge.session_id]
+    pk = session.profile.public_key
+    return tuple(pow(c, session.session_exponent, pk.n_squared)
+                 for c in session.profile.enc_coeffs)
+
+
+class TestChallengeTeeth:
+    """Each record's teeth are computed at its first challenge and kept."""
+
+    def test_three_challenges_compute_the_teeth_once(self, enrolled,
+                                                     monkeypatch):
+        service, _, features = enrolled
+        jobs = count_teeth_jobs(monkeypatch)
+        for _ in range(3):
+            reply = service.dispatch(wire.AuthInit("alice", 2))
+            assert reply.challenge.powered_coeffs == \
+                plain_powers(service, reply.challenge)
+        assert jobs == [features.size + 1]
+        # A new carrier on the same store reads the stored teeth.
+        config = CarrierConfig(store_root=service.config.store_root, seed=3)
+        with CarrierService(config) as restarted:
+            reply = restarted.dispatch(wire.AuthInit("alice", 2))
+            assert reply.challenge.powered_coeffs == \
+                plain_powers(restarted, reply.challenge)
+        assert jobs == [features.size + 1]
+
+    def test_restored_record_never_meets_old_teeth(self, enrolled, rng):
+        service, _, _ = enrolled
+        service.dispatch(wire.AuthInit("alice", 2))
+        teeth_file = service.store._path("alice", ".teeth")
+        old_teeth = teeth_file.read_bytes()
+        profile, _ = build_encrypted_profile("alice", case_a([5, 6, 7]), 128,
+                                             rng)
+        assert isinstance(service.dispatch(wire.StoreProfile("alice",
+                                                             profile)),
+                          wire.StoreAck)
+        assert teeth_file.read_bytes() == old_teeth
+        reply = service.dispatch(wire.AuthInit("alice", 2))
+        session = service.sessions._sessions[reply.challenge.session_id]
+        assert session.profile == profile
+        assert reply.challenge.powered_coeffs == \
+            plain_powers(service, reply.challenge)
+        assert teeth_file.read_bytes() != old_teeth
+
+    @pytest.mark.parametrize("damage", ["hash", "short", "long", "truncated",
+                                        "empty"])
+    def test_mismatched_teeth_file_recomputed(self, tmp_path, rng,
+                                              monkeypatch, damage):
+        store = ProfileStore(tmp_path)
+        profile, _ = build_encrypted_profile("u", case_a([3, 4]), 128, rng)
+        store.save("u", profile)
+        teeth = store.teeth("u", profile)
+        assert teeth == protocol.challenge_teeth(profile)
+        path = store._path("u", ".teeth")
+        good = path.read_bytes()
+        digest = good[:32]
+        # Each damaged file carries teeth that would give wrong powers.
+        wrong = tuple(t + 1 for t in teeth)
+        path.write_bytes({
+            "hash": bytes(32) + encode_uints(wrong),
+            "short": digest + encode_uints(wrong[:-1]),
+            "long": digest + encode_uints(wrong + (1,)),
+            "truncated": (digest + encode_uints(wrong))[:-1],
+            "empty": b"",
+        }[damage])
+        jobs = count_teeth_jobs(monkeypatch)
+        assert store.teeth("u", profile) == teeth
+        assert jobs == [profile.size + 1]
+        assert path.read_bytes() == good
+        assert store.teeth("u", profile) == teeth
+        assert jobs == [profile.size + 1]
 
 
 class TestServeFlow:
@@ -219,6 +312,45 @@ class TestServeFlow:
                 assert isinstance(reply, wire.ErrorReply), name
                 assert reply.code == wire.ERR_DECODE, name
 
+    def test_one_challenge_stalls_no_other_user(self, service, monkeypatch):
+        # User a's challenge is held mid-computation; user b's AuthInit must
+        # still complete, so no lock may be held around the challenge.
+        rng = random.Random(16)
+        for user in ("a", "b"):
+            profile, _ = build_encrypted_profile(user, case_a([1, 2]), 128,
+                                                 rng)
+            service.store.save(user, profile)
+        held_profile = service.store.load("a")
+        entered, release = threading.Event(), threading.Event()
+        real = service_module.carrier_challenge
+
+        def held(profile, *args, **kwargs):
+            if profile == held_profile:
+                entered.set()
+                release.wait(10)
+            return real(profile, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "carrier_challenge", held)
+        replies = {}
+
+        def init(user):
+            replies[user] = service.dispatch(wire.AuthInit(user, 1))
+
+        first = threading.Thread(target=init, args=("a",))
+        second = threading.Thread(target=init, args=("b",))
+        first.start()
+        try:
+            assert entered.wait(10)
+            second.start()
+            second.join(timeout=5)
+            assert isinstance(replies.get("b"), wire.Challenge)
+        finally:
+            release.set()
+            first.join(timeout=10)
+            if second.ident is not None:
+                second.join(timeout=10)
+        assert isinstance(replies["a"], wire.Challenge)
+
     def test_unexpected_message_answered_with_protocol_error(self, service):
         with client.CarrierConnection(service.address) as conn:
             with pytest.raises(client.CarrierReplyError) as excinfo:
@@ -281,9 +413,9 @@ class TestDeviceClient:
         assert decision.accepted and decision.match_count == 2
 
     def test_restored_profile_scores_as_its_own(self, service, tmp_path):
-        # The carrier keeps each challenged coefficient's teeth; a profile
+        # The carrier keeps each challenged record's teeth; a profile
         # stored again under the same user id must still score as its own,
-        # on a cache miss and on a hit.
+        # at its first challenge and from its stored teeth.
         rng = random.Random(57)
         sample = case_a([2, 3, 4, 5])
         outcomes = []
