@@ -61,6 +61,8 @@ from .protocol import (
     decide,
     device_respond,
     device_respond_weighted,
+    respond,
+    response_values,
 )
 from .similarity import SimilarityFunction
 from .oracles import oracle_intersection, oracle_l1, oracle_weighted
@@ -111,6 +113,8 @@ __all__ = [
     "oracle_l1",
     "oracle_weighted",
     "poly_from_roots",
+    "respond",
+    "response_values",
     "scalar_pow",
     "solve_blinding",
     "solve_blinding_gaussian",

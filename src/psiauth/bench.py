@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import pool
 from .profiles import FeatureMode, FeatureSet, build_encrypted_profile
 from .protocol import carrier_challenge, carrier_score, decide, \
-    device_respond, usable_cpus
+    device_respond
 
 __all__ = ["BenchRecord", "bench_run", "format_table", "write_csv"]
 
@@ -55,9 +56,9 @@ def _distinct_features(rng: random.Random, count: int, bits: int) -> list[int]:
 def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
              features_rng: random.Random, feature_bits: int,
              include_auth: bool) -> tuple[float, float]:
-    pool = _distinct_features(features_rng, 2 * size, feature_bits)
-    profile_values = pool[:size]
-    sample_values = pool[size // 2: size // 2 + size]  # half overlap
+    candidates = _distinct_features(features_rng, 2 * size, feature_bits)
+    profile_values = candidates[:size]
+    sample_values = candidates[size // 2: size // 2 + size]  # half overlap
     features = FeatureSet.from_values(FeatureMode.CASE_A, profile_values)
     started = time.perf_counter()
     profile, secret = build_encrypted_profile(
@@ -113,7 +114,7 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
             auth_seconds=statistics.median(auth_times),
             key_bits=key_bits,
             solver=solver,
-            parallelism=usable_cpus(),
+            parallelism=pool.usable_cpus(),
         ))
     return records
 

@@ -62,16 +62,19 @@ def _read_table_file(path: str) -> SimilarityFunction:
     return SimilarityFunction.from_entries(entries)
 
 
-def _load_sample(args, mode: FeatureMode) -> FeatureSet:
+def _load_sample(mode: FeatureMode, features: str | None,
+                 values: str | None, cap: int | None) -> FeatureSet:
+    """A Case C vector file encoded under ``cap``, or a feature file."""
     if mode is FeatureMode.CASE_C:
-        if not args.values:
+        if not values:
             raise ValueError("Case C needs --values")
-        if not args.cap:
+        if not cap:
             raise ValueError("Case C needs --cap")
-        return encode_numeric(_read_vector_file(args.values), args.cap)
-    if not args.features:
-        raise ValueError("--features is required outside Case C")
-    return FeatureSet.from_values(mode, _read_feature_file(args.features))
+        return encode_numeric(_read_vector_file(values), cap)
+    if not features:
+        raise ValueError("Cases A and B need a feature file "
+                         "(setup --features, auth --sample)")
+    return FeatureSet.from_values(mode, _read_feature_file(features))
 
 
 def _cmd_serve(args) -> int:
@@ -100,7 +103,7 @@ def _cmd_setup(args) -> int:
     mode = _MODES[args.mode]
     rng = random.Random(args.seed) if args.seed is not None else None
     try:
-        features = _load_sample(args, mode)
+        features = _load_sample(mode, args.features, args.values, args.cap)
         client.setup_device(args.carrier, args.user, features,
                             args.secret_file, bits=args.key_bits, rng=rng,
                             threshold=args.threshold)
@@ -121,20 +124,9 @@ def _cmd_auth(args) -> int:
         print(f"cannot read device secret: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        if secret.mode is FeatureMode.CASE_C:
-            if not args.values:
-                raise ValueError("Case C needs --values")
-            sample = encode_numeric(_read_vector_file(args.values), secret.cap)
-        else:
-            if not args.sample:
-                raise ValueError("--sample is required outside Case C")
-            sample = FeatureSet.from_values(secret.mode,
-                                            _read_feature_file(args.sample))
-        similarity = None
-        if secret.mode is FeatureMode.CASE_B:
-            if not args.table:
-                raise ValueError("Case B needs --table")
-            similarity = _read_table_file(args.table)
+        sample = _load_sample(secret.mode, args.sample, args.values,
+                              secret.cap)
+        similarity = _read_table_file(args.table) if args.table else None
         decision = client.authenticate(args.carrier, secret, sample,
                                        similarity, rng)
     except (OSError, ValueError, RuntimeError) as exc:

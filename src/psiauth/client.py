@@ -7,10 +7,9 @@ import socket
 from pathlib import Path
 
 from .encoding import write_atomically
-from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, FeatureSet, \
+from .profiles import DeviceSecret, EncryptedProfile, FeatureSet, \
     build_encrypted_profile
-from .protocol import AuthDecision, check_sample, device_respond, \
-    device_respond_weighted
+from .protocol import AuthDecision, respond, response_values
 from .similarity import SimilarityFunction
 from . import wire
 
@@ -42,12 +41,19 @@ class CarrierConnection:
         self._stream = self._sock.makefile("rwb")
 
     def request(self, msg: wire.Message) -> wire.Message:
+        """Send ``msg`` and return the carrier's reply, which must be of
+        the type ``wire.REPLIES`` pairs with the request."""
         wire.write_frame(self._stream, msg)
         reply = wire.read_frame(self._stream)
         if reply is None:
             raise ConnectionError("carrier closed the connection")
         if isinstance(reply, wire.ErrorReply):
             raise CarrierReplyError(reply.code, reply.text)
+        # The carrier answers anything but a request with an error.
+        expected = wire.REPLIES.get(type(msg), wire.ErrorReply)
+        if not isinstance(reply, expected):
+            raise wire.DecodeError(f"expected {expected.__name__}, "
+                                   f"got {type(reply).__name__}", 0)
         return reply
 
     def close(self) -> None:
@@ -64,10 +70,7 @@ class CarrierConnection:
 def store_profile(address: tuple[str, int], user_id: str,
                   profile: EncryptedProfile) -> None:
     with CarrierConnection(address) as conn:
-        reply = conn.request(wire.StoreProfile(user_id, profile))
-        if not isinstance(reply, wire.StoreAck):
-            raise wire.DecodeError(
-                f"expected StoreAck, got {type(reply).__name__}", 0)
+        conn.request(wire.StoreProfile(user_id, profile))
 
 
 def write_device_secret(path: Path | str, secret: DeviceSecret) -> None:
@@ -103,25 +106,15 @@ def authenticate(address: tuple[str, int], secret: DeviceSecret,
                  rng: random.Random | None = None) -> AuthDecision:
     """Run one authentication round trip and return the carrier's decision.
 
-    ``check_sample`` runs before the carrier opens a session.  The device
-    response uses one pool process per usable CPU; run the caller with a
-    one-CPU affinity mask to build it in-process.
+    ``response_values`` runs before the carrier opens a session, so a
+    sample the device cannot answer for opens none.  The device response
+    uses one pool process per usable CPU; run the caller with a one-CPU
+    affinity mask to build it in-process.
     """
-    check_sample(secret, sample, similarity)
+    values = response_values(secret, sample, similarity)
     with CarrierConnection(address) as conn:
-        reply = conn.request(wire.AuthInit(secret.user_id, sample.size))
-        if not isinstance(reply, wire.Challenge):
-            raise wire.DecodeError(
-                f"expected Challenge, got {type(reply).__name__}", 0)
-        challenge = reply.challenge
-        if secret.mode is FeatureMode.CASE_B:
-            entries = device_respond_weighted(secret, challenge, sample,
-                                              similarity, rng)
-        else:
-            entries = device_respond(secret, challenge, sample, rng)
-        reply = conn.request(wire.Response(challenge.session_id,
-                                           tuple(entries)))
-        if not isinstance(reply, wire.Result):
-            raise wire.DecodeError(
-                f"expected Result, got {type(reply).__name__}", 0)
-        return reply.decision
+        challenge = conn.request(
+            wire.AuthInit(secret.user_id, sample.size)).challenge
+        entries = respond(secret, challenge, values, rng)
+        return conn.request(wire.Response(challenge.session_id,
+                                          tuple(entries))).decision

@@ -374,8 +374,8 @@ def encrypt(pk: PaillierPublicKey, m: int, r: int | None = None,
             result.
 
     Returns:
-        The ciphertext together with the randomizer actually used (the
-        profile set-up needs the per-coefficient randomizers).
+        The ciphertext together with the randomizer actually used, which
+        a caller that let ``encrypt`` draw it can keep.
     """
     if not 0 <= m < pk.n:
         raise ValueError("plaintext outside [0, n)")

@@ -5,20 +5,24 @@ One authentication run:
 1. The carrier draws a fresh session exponent, raises every encrypted
    coefficient to it and sends those powers plus the stored blinded
    randomizers (``carrier_challenge``).
-2. For each sample value the device evaluates the powered polynomial in the
-   exponent and masks it with a per-value randomizer ``rho`` and its secret
-   exponent ``d``.  It evaluates the blinded randomizers the same way,
-   modulo ``n``, and emits the pair (cipher, ratio), where the ratio is
-   ``(R'**d / blinded evaluation) ** rho mod n``; the pairs are shuffled
-   before transmission (``device_respond``).
+2. The device picks the values it answers with (``response_values``): the
+   sample itself in Cases A and C, and in Case B every support value once
+   per unit of its similarity weight, so Case A is Case B under the
+   equality kernel.  For each value it evaluates the powered polynomial in
+   the exponent and masks it with a per-value randomizer ``rho`` and its
+   secret exponent ``d``.  It evaluates the blinded randomizers the same
+   way, modulo ``n``, and emits the pair (cipher, ratio), where the ratio
+   is ``(R'**d / blinded evaluation) ** rho mod n``; the pairs are shuffled
+   before transmission (``respond``; ``device_respond`` and
+   ``device_respond_weighted`` chain the two).
 3. The carrier raises each ratio to ``n * theta`` and compares it against
-   the cipher; the two collide exactly when the sample value is a profile
-   feature (``carrier_score``).
+   the cipher; the two collide exactly when the value is a profile feature
+   (``carrier_score``).
 
 The count of collisions is the set-intersection cardinality (Case A), the
-similarity-weighted match total (Case B, ``device_respond_weighted``) or the
-pairwise-min sum of the numeric vectors (Case C); ``decide`` turns it into a
-dissimilarity score and an accept/reject outcome.
+similarity-weighted match total (Case B) or the pairwise-min sum of the
+numeric vectors (Case C); ``decide`` turns it into a dissimilarity score and
+an accept/reject outcome.
 
 The carrier only ever needs the ratio modulo ``n``: its ``n * theta`` power
 depends on nothing else.  So the device computes ``R'**d`` once per response
@@ -76,7 +80,7 @@ from typing import Sequence
 from .encoding import MAX_COEFFS, Reader, encode_bytes, encode_uint, \
     encode_uints
 from .paillier import PaillierPublicKey, draw_unit
-from .pool import _in_pool, usable_cpus
+from .pool import _in_pool
 from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, \
     FeatureSet, encode_mode, read_mode, read_mode_params
 from .similarity import SimilarityFunction
@@ -93,11 +97,11 @@ __all__ = [
     "carrier_challenge",
     "carrier_score",
     "challenge_teeth",
-    "check_sample",
     "decide",
     "device_respond",
     "device_respond_weighted",
-    "usable_cpus",
+    "respond",
+    "response_values",
 ]
 
 _SYSTEM = random.SystemRandom()
@@ -349,23 +353,6 @@ def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, int],
             for value, randomizer in jobs]
 
 
-def _respond(secret: DeviceSecret, challenge: AuthChallenge,
-             values: Sequence[int],
-             rng: random.Random) -> list[AuthResponseEntry]:
-    """One entry per listed value, randomizers drawn in list order, shuffled.
-
-    The entries are built in the worker pool; the randomizers and the
-    shuffle come from ``rng`` in this process, so a seeded run is fully
-    reproducible whatever the number of CPUs.
-    """
-    pk = challenge.public_key
-    anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
-    jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
-    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs)
-    rng.shuffle(entries)
-    return entries
-
-
 def _check_params(secret: DeviceSecret, other: FeatureSet | AuthChallenge,
                   what: str) -> None:
     if (other.mode, other.count, other.cap) != \
@@ -376,64 +363,76 @@ def _check_params(secret: DeviceSecret, other: FeatureSet | AuthChallenge,
             f"t={secret.count} M={secret.cap}")
 
 
-def check_sample(secret: DeviceSecret, sample: FeatureSet,
-                 similarity: SimilarityFunction | None = None) -> None:
-    """Refuse a sample the device cannot answer for, before any session.
+def response_values(secret: DeviceSecret, sample: FeatureSet,
+                    similarity: SimilarityFunction | None = None
+                    ) -> list[int]:
+    """The ascending values a response answers ``sample`` with.
 
-    The sample needs the secret's mode, in Case C its ``(t, M)``, and in
-    Case B a similarity table that covers every sample value and gives the
-    response at least one entry.
+    Cases A and C answer with the sample itself.  Case B answers with every
+    value ``z`` in the union of supports, once per unit of its total weight
+    against the sample, so profile features collect exactly their
+    similarity weight in matches; Case A is Case B under the equality
+    kernel.  The device refuses, before any session, a sample of another
+    mode or another Case C ``(t, M)``, a Case B sample without a similarity
+    table or with a value outside it, and a support that yields no entry.
     """
     _check_params(secret, sample, "sample")
-    if secret.mode is FeatureMode.CASE_B:
-        if similarity is None:
-            raise ValueError("Case B authentication needs a similarity table")
-        uncovered = set(sample.values).difference(similarity.table)
-        if uncovered:
-            raise ValueError(
-                f"similarity support does not cover {min(uncovered)}")
-        if not any(similarity.table[y] for y in sample.values):
-            raise ProtocolError("similarity support yields an empty response")
+    if secret.mode is not FeatureMode.CASE_B:
+        return list(sample.values)
+    if similarity is None:
+        raise ValueError("Case B authentication needs a similarity table")
+    totals: dict[int, int] = {}
+    for y in sample.values:
+        for z, weight in similarity.support_for(y):
+            totals[z] = totals.get(z, 0) + weight
+    if not totals:
+        raise ProtocolError("similarity support yields an empty response")
+    return [z for z in sorted(totals) for _ in range(totals[z])]
+
+
+def respond(secret: DeviceSecret, challenge: AuthChallenge,
+            values: Sequence[int], rng: random.Random | None = None
+            ) -> list[AuthResponseEntry]:
+    """One entry per listed value, randomizers drawn in list order, shuffled.
+
+    The challenge must carry the secret's mode and Case C ``(t, M)``.  The
+    entries are built in the worker pool, one process per usable CPU; on
+    one CPU they are built in this process.  The randomizers and the
+    shuffle come from ``rng`` in this process, so a seeded run is fully
+    reproducible whatever the number of CPUs.  A challenge whose blinded
+    randomizers evaluate to a non-unit modulo ``n`` raises
+    ``ProtocolError``.  The secret holds no modulus, so any other ``n`` is
+    answered too (an open gap, see the README threat model).
+    """
+    _check_params(secret, challenge, "challenge")
+    rng = rng or _SYSTEM
+    pk = challenge.public_key
+    anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
+    jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
+    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs)
+    rng.shuffle(entries)
+    return entries
 
 
 def device_respond(secret: DeviceSecret, challenge: AuthChallenge,
                    sample: FeatureSet, rng: random.Random | None = None
                    ) -> list[AuthResponseEntry]:
-    """Build one response entry per sample value, shuffled (step 2).
-
-    Per-value randomizers are drawn in ascending sample-value order.  The
-    entries are spread over the worker pool, one process per usable CPU; on
-    one CPU they are built in this process.  A challenge whose blinded
-    randomizers evaluate to a non-unit modulo ``n`` raises ``ProtocolError``.
-    ``check_sample`` refuses a Case B sample here: Case B responses are
-    weighted (``device_respond_weighted``).
-    """
-    check_sample(secret, sample)
-    _check_params(secret, challenge, "challenge")
-    return _respond(secret, challenge, sample.values, rng or _SYSTEM)
+    """Answer ``sample`` in Case A or C (step 2): ``respond`` over its
+    ``response_values``, one entry per sample value."""
+    return respond(secret, challenge, response_values(secret, sample), rng)
 
 
 def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
                             sample: FeatureSet, sim: SimilarityFunction,
                             rng: random.Random | None = None
                             ) -> list[AuthResponseEntry]:
-    """Weighted variant (step 2'): emit one entry per unit of similarity.
-
-    For every value ``z`` in the union of supports, the total weight of ``z``
-    against the sample determines how many independent entries are built on
-    ``z``; profile features then collect exactly their similarity weight in
-    matches, so the carrier's count is the double similarity sum.
-    """
+    """Answer a Case B ``sample`` (step 2'): ``respond`` over its
+    ``response_values`` under ``sim``, one entry per unit of similarity, so
+    the carrier's count is the double similarity sum."""
     if sample.mode is not FeatureMode.CASE_B:
         raise ModeMismatchError("weighted responses require a Case B sample")
-    check_sample(secret, sample, sim)
-    _check_params(secret, challenge, "challenge")
-    totals: dict[int, int] = {}
-    for y in sample.values:
-        for z, weight in sim.support_for(y):
-            totals[z] = totals.get(z, 0) + weight
-    values = [z for z in sorted(totals) for _ in range(totals[z])]
-    return _respond(secret, challenge, values, rng or _SYSTEM)
+    return respond(secret, challenge, response_values(secret, sample, sim),
+                   rng)
 
 
 def _match_chunk(context: tuple[int, PaillierPublicKey],

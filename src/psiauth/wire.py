@@ -43,6 +43,7 @@ __all__ = [
     "ERR_UNKNOWN_USER",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
+    "REPLIES",
     "decode_frame",
     "encode_frame",
     "read_frame",
@@ -100,6 +101,11 @@ class ErrorReply:
 
 Message = Union[StoreProfile, StoreAck, AuthInit, Challenge, Response,
                 Result, ErrorReply]
+
+# Request type -> the reply type the carrier answers it with, unless it
+# answers with an ErrorReply.
+REPLIES: dict[type, type] = {StoreProfile: StoreAck, AuthInit: Challenge,
+                             Response: Result}
 
 
 def _encode_error(msg: ErrorReply) -> bytes:

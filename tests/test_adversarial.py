@@ -9,9 +9,10 @@ response whose entry count differs from the declared sample size.  Every
 refused response, an empty one included, burns its session.  Without a
 stored threshold the bar is a majority of the enrolled profile, so one
 known feature sent once is rejected.  Powers and
-products of genuine entries still score, and a device that holds ``(d, R')``
-builds as many genuine matches as it likes from one known feature; strict
-``xfail`` tests pin these gaps.
+products of genuine entries still score, a device that holds ``(d, R')``
+builds as many genuine matches as it likes from one known feature, and the
+device answers a challenge under any modulus, which hands its sample to
+whoever forged that challenge; strict ``xfail`` tests pin these gaps.
 """
 
 import random
@@ -19,6 +20,7 @@ import random
 import pytest
 
 from psiauth import (
+    AuthChallenge,
     AuthResponseEntry,
     FeatureMode,
     FeatureSet,
@@ -31,7 +33,7 @@ from psiauth import (
     device_respond,
     encode_numeric,
 )
-from psiauth import client, protocol, wire
+from psiauth import PaillierPublicKey, client, protocol, wire
 from psiauth.service import CarrierConfig, CarrierService
 
 from helpers import distinct_values
@@ -236,7 +238,7 @@ def test_stolen_device_repeating_one_feature_is_rejected(enrolled, spread):
     values = [PROFILE[0] + (k * n if spread == "plus-k-n" else 0)
               for k in range(5)]
     challenge, session = carrier_challenge(profile, rng)
-    entries = protocol._respond(secret, challenge, values, rng)
+    entries = protocol.respond(secret, challenge, values, rng)
     decision = decide(carrier_score(session, entries), profile, len(entries))
     assert decision.match_count <= 1
     assert not decision.accepted
@@ -251,7 +253,71 @@ def test_stolen_device_repeating_one_numeric_value_is_rejected():
         "mallory", encode_numeric(u, 5), 512, random.Random(0xC0), threshold=10)
     rng = random.Random(10)
     challenge, session = carrier_challenge(profile, rng)
-    entries = protocol._respond(secret, challenge, [1] * 20, rng)
+    entries = protocol.respond(secret, challenge, [1] * 20, rng)
     decision = decide(carrier_score(session, entries), profile, len(entries))
     assert decision.match_count <= u[0]
     assert not decision.accepted
+
+
+# The device holds no modulus, so it answers a challenge under whatever
+# modulus the challenge names: the carrier's, or a prime chosen by a man in
+# the middle, for whom discrete logarithms are easy.  P - 1 = 2 * 3 * Q.
+P, Q = 1000003, 166667
+
+
+def forged_challenge(powered):
+    """A Case A challenge under the prime ``P`` with blinded legs of 1."""
+    return AuthChallenge(b"forged", PaillierPublicKey.from_modulus(P),
+                         powered, (1,) * len(powered), FeatureMode.CASE_A)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="the device keeps no modulus and answers a "
+                   "challenge under any n")
+def test_foreign_modulus_challenge_refused(enrolled):
+    _, secret = enrolled
+    sample = FeatureSet.from_values(FeatureMode.CASE_A, [7, 17, 23])
+    with pytest.raises(ProtocolError):
+        device_respond(secret, forged_challenge((2, 1)), sample,
+                       random.Random(12))
+
+
+def recover_sample(secret, sample, rng):
+    """The sample as read from the device's answers to two forged
+    challenges, or ``None`` if the device refuses them.
+
+    Both legs are read in the order-``Q`` subgroup modulo ``P``, after a
+    power of 6.  With ``powered = (2, 1)`` an entry is ``(2**(d*rho),
+    A**rho)``, ``A = R'**d``; with ``(1, 2)`` it is ``(2**(b*d*rho),
+    A**rho)``.  So the logarithm of the cipher over that of the ratio is
+    ``d / log A`` in the first session and ``b`` times it in the second.
+    """
+    generator = pow(2, 6, P)
+    log, power = {}, 1
+    for exponent in range(Q):
+        log[power] = exponent
+        power = power * generator % P
+
+    def slopes(powered):
+        try:
+            entries = device_respond(secret, forged_challenge(powered),
+                                     sample, rng)
+        except ProtocolError:
+            return None
+        return sorted(log[pow(e.cipher, 6, P)] *
+                      pow(log[pow(e.ratio, 6, P)], -1, Q) % Q
+                      for e in entries)
+
+    base, scaled = slopes((2, 1)), slopes((1, 2))
+    if base is None or scaled is None:
+        return None
+    return tuple(sorted(s * pow(base[0], -1, Q) % Q for s in scaled))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="two challenges under a chosen prime give back "
+                   "the device's fresh sample exactly")
+def test_foreign_modulus_probe_learns_no_sample(enrolled):
+    _, secret = enrolled
+    sample = FeatureSet.from_values(FeatureMode.CASE_A, [7, 17, 23])
+    assert recover_sample(secret, sample, random.Random(13)) != sample.values

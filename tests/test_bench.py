@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from psiauth import bench, protocol
+from psiauth import bench, pool
 from psiauth.bench import BenchRecord, bench_run, format_table, write_csv
 
 
@@ -16,7 +16,13 @@ class TestBenchRun:
             assert record.auth_seconds > 0
             assert record.key_bits == 128
             assert record.solver == "closed-form"
-            assert record.parallelism == protocol.usable_cpus()
+            assert record.parallelism == pool.usable_cpus()
+
+    def test_one_cpu_run_records_parallelism_one(self, one_cpu):
+        with one_cpu():
+            record, = bench_run([2], key_bits=128, repetitions=1, seed=7,
+                                feature_bits=16)
+        assert record.parallelism == 1
 
     def test_gaussian_solver_tagged(self):
         record, = bench_run([3], key_bits=128, solver="gaussian",

@@ -7,11 +7,16 @@ from psiauth.service import CarrierConfig, CarrierService
 
 
 @pytest.fixture
-def carrier(tmp_path):
+def service(tmp_path):
     config = CarrierConfig(store_root=tmp_path / "store", seed=77)
-    with CarrierService(config) as service:
-        host, port = service.address
-        yield f"{host}:{port}"
+    with CarrierService(config) as svc:
+        yield svc
+
+
+@pytest.fixture
+def carrier(service):
+    host, port = service.address
+    return f"{host}:{port}"
 
 
 def write(path: Path, text: str) -> str:
@@ -71,6 +76,20 @@ class TestSetupAndAuth:
                      secret_file, "--sample", sample, "--table", table,
                      "--seed", "6"]) == EXIT_OK
         assert "3 matches" in capsys.readouterr().out
+
+    def test_case_b_without_table_opens_no_session(self, service, carrier,
+                                                   tmp_path, capsys):
+        features = write(tmp_path / "f.txt", "red\nblue\n")
+        secret_file = str(tmp_path / "b.secret")
+        assert main(["setup", "--user", "bo", "--carrier", carrier,
+                     "--secret-file", secret_file, "--mode", "case-b",
+                     "--features", features, "--key-bits", "128",
+                     "--seed", "5"]) == EXIT_OK
+        sample = write(tmp_path / "s.txt", "red\n")
+        assert main(["auth", "--carrier", carrier, "--secret-file",
+                     secret_file, "--sample", sample]) == EXIT_ERROR
+        assert "similarity table" in capsys.readouterr().err
+        assert service.sessions._sessions == {}
 
     def test_setup_empty_feature_file(self, carrier, tmp_path, capsys):
         features = write(tmp_path / "empty.txt", "\n# comment only\n")

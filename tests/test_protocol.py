@@ -594,6 +594,19 @@ class TestWeightedResponses:
         sample = FeatureSet.from_values(FeatureMode.CASE_B, [5])
         entries = device_respond_weighted(secret, challenge, sample, sim, rng)
         assert len(entries) == 4  # weights around 5: 1 + 2 + 1
+        assert protocol.response_values(secret, sample, sim) == [4, 5, 5, 6]
+
+    def test_equality_kernel_gives_case_a_response_values(self, rng):
+        values = [10, 20, 30, 40]
+        _, secret_a = build_encrypted_profile("u", case_a(values), 128, rng)
+        _, secret_b = build_encrypted_profile(
+            "u", FeatureSet.from_values(FeatureMode.CASE_B, values), 128, rng)
+        sample_values = [20, 40, 50]
+        assert protocol.response_values(secret_a, case_a(sample_values)) == \
+            protocol.response_values(
+                secret_b,
+                FeatureSet.from_values(FeatureMode.CASE_B, sample_values),
+                SimilarityFunction.equality(sample_values)) == sample_values
 
     def test_equality_kernel_reduces_to_plain_protocol(self, rng):
         values = [10, 20, 30, 40]

@@ -358,6 +358,48 @@ class TestServeFlow:
             assert excinfo.value.code == wire.ERR_PROTOCOL
 
 
+# Each message sent, a reply of the wrong type for it, and the type the
+# client expects; a message that is not a request only earns an error.
+WRONG_REPLIES = {
+    "store-profile": (lambda profile: wire.StoreProfile("u", profile),
+                      wire.AuthInit("u", 1), "StoreAck"),
+    "auth-init": (lambda profile: wire.AuthInit("u", 1), wire.StoreAck(),
+                  "Challenge"),
+    "response": (lambda profile: wire.Response(
+        b"sid", (protocol.AuthResponseEntry(2, 3),)), wire.StoreAck(),
+        "Result"),
+    "not-a-request": (lambda profile: wire.StoreAck(), wire.StoreAck(),
+                      "ErrorReply"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_REPLIES))
+def test_reply_of_the_wrong_type_refused(name, rng):
+    # A peer that answers a request with any reply but the one
+    # wire.REPLIES pairs with it makes the request raise DecodeError.
+    make_request, wrong, expected = WRONG_REPLIES[name]
+    request = make_request(build_encrypted_profile("u", case_a([1, 2]), 128,
+                                                   rng)[0])
+
+    def answer(listener):
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            wire.read_frame(stream)
+            wire.write_frame(stream, wrong)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = threading.Thread(target=answer, args=(listener,))
+        peer.start()
+        try:
+            with client.CarrierConnection(listener.getsockname()) as conn:
+                with pytest.raises(wire.DecodeError,
+                                   match=f"expected {expected}, got "
+                                   f"{type(wrong).__name__}"):
+                    conn.request(request)
+        finally:
+            peer.join(timeout=10)
+
+
 def case_b(values):
     return FeatureSet.from_values(FeatureMode.CASE_B, values)
 
