@@ -79,16 +79,11 @@ def _load_sample(mode: FeatureMode, features: str | None,
 
 def _cmd_serve(args) -> int:
     host, port = args.listen
-    try:
-        config = CarrierConfig(store_root=Path(args.data_dir), host=host,
-                               port=port, session_timeout=args.session_timeout,
-                               seed=args.seed)
-    except ValueError as exc:
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    service = CarrierService(CarrierConfig(
+        store_root=Path(args.data_dir), host=host, port=port,
+        session_timeout=args.session_timeout, seed=args.seed))
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    service = CarrierService(config)
     bound_host, bound_port = service.address
     print(f"carrier listening on {bound_host}:{bound_port}, "
           f"profiles under {args.data_dir}")
@@ -102,14 +97,9 @@ def _cmd_serve(args) -> int:
 def _cmd_setup(args) -> int:
     mode = _MODES[args.mode]
     rng = random.Random(args.seed) if args.seed is not None else None
-    try:
-        features = _load_sample(mode, args.features, args.values, args.cap)
-        client.setup_device(args.carrier, args.user, features,
-                            args.secret_file, bits=args.key_bits, rng=rng,
-                            threshold=args.threshold)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"setup failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    features = _load_sample(mode, args.features, args.values, args.cap)
+    client.setup_device(args.carrier, args.user, features, args.secret_file,
+                        bits=args.key_bits, rng=rng, threshold=args.threshold)
     print(f"profile stored for {args.user!r} "
           f"({features.size} features, mode {args.mode}); "
           f"device secret written to {args.secret_file}")
@@ -118,20 +108,11 @@ def _cmd_setup(args) -> int:
 
 def _cmd_auth(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    try:
-        secret = client.load_device_secret(args.secret_file)
-    except OSError as exc:
-        print(f"cannot read device secret: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        sample = _load_sample(secret.mode, args.sample, args.values,
-                              secret.cap)
-        similarity = _read_table_file(args.table) if args.table else None
-        decision = client.authenticate(args.carrier, secret, sample,
-                                       similarity, rng)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"authentication failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    secret = client.load_device_secret(args.secret_file)
+    sample = _load_sample(secret.mode, args.sample, args.values, secret.cap)
+    similarity = _read_table_file(args.table) if args.table else None
+    decision = client.authenticate(args.carrier, secret, sample, similarity,
+                                   rng)
     outcome = "ACCEPT" if decision.accepted else "REJECT"
     print(f"{outcome}: {decision.match_count} matches, "
           f"dissimilarity {decision.dissimilarity}")
@@ -139,16 +120,12 @@ def _cmd_auth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        records = bench_mod.bench_run(sizes, key_bits=args.key_bits,
-                                      solver=args.solver,
-                                      repetitions=args.repetitions,
-                                      seed=args.seed,
-                                      feature_bits=args.feature_bits)
-    except (ValueError, RuntimeError) as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    records = bench_mod.bench_run(sizes, key_bits=args.key_bits,
+                                  solver=args.solver,
+                                  repetitions=args.repetitions,
+                                  seed=args.seed,
+                                  feature_bits=args.feature_bits)
     print(bench_mod.format_table(records))
     if args.csv:
         bench_mod.write_csv(records, args.csv)
@@ -158,23 +135,21 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mode = _MODES[args.mode]
-    try:
-        if mode is FeatureMode.CASE_A:
-            x = _read_feature_file(args.profile)
-            y = _read_feature_file(args.sample)
-            print(f"intersection cardinality: {oracle_intersection(x, y)}")
-        elif mode is FeatureMode.CASE_B:
-            x = _read_feature_file(args.profile)
-            y = _read_feature_file(args.sample)
-            sim = _read_table_file(args.table)
-            print(f"weighted similarity sum: {oracle_weighted(x, y, sim)}")
-        else:
-            u = _read_vector_file(args.profile)
-            v = _read_vector_file(args.sample)
-            print(f"L1 distance: {oracle_l1(u, v)}")
-    except (OSError, ValueError) as exc:
-        print(f"oracle failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if mode is FeatureMode.CASE_A:
+        x = _read_feature_file(args.profile)
+        y = _read_feature_file(args.sample)
+        print(f"intersection cardinality: {oracle_intersection(x, y)}")
+    elif mode is FeatureMode.CASE_B:
+        if not args.table:
+            raise ValueError("Case B needs a similarity table (--table)")
+        x = _read_feature_file(args.profile)
+        y = _read_feature_file(args.sample)
+        sim = _read_table_file(args.table)
+        print(f"weighted similarity sum: {oracle_weighted(x, y, sim)}")
+    else:
+        u = _read_vector_file(args.profile)
+        v = _read_vector_file(args.sample)
+        print(f"L1 distance: {oracle_l1(u, v)}")
     return EXIT_OK
 
 
@@ -185,19 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "stores only an encrypted profile and learns only a "
                     "similarity score.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="RNG seed (test mode only)")
 
-    serve = sub.add_parser("serve", help="run the carrier service")
+    serve = sub.add_parser("serve", parents=[seeded],
+                           help="run the carrier service")
     serve.add_argument("--listen", type=_parse_address, default=("127.0.0.1", 7700),
                        metavar="HOST:PORT", help="listen address (default %(default)s)")
     serve.add_argument("--data-dir", required=True, help="profile store root")
     serve.add_argument("--session-timeout", type=float, default=60.0,
                        help="seconds before a pending session expires and an "
                             "idle connection closes")
-    serve.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (test mode only)")
     serve.set_defaults(func=_cmd_serve)
 
-    setup = sub.add_parser("setup", help="enroll a profile with the carrier")
+    setup = sub.add_parser("setup", parents=[seeded],
+                           help="enroll a profile with the carrier")
     setup.add_argument("--user", required=True)
     setup.add_argument("--carrier", type=_parse_address, required=True,
                        metavar="HOST:PORT")
@@ -211,22 +189,20 @@ def build_parser() -> argparse.ArgumentParser:
     setup.add_argument("--key-bits", type=int, default=1024)
     setup.add_argument("--threshold", type=int, default=None,
                        help="per-user decision threshold stored at the carrier")
-    setup.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (test mode only)")
     setup.set_defaults(func=_cmd_setup)
 
-    auth = sub.add_parser("auth", help="authenticate a fresh sample")
+    auth = sub.add_parser("auth", parents=[seeded],
+                          help="authenticate a fresh sample")
     auth.add_argument("--carrier", type=_parse_address, required=True,
                       metavar="HOST:PORT")
     auth.add_argument("--secret-file", required=True)
     auth.add_argument("--sample", help="file of raw feature strings, one per line")
     auth.add_argument("--values", help="Case C: whitespace-separated numeric vector")
     auth.add_argument("--table", help="Case B: similarity lines 'y z weight'")
-    auth.add_argument("--seed", type=int, default=None,
-                      help="RNG seed (test mode only)")
     auth.set_defaults(func=_cmd_auth)
 
-    bench = sub.add_parser("bench", help="time set-up and authentication")
+    bench = sub.add_parser("bench", parents=[seeded],
+                           help="time set-up and authentication")
     bench.add_argument("--sizes", default="1,5,10,15,20,25,30,35,40,45,50",
                        help="comma-separated profile sizes")
     bench.add_argument("--key-bits", type=int, default=1024)
@@ -235,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repetitions", type=int, default=3)
     bench.add_argument("--feature-bits", type=int, default=128)
     bench.add_argument("--csv", default=None, help="also write records to CSV")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (test mode only)")
     bench.set_defaults(func=_cmd_bench)
 
     oracle = sub.add_parser("oracle",
@@ -253,9 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command: 0 on success, 1 only for a rejected ``auth``, and 2
+    with one stderr line for any error."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"psiauth {args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -23,6 +23,9 @@ __all__ = [
     "write_device_secret",
 ]
 
+# Seconds any one connect, read or write to the carrier may block.
+SOCKET_TIMEOUT = 30.0
+
 
 class CarrierReplyError(RuntimeError):
     """The carrier answered with an error frame."""
@@ -36,8 +39,8 @@ class CarrierReplyError(RuntimeError):
 class CarrierConnection:
     """One TCP connection to the carrier, request/reply framed."""
 
-    def __init__(self, address: tuple[str, int], timeout: float = 30.0):
-        self._sock = socket.create_connection(address, timeout=timeout)
+    def __init__(self, address: tuple[str, int]):
+        self._sock = socket.create_connection(address, timeout=SOCKET_TIMEOUT)
         self._stream = self._sock.makefile("rwb")
 
     def request(self, msg: wire.Message) -> wire.Message:

@@ -15,14 +15,18 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Sequence, TypeVar
 
-__all__ = ["MAX_COEFFS", "MAX_ENTRIES", "DecodeError", "Reader",
-           "encode_bytes", "encode_seq", "encode_str", "encode_uint",
-           "encode_uints", "write_atomically"]
+__all__ = ["MAX_COEFFS", "MAX_ENTRIES", "MAX_SESSION_ID_BYTES",
+           "MAX_USER_ID_BYTES", "DecodeError", "Reader", "encode_bytes",
+           "encode_seq", "encode_str", "encode_uint", "encode_uints",
+           "write_atomically"]
 
 # Decoding limits on sequence counts: polynomial coefficients (and blinded
 # randomizers) per record or challenge, and entries per response.
 MAX_COEFFS = 1 << 20
 MAX_ENTRIES = 1 << 20
+# Decoding limits on field lengths: a UTF-8 user id and a session id.
+MAX_USER_ID_BYTES = 256
+MAX_SESSION_ID_BYTES = 64
 
 T = TypeVar("T")
 

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
-from .encoding import MAX_COEFFS, Reader, encode_str, encode_uint, \
-    encode_uints
+from .encoding import MAX_COEFFS, MAX_USER_ID_BYTES, Reader, encode_str, \
+    encode_uint, encode_uints
 from .paillier import (
     PaillierPublicKey,
     PaillierSecretKey,
@@ -454,7 +454,7 @@ class DeviceSecret:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DeviceSecret":
         reader = Reader(data)
-        user_id = reader.str_lp(256)
+        user_id = reader.str_lp(MAX_USER_ID_BYTES)
         exponent = reader.uint()
         anchor = reader.uint()
         mode, count, cap = read_mode_params(reader)

@@ -77,8 +77,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .encoding import MAX_COEFFS, Reader, encode_bytes, encode_uint, \
-    encode_uints
+from .encoding import MAX_COEFFS, MAX_SESSION_ID_BYTES, Reader, \
+    encode_bytes, encode_uint, encode_uints
 from .paillier import PaillierPublicKey, draw_unit
 from .pool import _in_pool
 from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, \
@@ -135,6 +135,8 @@ class AuthChallenge:
     cap: int | None = None
 
     def __post_init__(self):
+        if not self.powered_coeffs:
+            raise ValueError("challenge has no coefficients")
         if len(self.powered_coeffs) != len(self.blinded_randomizers):
             raise ValueError("challenge legs differ in length")
 
@@ -146,9 +148,11 @@ class AuthChallenge:
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "AuthChallenge":
-        session_id = reader.bytes_lp(64)
+        session_id = reader.bytes_lp(MAX_SESSION_ID_BYTES)
         pk = PaillierPublicKey.from_reader(reader)
         powered = reader.uints(MAX_COEFFS)
+        if not powered:
+            reader.fail("challenge has no coefficients")
         blinded = reader.uints(len(powered))
         if len(blinded) != len(powered):
             reader.fail("challenge legs differ in length")

@@ -144,27 +144,22 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         service: "CarrierService" = self.server.service  # type: ignore[attr-defined]
-        while True:
-            try:
-                msg = wire.read_frame(self.rfile)
-            except DecodeError as exc:
-                # Framing may be out of sync after a truncated read; answer
-                # and keep listening, the peer decides whether to go on.
+        try:
+            while True:
                 try:
-                    wire.write_frame(self.wfile,
-                                     wire.ErrorReply(wire.ERR_DECODE, str(exc)))
-                except (ConnectionError, OSError):
-                    return
-                continue
-            except (ConnectionError, OSError):
-                return
-            if msg is None:
-                return
-            reply = service.dispatch(msg)
-            try:
+                    msg = wire.read_frame(self.rfile)
+                    if msg is None:
+                        return
+                    reply = service.dispatch(msg)
+                except DecodeError as exc:
+                    # Framing may be out of sync after a truncated read;
+                    # answer and keep listening, the peer decides whether
+                    # to go on.
+                    reply = wire.ErrorReply(wire.ERR_DECODE, str(exc))
                 wire.write_frame(self.wfile, reply)
-            except (ConnectionError, OSError):
-                return
+        except OSError:
+            # The peer hung up, reset, or stayed silent past its timeout.
+            return
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -191,15 +186,12 @@ class CarrierService:
         return self._server.server_address[:2]
 
     def dispatch(self, msg: wire.Message) -> wire.Message:
-        try:
-            if isinstance(msg, wire.StoreProfile):
-                return self._handle_store(msg)
-            if isinstance(msg, wire.AuthInit):
-                return self._handle_init(msg)
-            if isinstance(msg, wire.Response):
-                return self._handle_response(msg)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
             return wire.ErrorReply(wire.ERR_PROTOCOL,
                                    f"unexpected message {type(msg).__name__}")
+        try:
+            return handler(self, msg)
         except DecodeError as exc:
             return wire.ErrorReply(wire.ERR_DECODE, str(exc))
         except UnknownUserError as exc:
@@ -247,6 +239,11 @@ class CarrierService:
                  msg.session_id.hex()[:8], len(msg.entries), matches,
                  "accept" if decision.accepted else "reject")
         return wire.Result(decision)
+
+    # Request type -> its handler: the requests that wire.REPLIES pairs
+    # with the reply each handler returns.
+    _HANDLERS = {wire.StoreProfile: _handle_store, wire.AuthInit: _handle_init,
+                 wire.Response: _handle_response}
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._server.serve_forever,

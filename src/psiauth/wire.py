@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Callable, Union
 
-from .encoding import MAX_ENTRIES, DecodeError, Reader, encode_bytes, \
-    encode_seq, encode_str, encode_uint
+from .encoding import MAX_ENTRIES, MAX_SESSION_ID_BYTES, MAX_USER_ID_BYTES, \
+    DecodeError, Reader, encode_bytes, encode_seq, encode_str, encode_uint
 from .profiles import EncryptedProfile
 from .protocol import AuthChallenge, AuthDecision, AuthResponseEntry
 
@@ -52,7 +52,6 @@ __all__ = [
 
 PROTOCOL_VERSION = 0x02
 MAX_PAYLOAD = 64 * 1024 * 1024
-MAX_USER_ID_BYTES = 256
 
 ERR_UNKNOWN_USER = 0x01
 ERR_SESSION = 0x02
@@ -130,7 +129,7 @@ _CODECS: dict[int, tuple[type, Callable[[Any], bytes],
     0x05: (Response,
            lambda m: encode_bytes(m.session_id) +
            encode_seq([entry.to_bytes() for entry in m.entries]),
-           lambda r: Response(r.bytes_lp(64), r.seq(
+           lambda r: Response(r.bytes_lp(MAX_SESSION_ID_BYTES), r.seq(
                lambda: AuthResponseEntry.from_reader(r), MAX_ENTRIES))),
     0x06: (Result, lambda m: m.decision.to_bytes(),
            lambda r: Result(AuthDecision.from_reader(r))),

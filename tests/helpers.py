@@ -11,6 +11,8 @@ from psiauth import FeatureMode, FeatureSet, wire
 from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
+    MAX_SESSION_ID_BYTES,
+    MAX_USER_ID_BYTES,
     encode_bytes,
     encode_seq,
     encode_str,
@@ -96,8 +98,8 @@ def malformed_frames() -> dict[str, bytes]:
     user = encode_str("mallory")
     case_a = bytes([FeatureMode.CASE_A])
     # Valid but for one length-prefixed field one byte over its limit.
-    long_user = encode_str("m" * (wire.MAX_USER_ID_BYTES + 1))
-    long_session = encode_bytes(b"\x01" * 65)
+    long_user = encode_str("m" * (MAX_USER_ID_BYTES + 1))
+    long_session = encode_bytes(b"\x01" * (MAX_SESSION_ID_BYTES + 1))
     profile = modulus + encode_uints([2, 3]) + encode_uints([2, 3]) + \
         encode_uint(1) + case_a + encode_uint(0)
     payloads = {
@@ -108,6 +110,9 @@ def malformed_frames() -> dict[str, bytes]:
         "challenge session id over limit": (
             0x04, long_session + modulus + encode_uints([2]) +
             encode_uints([2]) + case_a),
+        "challenge with no coefficients": (
+            0x04, session + modulus + encode_uints([]) + encode_uints([]) +
+            case_a),
         "challenge coefficient count over limit": (
             0x04, session + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
         "challenge legs shorter": (

@@ -1,3 +1,4 @@
+import socket
 from pathlib import Path
 
 import pytest
@@ -170,3 +171,40 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "setup_s" in out
         assert csv_path.exists()
+
+
+@pytest.fixture
+def busy_port():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        yield listener.getsockname()[1]
+
+
+# Each command line fails outside anything a command handles itself;
+# built from (tmp_path, a port some other socket listens on).
+FAILING = {
+    "auth-corrupt-secret": lambda tmp, port: [
+        "auth", "--carrier", "127.0.0.1:1", "--secret-file",
+        write(tmp / "corrupt.secret", "not a secret"),
+        "--sample", write(tmp / "s.txt", "x")],
+    "serve-busy-port": lambda tmp, port: [
+        "serve", "--listen", f"127.0.0.1:{port}", "--data-dir",
+        str(tmp / "store")],
+    "bench-csv-missing-dir": lambda tmp, port: [
+        "bench", "--sizes", "2", "--key-bits", "64", "--feature-bits", "8",
+        "--repetitions", "1", "--seed", "1",
+        "--csv", str(tmp / "missing" / "bench.csv")],
+    "oracle-case-b-without-table": lambda tmp, port: [
+        "oracle", "--mode", "case-b", "--profile", write(tmp / "a.txt", "x"),
+        "--sample", write(tmp / "b.txt", "x")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_any_failure_exits_with_one_error_line(name, tmp_path, busy_port,
+                                               capsys):
+    # 2, never the reject code 1, and one line naming the command.
+    argv = FAILING[name](tmp_path, busy_port)
+    assert main(argv) == EXIT_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"psiauth {argv[0]} failed: ")

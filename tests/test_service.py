@@ -357,6 +357,21 @@ class TestServeFlow:
                 conn.request(wire.StoreAck())
             assert excinfo.value.code == wire.ERR_PROTOCOL
 
+    def test_handlers_answer_exactly_the_wire_requests(self):
+        assert set(CarrierService._HANDLERS) == set(wire.REPLIES)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="StoreProfile needs no accepted session, so "
+                       "any peer can replace a user's record")
+    def test_peer_without_session_cannot_replace_record(self, enrolled, rng):
+        service, secret, features = enrolled
+        other, _ = build_encrypted_profile("alice", case_a([7, 8]), 128, rng)
+        with pytest.raises(client.CarrierReplyError):
+            client.store_profile(service.address, "alice", other)
+        decision = client.authenticate(service.address, secret, features,
+                                       rng=rng)
+        assert decision.accepted
+
 
 # Each message sent, a reply of the wrong type for it, and the type the
 # client expects; a message that is not a request only earns an error.
