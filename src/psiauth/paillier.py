@@ -19,8 +19,16 @@ in full and ``a0*b1 + a1*b0`` only modulo ``n``, and every reduction is by
 the half-width ``n``.  CPython's ``pow`` reduces each double-width product
 by ``n**2`` with schoolbook long division, and two reductions by ``n`` cost
 about half of one by ``n**2``.  At 1024-bit keys a power costs two thirds
-to three quarters of ``pow``'s, and the result is the same integer.  Like
-``pow``, it takes a time that depends on the exponent.
+to three quarters of ``pow``'s, and the result is the same integer.
+
+An exponent of at least ``n`` is split at ``n``.  Since ``a**n mod n**2``
+depends only on ``a mod n`` (Paillier, EUROCRYPT 1999), for
+``e = q*n + r`` the identity ``x**e == x**r * (x**q mod n)**n (mod n**2)``
+holds for every integer ``x``, units or not.  So ``power`` runs one
+half-width ``pow`` modulo ``n`` and one chain of ``|n|`` squarings for both
+powers on the right.  The device's mask ``acc**(d * rho)``, an exponent of
+about ``3|n|`` bits, costs about two thirds of what it did unsplit.  Like
+``pow``, a power takes a time that depends on the exponent.
 
 A ciphertext is a plain integer in ``[1, n**2)``; every operation that takes
 one checks that it is a unit modulo ``n**2``.  All operations are pure; keys
@@ -145,30 +153,56 @@ class PaillierPublicKey:
         return a_low + a_high * n
 
     def power(self, base: int, exponent: int) -> int:
-        """``pow(base, exponent, n**2)``, by ``walk`` over digit pairs.
+        """``pow(base, exponent, n**2)``, by one ``walk`` over digit pairs.
 
-        The exponent is read left to right in windows of up to ``width``
+        An exponent of at least ``n`` is split as ``q*n + r``, and the power
+        is ``base**r * w**n`` with ``w = base**q mod n``, a half-width
+        ``pow``.  This is exact for every integer base, units or not:
+        ``a == b (mod n)`` implies ``a**n == b**n (mod n**2)``, so
+        ``base**(q*n) = (base**q)**n`` depends on ``base**q`` modulo ``n``
+        only.  The two powers, to exponents below ``n``, then share one
+        chain of ``|n|`` squarings (interleaved windows, Moeller, SAC
+        2001), however long the exponent.
+
+        Each exponent is read left to right in windows of up to ``width``
         bits that start and end with a one, ``width`` growing with its
-        length.  The table holds ``1`` and the odd powers the windows use.
+        length; a window multiplies the chain by its base to the window's
+        value after the last of its bits is squared in.  The table holds
+        ``1`` and the odd powers the windows use.  Like ``pow``, it takes a
+        time that depends on the exponent.
         """
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        bits = bin(exponent)[2:]
-        width = 1 + sum(len(bits) > size for size in (23, 79, 239, 671))
-        # (squarings, then the product by base**window), top bit first;
-        # base**window sits at table[(window + 1) // 2].
-        steps, i = [], 0
-        while (start := bits.find("1", i)) >= 0:
-            end = bits.rindex("1", start, start + width) + 1
-            steps.append((end - i, (int(bits[start:end], 2) + 1) >> 1))
-            i = end
-        steps.append((len(bits) - i, 0))
-        table = [(1, 0), self.digits(base)]
-        largest = max(index for _, index in steps)
-        if largest > 1:
-            square = self.times(table[1], table[1])
-            while len(table) <= largest:
-                table.append(self.times(table[-1], square))
+        if exponent < self.n:
+            parts = [(base, exponent)]
+        else:
+            q, r = divmod(exponent, self.n)
+            parts = [(base, r), (pow(base % self.n, q, self.n), self.n)]
+        # (bits below the window, table index of its power), per part.
+        table, windows = [(1, 0)], []
+        for part_base, part_exponent in parts:
+            bits = bin(part_exponent)[2:]
+            width = 1 + sum(len(bits) > size for size in (23, 79, 239, 671))
+            # part_base**window sits at table[offset + (window + 1) // 2].
+            offset, largest, i = len(table) - 1, 1, 0
+            while (start := bits.find("1", i)) >= 0:
+                i = bits.rindex("1", start, start + width) + 1
+                window = int(bits[start:i], 2)
+                windows.append((len(bits) - i, offset + (window + 1) // 2))
+                largest = max(largest, window)
+            table.append(self.digits(part_base))
+            if largest > 1:
+                square = self.times(table[-1], table[-1])
+                while len(table) - offset <= (largest + 1) // 2:
+                    table.append(self.times(table[-1], square))
+        # Top bit first; a second window at the same place adds (0, index).
+        windows.sort(key=lambda window: -window[0])
+        steps, place = [], max(part_exponent.bit_length()
+                                for _, part_exponent in parts)
+        for below, index in windows:
+            steps.append((place - below, index))
+            place = below
+        steps.append((place, 0))
         return self.walk(table, steps)
 
 

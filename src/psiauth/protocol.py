@@ -34,8 +34,12 @@ digit pairs (``PaillierPublicKey.power`` and ``walk``), which reduce each
 product by ``n`` rather than by ``n**2`` and give the same integer as
 ``pow`` at about two thirds to three quarters of its cost at 1024-bit keys:
 the device's Horner steps and its cipher mask ``acc**(d * rho)``, the
-carrier's ``n``-th power in each match test, and the challenge comb with the
-squarings to its teeth.
+carrier's ``n * theta`` power in each match test, and the challenge comb with
+the squarings to its teeth.  ``power`` splits every exponent of at least
+``n`` at ``n``, into a half-width ``pow`` modulo ``n`` and one chain of
+``|n|`` squarings modulo ``n**2``: the mask's exponent of about ``3|n|``
+bits takes ``|n|`` squarings there instead of ``3|n|``, and the match test
+is a power to ``theta`` modulo ``n`` and an ``n``-th power.
 
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
@@ -442,7 +446,7 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
 def _match_chunk(context: tuple[int, PaillierPublicKey],
                  entries: list[AuthResponseEntry]) -> list[bool]:
     theta, pk = context
-    return [entry.cipher == pk.power(pow(entry.ratio, theta, pk.n), pk.n)
+    return [entry.cipher == pk.power(entry.ratio, theta * pk.n)
             for entry in entries]
 
 
@@ -451,16 +455,13 @@ def carrier_score(session: SessionState,
     """Count recognized entries (step 3) and consume the session.
 
     An entry matches when ``cipher == ratio ** (n * theta)`` modulo
-    ``n**2``.  The power is split: the ratio is raised to ``theta`` modulo
-    ``n``, and the result raised to ``n`` modulo ``n**2``.  This is exact
-    because ``a == b (mod n)`` implies ``a**n == b**n (mod n**2)``.  One
-    full-width power to the 2|n|-bit exponent ``n * theta`` becomes a
-    half-width power to ``theta`` and a full-width power to ``n``, about two
-    thirds of the cost, and the power to ``n`` runs in digit pairs.  The
-    session is claimed before any validation, so a malformed response, an
-    empty one included, still burns its challenge.  Every check below runs
-    on every entry, in this process and in entry order, before any match
-    test starts; only the match tests run in the worker pool.
+    ``n**2``.  ``PaillierPublicKey.power`` splits that exponent at ``n``
+    into a half-width power to ``theta`` modulo ``n`` and an ``n``-th power
+    in digit pairs.  The session is claimed before any validation, so a
+    malformed response, an empty one included, still burns its challenge.
+    Every check below runs on every entry, in this process and in entry
+    order, before any match test starts; only the match tests run in the
+    worker pool.
 
     The cipher must be a unit modulo ``n**2`` and the ratio a unit in
     ``[1, n)``.  The range keeps ``(c, r + k*n)``, which matches like

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from psiauth import (
     KeyGenerationError,
     MalformedCiphertextError,
+    PaillierPublicKey,
     add_cipher,
     decrypt,
     draw_unit,
@@ -231,11 +232,21 @@ class TestDigitPairPower:
            base=st.sampled_from(["0", "1", "n", "p*k", "n**2-1", ">=n**2",
                                  "random"]),
            exponent=st.sampled_from(["0", "1", "2", "2**k", "2**k-1",
-                                     "2**k+1", "random"]))
+                                     "2**k+1", "random", "n-1", "n", "k*n",
+                                     "k*n-1", "k*n+1", "d*rho"]))
     @example(bits=16, seed=0, base="n**2-1", exponent="2**k-1")
     @example(bits=17, seed=1, base="p*k", exponent="random")
     @example(bits=511, seed=2, base=">=n**2", exponent="2**k+1")
     @example(bits=512, seed=3, base="random", exponent="random")
+    # Both sides of the split at n, and its r = 0 edge with non-unit bases.
+    @example(bits=16, seed=4, base="0", exponent="n-1")
+    @example(bits=512, seed=5, base="n", exponent="n")
+    @example(bits=16, seed=6, base="p*k", exponent="k*n")
+    @example(bits=512, seed=7, base="0", exponent="k*n")
+    @example(bits=16, seed=8, base=">=n**2", exponent="k*n-1")
+    @example(bits=512, seed=9, base="p*k", exponent="k*n+1")
+    @example(bits=16, seed=10, base="n", exponent="d*rho")
+    @example(bits=512, seed=11, base=">=n**2", exponent="d*rho")
     def test_equals_plain_pow(self, bits, seed, base, exponent):
         rng = random.Random(seed)
         pk, sk = keygen(bits, rng)
@@ -248,8 +259,45 @@ class TestDigitPairPower:
                 "random": rng.randrange(n_squared)}[base]
         exponent = {"0": 0, "1": 1, "2": 2, "2**k": 1 << k,
                     "2**k-1": (1 << k) - 1, "2**k+1": (1 << k) + 1,
-                    "random": rng.getrandbits(k)}[exponent]
+                    "random": rng.getrandbits(k), "n-1": n - 1, "n": n,
+                    "k*n": k * n, "k*n-1": k * n - 1, "k*n+1": k * n + 1,
+                    "d*rho": rng.randrange(1, n) * rng.randrange(1, n_squared)
+                    }[exponent]
         assert pk.power(base, exponent) == pow(base, exponent, n_squared)
+
+    def test_squarings_follow_n_not_the_exponent(self, kp512, rng,
+                                                 monkeypatch):
+        # An exponent past n costs |n| squarings, not its own length.
+        pk, _ = kp512
+        n = pk.n
+        walks = []
+        walk = PaillierPublicKey.walk
+
+        def counted(self, table, steps):
+            steps = list(steps)
+            walks.append(sum(squarings for squarings, _ in steps))
+            return walk(self, table, steps)
+
+        monkeypatch.setattr(PaillierPublicKey, "walk", counted)
+        base = rng.randrange(pk.n_squared)
+        mask = rng.randrange(1, n) * rng.randrange(1, pk.n_squared)
+        assert mask.bit_length() > 2 * n.bit_length()
+        assert pk.power(base, mask) == pow(base, mask, pk.n_squared)
+        assert len(walks) == 1 and walks[0] <= n.bit_length() + 8
+        short = rng.randrange(n // 2, n)
+        walks.clear()
+        assert pk.power(base, short) == pow(base, short, pk.n_squared)
+        assert len(walks) == 1
+        assert abs(walks[0] - short.bit_length()) <= 8
+
+    @pytest.mark.slow
+    def test_mask_at_2048_bits(self):
+        rng = random.Random(2048)
+        pk, _ = keygen(2048, rng)
+        for _ in range(3):
+            base = rng.randrange(pk.n_squared)
+            mask = rng.randrange(1, pk.n) * rng.randrange(1, pk.n_squared)
+            assert pk.power(base, mask) == pow(base, mask, pk.n_squared)
 
     def test_every_small_case(self, tiny_keypair):
         pk, _ = tiny_keypair
