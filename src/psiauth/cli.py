@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -87,6 +88,8 @@ def _cmd_serve(args) -> int:
     bound_host, bound_port = service.address
     print(f"carrier listening on {bound_host}:{bound_port}, "
           f"profiles under {args.data_dir}")
+    # kill's SIGTERM stops the carrier like Ctrl-C, so its pool workers exit.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.serve_forever()
     except KeyboardInterrupt:

@@ -5,7 +5,8 @@ big-endian length; byte strings use the same length prefix.  Decoding is
 strict: a magnitude with a leading zero byte is rejected, so every value has
 exactly one encoding and records round-trip byte-identically.  A sequence
 is a 4-byte big-endian item count followed by the encoded items; decoding
-refuses counts above a caller-given limit before reading any item.
+refuses counts above a caller-given limit before reading any item.  A
+record's rules live in its constructor, which ``Reader.build`` calls.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ class Reader:
 
     def uints(self, limit: int) -> tuple[int, ...]:
         return self.seq(self.uint, limit)
+
+    def build(self, make: Callable[..., T], *args, **kwargs) -> T:
+        """``make(*args, **kwargs)``, its ``ValueError`` a ``DecodeError``."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.fail(str(exc))
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):

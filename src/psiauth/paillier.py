@@ -116,10 +116,7 @@ class PaillierPublicKey:
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "PaillierPublicKey":
-        n = reader.uint()
-        if n < 3:
-            reader.fail("public modulus too small")
-        return cls.from_modulus(n)
+        return reader.build(cls.from_modulus, reader.uint())
 
     def digits(self, x: int) -> tuple[int, int]:
         """``x mod n**2`` as its base-``n`` digit pair ``(low, high)``."""
@@ -230,17 +227,6 @@ class PaillierSecretKey:
         return at_q + q_squared * ((at_p - at_q) * self.crt_lift %
                                    (self.p * self.p))
 
-    def pow_mod_n_squared(self, base: int, exponent: int) -> int:
-        """``base**exponent mod n**2`` by CRT modulo ``p**2`` and ``q**2``.
-
-        Each half-width power costs about a quarter of the full-width one, so
-        the pair costs about half; the recombined value is the canonical
-        residue, equal to ``pow(base, exponent, n**2)``.
-        """
-        p_squared, q_squared = self.p * self.p, self.q * self.q
-        return self._combine(pow(base, exponent, p_squared),
-                             pow(base, exponent, q_squared))
-
     def pow_n_mod_n_squared(self, base: int) -> int:
         """``base**n mod n**2``, the randomizer power of an encryption.
 
@@ -249,8 +235,8 @@ class PaillierSecretKey:
         ``(base**(q mod (p-1)) mod p)**p`` modulo ``p**2``, and the same
         with ``p`` and ``q`` swapped modulo ``q**2``.  A base divisible by
         ``p`` gives ``0`` on both sides.  Each half costs about two thirds
-        of the half-width power to ``n`` in ``pow_mod_n_squared``; the value
-        equals ``pow(base, n, n**2)``.
+        of a power to ``n`` modulo ``p**2``; the value equals
+        ``pow(base, n, n**2)``.
         """
         p, q = self.p, self.q
         return self._combine(pow(pow(base, q % (p - 1), p), p, p * p),

@@ -10,22 +10,21 @@ satisfy, for every profile feature ``a``,
 Both solvers draw ``r'_1 .. r'_s`` from the order-``n`` subgroup, so each is
 ``1`` modulo ``n`` and ``r'_0 == R' (mod n)``: modulo ``n`` the product is
 ``R'`` at every value, a root or not.  The device reads the blinded
-randomizers only modulo ``n``, so no cipher or ratio depends on the blinding;
-membership is decided by the cipher leg alone, where the polynomial vanishes.
-The blinding changes only the residues modulo ``n**2`` that the carrier
-stores, and whether that buys any privacy is an open question.
+randomizers only modulo ``n``, and the record holds them modulo ``n``: the
+blinding-free ``(r_k**-1)**d``, times ``R'**d`` for ``k = 0``.  No stored,
+sent or computed value depends on the blinding, ``R'`` cancels from every
+ratio, and the cipher leg alone decides membership.
 
 After set-up the device keeps only its user id, the secret exponent ``d`` and
 the anchor ``R'``; every other intermediate (secret key, coefficients,
 randomizers, plaintext features) is dropped.  While it still holds ``p`` and
-``q``, set-up computes its full-width powers by CRT modulo ``p**2`` and
-``q**2``: ``x**d`` for each unblinded randomizer at about half the cost of
-a plain power, and ``r**n`` in each coefficient encryption through
-``r mod p`` and ``r mod q`` at about two fifths
-(``PaillierSecretKey.pow_n_mod_n_squared``).  Every randomizer, the
-blinding solve and ``d`` are drawn first, in this process; then all
-``2(s+1)`` powers go to the worker pool in one call (``pool``), so a seeded
-set-up gives the same record whatever the number of CPUs.
+``q``, set-up computes ``r**n`` in each coefficient encryption by CRT
+through ``r mod p`` and ``r mod q``, at about two fifths of a plain power
+(``PaillierSecretKey.pow_n_mod_n_squared``); each blinded randomizer is one
+``pow`` modulo ``n``.  Every randomizer, the blinding solve and ``d`` are
+drawn first, in this process; then all ``2(s+1)`` powers go to the worker
+pool in one call (``pool``), so a seeded set-up gives the same record
+whatever the number of CPUs.
 
 Two solvers produce the blinding randomizers:
 
@@ -373,14 +372,21 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
     return BlindingSolution(tuple(randomizers), anchor_out)
 
 
+def _check_blinded(pk: PaillierPublicKey, blinded: Sequence[int]) -> None:
+    """Refuse a blinded randomizer outside ``[1, n)``, its one encoding."""
+    if not all(1 <= value < pk.n for value in blinded):
+        raise ValueError("blinded randomizer outside [1, n)")
+
+
 @dataclass(frozen=True)
 class EncryptedProfile:
     """The carrier-side record: everything the carrier ever holds.
 
     ``enc_coeffs`` are the encrypted polynomial coefficients ``Enc(p_0) ..
     Enc(p_s)`` and ``blinded_randomizers`` the values ``R_0**d .. R_s**d``
-    modulo ``n**2``.  ``threshold`` is the per-user decision parameter;
-    ``None`` selects the documented default rule at decision time.
+    modulo ``n``, each in ``[1, n)``.  ``threshold`` is the per-user
+    decision parameter; ``None`` selects the documented default rule at
+    decision time.
     """
 
     public_key: PaillierPublicKey
@@ -397,6 +403,7 @@ class EncryptedProfile:
             raise ValueError("coefficient count must be size + 1")
         if len(self.blinded_randomizers) != self.size + 1:
             raise ValueError("randomizer count must be size + 1")
+        _check_blinded(self.public_key, self.blinded_randomizers)
         if self.threshold is not None and self.threshold < 1:
             raise ValueError("threshold must be positive")
 
@@ -412,16 +419,12 @@ class EncryptedProfile:
     def from_reader(cls, reader: Reader) -> "EncryptedProfile":
         pk = PaillierPublicKey.from_reader(reader)
         coeffs = reader.uints(MAX_COEFFS)
-        blinded = reader.uints(len(coeffs))
-        if len(blinded) != len(coeffs):
-            reader.fail("randomizer count differs from coefficient count")
+        blinded = reader.uints(MAX_COEFFS)
         size = reader.uint()
-        if size + 1 != len(coeffs):
-            reader.fail("profile size inconsistent with coefficient count")
         mode, count, cap = read_mode_params(reader)
         threshold = reader.uint() or None
-        return cls(pk, coeffs, blinded, size, mode,
-                   count=count, cap=cap, threshold=threshold)
+        return reader.build(cls, pk, coeffs, blinded, size, mode,
+                            count=count, cap=cap, threshold=threshold)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedProfile":
@@ -480,9 +483,9 @@ class SetupAudit:
 def _setup_chunk(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
                  jobs: list[tuple[int | None, int]]) -> list[int]:
     """The cipher of ``coeff`` under randomizer ``base`` for a job
-    ``(coeff, base)``, and ``base**d mod n**2`` for a job ``(None, base)``."""
+    ``(coeff, base)``, and ``base**d mod n`` for a job ``(None, base)``."""
     pk, sk, d = context
-    return [sk.pow_mod_n_squared(base, d) if coeff is None
+    return [pow(base, d, pk.n) if coeff is None
             else encrypt(pk, coeff, base, sk=sk)[0] for coeff, base in jobs]
 
 
@@ -500,7 +503,7 @@ def build_encrypted_profile(
 
     Generates a fresh keypair, encrypts the profile polynomial, solves the
     blinding system, divides out the encryption randomizers and raises the
-    results to the secret exponent ``d``.  Returns ``(profile, secret)``, or
+    results to ``d``, both modulo ``n``.  Returns ``(profile, secret)``, or
     ``(profile, secret, audit)`` when ``keep_setup_audit`` is set.
 
     Args:
@@ -520,8 +523,7 @@ def build_encrypted_profile(
         blinding = solve_blinding_gaussian(features, anchor_seed, pk, rng)
     else:
         blinding = solve_blinding(coeffs, anchor_seed, pk, rng)
-    n_squared = pk.n_squared
-    unblinded = [rp * pow(r, -1, n_squared) % n_squared
+    unblinded = [rp * pow(r, -1, pk.n) % pk.n
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]
     d = rng.randrange(1, pk.n)
     # Every draw is made; the two kinds of power alternate, so each worker's

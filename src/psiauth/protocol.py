@@ -25,9 +25,10 @@ numeric vectors (Case C); ``decide`` turns it into a dissimilarity score and
 an accept/reject outcome.
 
 The carrier only ever needs the ratio modulo ``n``: its ``n * theta`` power
-depends on nothing else.  So the device computes ``R'**d`` once per response
-modulo ``n``, and runs the ratio leg's Horner steps and its ``rho`` power
-modulo ``n`` as well.
+depends on nothing else.  So the whole ratio leg lives modulo ``n``: the
+record and the challenge carry the blinded randomizers in ``[1, n)``, and
+the device computes ``R'**d`` once per response, the Horner steps and the
+``rho`` power modulo ``n``.
 
 Every full-width power modulo ``n**2`` after set-up runs in base-``n``
 digit pairs (``PaillierPublicKey.power`` and ``walk``), which reduce each
@@ -44,9 +45,7 @@ is a power to ``theta`` modulo ``n`` and an ``n``-th power.
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
 raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
-exponents, so the encryption randomizers cancel carrier-side, and the blinding
-randomizers ``r'_i`` (``i >= 1``) lie in the order-``n`` subgroup, which the
-carrier's ``n * theta`` power removes (see ``profiles``).
+exponents, so the encryption randomizers cancel carrier-side.
 
 The challenge powers ``C_i**theta`` have the same bases in every session, so
 the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
@@ -85,8 +84,9 @@ from .encoding import MAX_COEFFS, MAX_SESSION_ID_BYTES, Reader, \
     encode_bytes, encode_uint, encode_uints
 from .paillier import PaillierPublicKey, draw_unit
 from .pool import _in_pool
-from .profiles import DeviceSecret, EncryptedProfile, FeatureMode, \
-    FeatureSet, encode_mode, read_mode, read_mode_params
+from .profiles import MAX_FEATURE_VALUE, DeviceSecret, EncryptedProfile, \
+    FeatureMode, FeatureSet, _check_blinded, encode_mode, read_mode, \
+    read_mode_params
 from .similarity import SimilarityFunction
 
 __all__ = [
@@ -143,6 +143,7 @@ class AuthChallenge:
             raise ValueError("challenge has no coefficients")
         if len(self.powered_coeffs) != len(self.blinded_randomizers):
             raise ValueError("challenge legs differ in length")
+        _check_blinded(self.public_key, self.blinded_randomizers)
 
     def to_bytes(self) -> bytes:
         return (encode_bytes(self.session_id) + self.public_key.to_bytes() +
@@ -155,13 +156,10 @@ class AuthChallenge:
         session_id = reader.bytes_lp(MAX_SESSION_ID_BYTES)
         pk = PaillierPublicKey.from_reader(reader)
         powered = reader.uints(MAX_COEFFS)
-        if not powered:
-            reader.fail("challenge has no coefficients")
-        blinded = reader.uints(len(powered))
-        if len(blinded) != len(powered):
-            reader.fail("challenge legs differ in length")
+        blinded = reader.uints(MAX_COEFFS)
         mode, count, cap = read_mode_params(reader)
-        return cls(session_id, pk, powered, blinded, mode, count=count, cap=cap)
+        return reader.build(cls, session_id, pk, powered, blinded, mode,
+                            count=count, cap=cap)
 
 
 @dataclass
@@ -339,10 +337,8 @@ def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
     n, n_squared = pk.n, pk.n_squared
     # Horner's rule in the exponent, top coefficient first: the exponents are
     # the raw feature on both legs, so the encryption randomizers still cancel.
-    # The ratio leg is only ever read modulo n.
     *lower_coeffs, cipher_acc = challenge.powered_coeffs
     *lower_blinded, blinded_acc = challenge.blinded_randomizers
-    blinded_acc %= n
     for coeff, blinded in zip(reversed(lower_coeffs), reversed(lower_blinded)):
         cipher_acc = pk.power(cipher_acc, value) * coeff % n_squared
         blinded_acc = pow(blinded_acc, value, n) * blinded % n
@@ -382,7 +378,8 @@ def response_values(secret: DeviceSecret, sample: FeatureSet,
     similarity weight in matches; Case A is Case B under the equality
     kernel.  The device refuses, before any session, a sample of another
     mode or another Case C ``(t, M)``, a Case B sample without a similarity
-    table or with a value outside it, and a support that yields no entry.
+    table or with a value outside it, and a support that yields no entry or
+    a value outside the feature domain.
     """
     _check_params(secret, sample, "sample")
     if secret.mode is not FeatureMode.CASE_B:
@@ -392,6 +389,8 @@ def response_values(secret: DeviceSecret, sample: FeatureSet,
     totals: dict[int, int] = {}
     for y in sample.values:
         for z, weight in similarity.support_for(y):
+            if not 1 <= z <= MAX_FEATURE_VALUE:
+                raise ValueError(f"support value {z} outside [1, 2**128]")
             totals[z] = totals.get(z, 0) + weight
     if not totals:
         raise ProtocolError("similarity support yields an empty response")

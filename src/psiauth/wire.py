@@ -1,6 +1,6 @@
 """Framed binary wire protocol between device and carrier.
 
-Frame layout: 1 version byte (0x02), 1 message-type byte, a 4-byte big-endian
+Frame layout: 1 version byte (0x03), 1 message-type byte, a 4-byte big-endian
 payload length, then the payload.  Payloads use the canonical length-prefixed
 encoding from ``encoding``; integer sequences carry a 4-byte count prefix and
 user ids are length-prefixed UTF-8 of at most 256 bytes.  A response entry
@@ -50,7 +50,7 @@ __all__ = [
     "write_frame",
 ]
 
-PROTOCOL_VERSION = 0x02
+PROTOCOL_VERSION = 0x03
 MAX_PAYLOAD = 64 * 1024 * 1024
 
 ERR_UNKNOWN_USER = 0x01

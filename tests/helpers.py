@@ -93,17 +93,25 @@ def sort_merge_intersection(x, y) -> int:
 
 def malformed_frames() -> dict[str, bytes]:
     """Well-framed messages whose payloads a strict decoder must refuse."""
-    modulus = encode_uint((1 << 61) - 1)
+    n = (1 << 61) - 1
+    modulus = encode_uint(n)
     session = encode_bytes(b"\x01" * 16)
     user = encode_str("mallory")
     case_a = bytes([FeatureMode.CASE_A])
     # Valid but for one length-prefixed field one byte over its limit.
     long_user = encode_str("m" * (MAX_USER_ID_BYTES + 1))
     long_session = encode_bytes(b"\x01" * (MAX_SESSION_ID_BYTES + 1))
-    profile = modulus + encode_uints([2, 3]) + encode_uints([2, 3]) + \
-        encode_uint(1) + case_a + encode_uint(0)
+
+    def profile(blinded=(2, 3)):
+        return modulus + encode_uints([2, 3]) + encode_uints(blinded) + \
+            encode_uint(1) + case_a + encode_uint(0)
+
+    def challenge(blinded):
+        return session + modulus + encode_uints([2, 3]) + \
+            encode_uints(blinded) + case_a
+
     payloads = {
-        "store user id over limit": (0x01, long_user + profile),
+        "store user id over limit": (0x01, long_user + profile()),
         "auth-init user id over limit": (0x03, long_user + encode_uint(1)),
         "response session id over limit": (
             0x05, long_session + encode_seq([encode_uint(2) + encode_uint(3)])),
@@ -126,12 +134,14 @@ def malformed_frames() -> dict[str, bytes]:
             b"\x7e"),
         "profile coefficient count over limit": (
             0x01, user + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
-        "profile randomizer count": (
-            0x01, user + modulus + encode_uints([2, 3]) + encode_uints([2]) +
-            encode_uint(1) + case_a + encode_uint(0)),
+        "profile randomizer count": (0x01, user + profile((2,))),
         "profile size": (
             0x01, user + modulus + encode_uints([2, 3]) +
             encode_uints([2, 3]) + encode_uint(2) + case_a + encode_uint(0)),
+        "profile blinded value n": (0x01, user + profile((2, n))),
+        "profile blinded value 0": (0x01, user + profile((2, 0))),
+        "challenge blinded value n": (0x04, challenge((n, 3))),
+        "challenge blinded value 0": (0x04, challenge((0, 3))),
         "response entry count over limit": (
             0x05, session + (MAX_ENTRIES + 1).to_bytes(4, "big")),
         "decision not in lowest terms": (

@@ -1,8 +1,15 @@
+import os
+import random
+import signal
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import psiauth
+from psiauth import FeatureMode, FeatureSet, client, wire
 from psiauth.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, main
 from psiauth.service import CarrierConfig, CarrierService
 
@@ -130,6 +137,35 @@ class TestServeCommand:
         out, err = capsys.readouterr()
         assert "session timeout" in err
         assert "listening" not in out
+
+    def test_sigterm_stops_the_carrier_and_its_workers(self, tmp_path):
+        # kill's SIGTERM ends serve like Ctrl-C.  A clean exit joins the
+        # pool that a challenge forks, so serve exits 0 only after its
+        # workers have; without the handler it would die with -SIGTERM and
+        # leave them running.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(psiauth.__file__).parents[1]))
+        with subprocess.Popen(
+                [sys.executable, "-u", "-m", "psiauth.cli", "serve",
+                 "--listen", "127.0.0.1:0", "--data-dir",
+                 str(tmp_path / "store")],
+                env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True) as proc:
+            try:
+                # "carrier listening on HOST:PORT, profiles under ..."
+                address = proc.stdout.readline().split()[3].rstrip(",")
+                host, port = address.rsplit(":", 1)
+                features = FeatureSet.from_values(FeatureMode.CASE_A,
+                                                  [3, 5, 8, 13])
+                client.setup_device((host, int(port)), "alice", features,
+                                    tmp_path / "alice.secret", bits=128,
+                                    rng=random.Random(9))
+                with client.CarrierConnection((host, int(port))) as conn:
+                    conn.request(wire.AuthInit("alice", 2))
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+            finally:
+                proc.kill()
 
 
 class TestOracleCommand:

@@ -191,23 +191,7 @@ class TestEncryptDecrypt:
 
 
 class TestCrtPower:
-    """Set-up computes its full-width powers by CRT while it holds p, q."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(base=st.integers(min_value=0), exponent=st.integers(min_value=0))
-    def test_equals_plain_pow(self, kp512, base, exponent):
-        pk, sk = kp512
-        base %= pk.n_squared
-        exponent %= pk.n_squared
-        assert sk.pow_mod_n_squared(base, exponent) == \
-            pow(base, exponent, pk.n_squared)
-
-    def test_edge_values(self, kp512):
-        pk, sk = kp512
-        for base in (0, 1, pk.n, pk.n_squared - 1):
-            for exponent in (0, 1, pk.n, pk.n - 1):
-                assert sk.pow_mod_n_squared(base, exponent) == \
-                    pow(base, exponent, pk.n_squared)
+    """Set-up computes each encryption's ``r**n`` by CRT, holding p, q."""
 
     def test_encrypt_with_secret_key_is_unchanged(self, kp512, rng):
         pk, sk = kp512

@@ -200,20 +200,34 @@ class TestDeviceRespond:
         assert identity_count <= 5  # expectation is 100/120
 
     @pytest.mark.parametrize("cpus", [1, None])
-    def test_non_unit_challenge_raises_protocol_error(self, enrolled, rng,
-                                                       cpus, fresh_pool,
-                                                       one_cpu):
-        # Blinded randomizers that are multiples of n make the ratio leg
-        # evaluate to 0 modulo n, which has no inverse.  One CPU builds the
-        # entries in-process, None leaves them to the pool.
-        profile, secret = enrolled
+    def test_non_unit_challenge_raises_protocol_error(self, rng, cpus,
+                                                       fresh_pool, one_cpu):
+        # Blinded randomizers that are multiples of p, inside [1, n), make
+        # the ratio leg evaluate to a multiple of p modulo n, which has no
+        # inverse.  One CPU builds the entries in-process, None leaves them
+        # to the pool.
+        profile, secret, audit = build_encrypted_profile(
+            "alice", case_a([101, 202, 303]), 128, rng,
+            keep_setup_audit=True)
         challenge, _ = carrier_challenge(profile, rng)
         crafted = dataclasses.replace(
-            challenge, blinded_randomizers=(profile.public_key.n,) *
+            challenge, blinded_randomizers=(audit.secret_key.p,) *
             len(challenge.blinded_randomizers))
         with one_cpu() if cpus == 1 else contextlib.nullcontext():
             with pytest.raises(ProtocolError, match="non-unit"):
                 device_respond(secret, crafted, case_a([11, 22, 33]), rng)
+
+    def test_challenge_refuses_blinded_values_outside_range(self, enrolled,
+                                                            rng):
+        # One encoding per value: a blinded randomizer lies in [1, n), so
+        # n itself, which the device would read as 0, never reaches it.
+        profile, _ = enrolled
+        challenge, _ = carrier_challenge(profile, rng)
+        legs = len(challenge.blinded_randomizers)
+        for value in (0, profile.public_key.n):
+            with pytest.raises(ValueError, match=r"outside \[1, n\)"):
+                dataclasses.replace(challenge,
+                                    blinded_randomizers=(value,) * legs)
 
     @pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
     def test_workers_do_not_change_the_response(self, mode, fresh_pool,
@@ -726,10 +740,12 @@ class TestDecide:
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
 # profile and secret bytes, challenge and response bytes, and the match
-# counts.  Recorded when response entries became (cipher, ratio) pairs; the
-# pairs themselves are pinned to the earlier construction below.
-PINNED_TRANSCRIPT_DIGEST = ("f872af57f1b88e5881dc2bdadc32bd9f"
-                            "3c38dd3cd660fe8ca51f626d650032ca")
+# counts.  Recorded when the record and the challenge began to carry the
+# blinded randomizers modulo n: the run before, with each of those values
+# reduced modulo n, gives this digest, so nothing else moved.  The pairs
+# themselves are pinned to the earlier construction below.
+PINNED_TRANSCRIPT_DIGEST = ("285f879bfc037452a7d8294aa0f0621b"
+                            "814039c4de683072438042596d8a26ab")
 
 
 def transcript_blobs():

@@ -1,3 +1,4 @@
+import logging
 import random
 import socket
 import threading
@@ -187,6 +188,28 @@ class TestServeFlow:
             with pytest.raises(client.CarrierReplyError) as excinfo:
                 conn.request(wire.AuthInit("ghost", 1))
             assert excinfo.value.code == wire.ERR_UNKNOWN_USER
+
+    def test_record_with_blinded_values_modulo_n_squared_refused(
+            self, enrolled, caplog):
+        # A record stored before the blinded randomizers went modulo n holds
+        # residues modulo n**2.  Loading it fails the range check, which
+        # the carrier answers as a decode failure naming the range, not as
+        # an internal error; its user enrolls again.
+        service, _, _ = enrolled
+        profile = service.store.load("alice")
+        stored = encode_uints(profile.blinded_randomizers)
+        wide = encode_uints(b + profile.public_key.n
+                            for b in profile.blinded_randomizers)
+        record = profile.to_bytes()
+        assert record.count(stored) == 1
+        service.store._path("alice").write_bytes(record.replace(stored, wide))
+        with client.CarrierConnection(service.address) as conn:
+            with pytest.raises(client.CarrierReplyError) as excinfo:
+                conn.request(wire.AuthInit("alice", 3))
+        assert excinfo.value.code == wire.ERR_DECODE
+        assert "outside [1, n)" in excinfo.value.text
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert service.sessions._sessions == {}
 
     def test_non_positive_sample_size_opens_no_session(self, enrolled):
         # The declared size is what a Case A or C response is held to and
@@ -435,6 +458,9 @@ UNANSWERABLE = {
     "case-b-empty-support": (case_b([2, 5, 9]), case_b([5]),
                              SimilarityFunction({5: ()}, max_weight=1),
                              ProtocolError),
+    "case-b-support-outside-domain": (
+        case_b([2, 5, 9]), case_b([5]),
+        SimilarityFunction({5: ((5, 1), (-1, 1))}, max_weight=1), ValueError),
 }
 
 

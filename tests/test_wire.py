@@ -24,7 +24,7 @@ def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
     n = rng.getrandbits(64) | (1 << 63) | 1
     pk = PaillierPublicKey.from_modulus(n)
     coeffs = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
-    blinded = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
+    blinded = tuple(rng.randrange(1, pk.n) for _ in range(size + 1))
     count = cap = None
     if mode is FeatureMode.CASE_C:
         count, cap = size, 4
@@ -103,11 +103,13 @@ def pinned_blobs():
         yield wire.encode_frame(random_message(rng))
 
 
-# SHA-256 over ``pinned_blobs``, recorded when response entries became
-# (cipher, ratio) pairs and the version byte 0x02; every stored record and
-# frame must stay identical.
-PINNED_DIGEST = ("dab8f9ec6068eaad1140c6b4ddef58f2"
-                 "58f7158549c10e2224bf7842c6cfc619")
+# SHA-256 over ``pinned_blobs``, recorded with the version byte 0x03, when
+# records and challenges began to carry blinded randomizers below n (so
+# ``fake_profile`` draws them below n, and every later draw moved too);
+# every stored record and frame must stay identical.  The encoders of 0x02,
+# given the same draws and version byte, give the same digest.
+PINNED_DIGEST = ("a5397ce3a22604af63f344cde6e3d9fe"
+                 "bc3ba33bbb0b4c572f84184d249b7e0a")
 
 
 def test_encodings_are_byte_stable():
@@ -115,12 +117,12 @@ def test_encodings_are_byte_stable():
     for blob in pinned_blobs():
         digest.update(len(blob).to_bytes(4, "big") + blob)
     assert digest.hexdigest() == PINNED_DIGEST
-    assert wire.PROTOCOL_VERSION == 0x02
+    assert wire.PROTOCOL_VERSION == 0x03
 
 
 class TestFraming:
     def test_store_ack_is_six_bytes(self):
-        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("020200000000")
+        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("030200000000")
 
     def test_unknown_version_rejected(self):
         frame = bytearray(wire.encode_frame(wire.StoreAck()))
