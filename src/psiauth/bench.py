@@ -82,8 +82,9 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
               include_auth: bool = True) -> list[BenchRecord]:
     """Median-of-repetitions timings for each size; returns one record each.
 
-    Set-up's powers and the device response run on the worker pool; each
-    record's ``parallelism`` is the number of usable CPUs both had.  Every
+    Key generation's Miller-Rabin rounds, set-up's powers and the device
+    response run on the worker pool; each record's ``parallelism`` is the
+    number of usable CPUs they had.  Every
     repetition builds a profile and challenges it once, so ``auth_seconds``
     always includes squaring to the teeth of every coefficient
     (``challenge_teeth``), seeded or not: the cost of a carrier's first

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .encoding import Reader, encode_uint
+from .pool import _in_pool
 
 __all__ = [
     "KeyGenerationError",
@@ -242,6 +243,22 @@ class PaillierSecretKey:
         return self._combine(pow(pow(base, q % (p - 1), p), p, p * p),
                              pow(pow(base, p % (q - 1), q), q, q * q))
 
+    def pow_mod_n(self, unit: int, exponent: int) -> int:
+        """``pow(unit, exponent, n)`` for a unit modulo ``n``, by CRT.
+
+        Takes units only.  By Fermat ``unit**exponent`` is
+        ``unit**(exponent mod (p-1))`` modulo ``p`` and likewise modulo
+        ``q``, two half-width powers to half-width exponents; a multiple of
+        ``p`` to an exponent divisible by ``p - 1`` would come out ``1``
+        there instead of ``0``.  The halves are joined by Garner's step,
+        with ``q**-1 mod p`` read off ``crt_lift`` as ``q * crt_lift``.
+        About three tenths of a plain ``pow`` modulo ``n``.
+        """
+        p, q = self.p, self.q
+        at_p = pow(unit, exponent % (p - 1), p)
+        at_q = pow(unit, exponent % (q - 1), q)
+        return at_q + q * ((at_p - at_q) * q * self.crt_lift % p)
+
 
 def _passes_round(base: int, d: int, r: int, modulus: int) -> bool:
     """One Miller-Rabin round, ``modulus - 1 == d * 2**r`` with ``d`` odd:
@@ -256,6 +273,16 @@ def _passes_round(base: int, d: int, r: int, modulus: int) -> bool:
     return False
 
 
+def _rounds_chunk(context: tuple[int, int, int, int],
+                  bases: list[int]) -> list[bool]:
+    """Whether each base passes its round modulo ``small`` (past ``1``)
+    and then modulo the candidate, for ``context = (candidate, d, r,
+    small)``."""
+    candidate, d, r, small = context
+    return [(small == 1 or _passes_round(a, d, r, small)) and
+            _passes_round(a, d, r, candidate) for a in bases]
+
+
 def is_probable_prime(candidate: int,
                       rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with randomly chosen bases.
@@ -265,6 +292,14 @@ def is_probable_prime(candidate: int,
     round that passes modulo the candidate passes modulo ``g``.  That is the
     round, and so the number of bases drawn, at which the plain test
     rejects it, at a small fraction of the cost.
+
+    The first round runs here.  A random composite that passes it is rare
+    (Damgard, Landrock and Pomerance, Math. Comp. 1993), so the other
+    ``PRIMALITY_ROUNDS - 1`` bases are drawn at once and tested together on
+    the worker pool (``pool``), whose forked workers see the candidate as
+    set-up's see ``p`` and ``q``.  If one fails, ``rng`` is rewound to just
+    past the first failing base: the plain test draws exactly the bases up
+    to it, so a seeded key is unchanged.
     """
     if candidate < 2:
         return False
@@ -281,14 +316,23 @@ def is_probable_prime(candidate: int,
     while d % 2 == 0:
         d //= 2
         r += 1
-    small = math.gcd(candidate, _SIEVE_PRODUCT)
-    for _ in range(PRIMALITY_ROUNDS):
-        a = rng.randrange(2, candidate - 1)
-        if small > 1 and not _passes_round(a, d, r, small):
-            return False
-        if not _passes_round(a, d, r, candidate):
-            return False
-    return True
+    context = (candidate, d, r, math.gcd(candidate, _SIEVE_PRODUCT))
+    if not _rounds_chunk(context, [rng.randrange(2, candidate - 1)])[0]:
+        return False
+    try:
+        state = rng.getstate()
+    except NotImplementedError:  # SystemRandom: no state to replay
+        state = None
+    bases = [rng.randrange(2, candidate - 1)
+             for _ in range(PRIMALITY_ROUNDS - 1)]
+    passed = _in_pool(_rounds_chunk, context, bases)
+    if all(passed):
+        return True
+    if state is not None:
+        rng.setstate(state)
+        for _ in range(passed.index(False) + 1):
+            rng.randrange(2, candidate - 1)
+    return False
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:

@@ -1,8 +1,9 @@
 """One persistent pool of forked worker processes for independent powers.
 
-Set-up, the challenge, the device response and the carrier's match tests
-each hand their per-item powers to ``_in_pool``.  The pool is created on
-first use with one worker per usable CPU and kept until exit.  Workers are
+Key generation's Miller-Rabin rounds, set-up, the challenge, the device
+response and the carrier's match tests each hand their per-item powers to
+``_in_pool``.  The pool is created on first use with one worker per usable
+CPU and kept until exit; a worker exits when its parent dies.  Workers are
 forked, so any secret in a job reaches only children of the process that
 holds it.
 """
@@ -14,6 +15,7 @@ import multiprocessing
 import os
 import stat
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -36,12 +38,20 @@ _pool_pid = 0
 _pool_lock = threading.Lock()
 
 
-def _close_inherited_sockets() -> None:
-    """Worker initializer: drop the caller's sockets from the forked copy.
+# How often a worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.25
+
+
+def _init_worker(parent: int) -> None:
+    """Worker initializer: drop the caller's sockets, and exit with it.
 
     A worker that kept a copy of a listening or connected socket would hold
     its port or connection open after the caller closed it.  The pool talks
-    to its workers over pipes, which stay.
+    to its workers over pipes, which stay.  A worker waits on a pipe whose
+    write end it inherited, so it never sees its parent die without exit
+    handlers (SIGKILL, or an unhandled SIGTERM), and would live on under a
+    new parent, holding the parent's stdout open.  So a thread ends the
+    worker once ``parent`` is no longer its parent.
     """
     fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
     for name in os.listdir(fd_dir):
@@ -50,6 +60,14 @@ def _close_inherited_sockets() -> None:
                 os.close(int(name))
         except OSError:  # the listing's own descriptor, closed by now
             pass
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _get_pool() -> ProcessPoolExecutor:
@@ -63,7 +81,7 @@ def _get_pool() -> ProcessPoolExecutor:
             _pool = ProcessPoolExecutor(
                 max_workers=usable_cpus(),
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_close_inherited_sockets)
+                initializer=_init_worker, initargs=(os.getpid(),))
             _pool_pid = os.getpid()
         return _pool
 

@@ -20,11 +20,15 @@ the anchor ``R'``; every other intermediate (secret key, coefficients,
 randomizers, plaintext features) is dropped.  While it still holds ``p`` and
 ``q``, set-up computes ``r**n`` in each coefficient encryption by CRT
 through ``r mod p`` and ``r mod q``, at about two fifths of a plain power
-(``PaillierSecretKey.pow_n_mod_n_squared``); each blinded randomizer is one
-``pow`` modulo ``n``.  Every randomizer, the blinding solve and ``d`` are
-drawn first, in this process; then all ``2(s+1)`` powers go to the worker
-pool in one call (``pool``), so a seeded set-up gives the same record
-whatever the number of CPUs.
+(``PaillierSecretKey.pow_n_mod_n_squared``), and each blinded randomizer
+``x**d mod n`` by CRT through ``x mod p`` and ``x mod q``, at about three
+tenths of a plain ``pow`` modulo ``n`` (``PaillierSecretKey.pow_mod_n``).
+Every randomizer, the blinding solve and ``d`` are drawn first, in this
+process; then all ``2(s+1)`` powers go to the worker pool in one call
+(``pool``), so a seeded set-up gives the same record whatever the number
+of CPUs.  Key generation, before them, tests each candidate prime's
+Miller-Rabin rounds after the first in the same pool, and draws every base
+in this process.
 
 Two solvers produce the blinding randomizers:
 
@@ -483,9 +487,10 @@ class SetupAudit:
 def _setup_chunk(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
                  jobs: list[tuple[int | None, int]]) -> list[int]:
     """The cipher of ``coeff`` under randomizer ``base`` for a job
-    ``(coeff, base)``, and ``base**d mod n`` for a job ``(None, base)``."""
+    ``(coeff, base)``, and ``base**d mod n`` by CRT for a job
+    ``(None, base)``, ``base`` a unit."""
     pk, sk, d = context
-    return [pow(base, d, pk.n) if coeff is None
+    return [sk.pow_mod_n(base, d) if coeff is None
             else encrypt(pk, coeff, base, sk=sk)[0] for coeff, base in jobs]
 
 

@@ -60,13 +60,14 @@ teeth costs about 0.28.
 
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
-set-up's coefficient encryptions and blinded randomizers (``profiles``), the
-challenge's teeth and ``C_i**theta``, the device's entries and the carrier's
-match tests.  Everything else stays in the calling process: key generation,
-randomizer draws, ``R'**d``, the shuffle, and every check ``carrier_score``
-makes before it tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and
-``theta`` thus cross a pipe only to forked children of the process that
-holds them.  A dead worker costs one call its parallelism, not its result:
+key generation's Miller-Rabin rounds after a candidate's first
+(``paillier.is_probable_prime``), set-up's coefficient encryptions and
+blinded randomizers (``profiles``), the challenge's teeth and
+``C_i**theta``, the device's entries and the carrier's match tests.
+Everything else stays in the calling process: every random draw,
+``R'**d``, the shuffle, and every check ``carrier_score`` makes before it
+tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and ``theta``
+thus cross a pipe only to forked children of the process that holds them.  A dead worker costs one call its parallelism, not its result:
 the call finishes in-process and the next one builds a new pool.
 """
 

@@ -100,6 +100,13 @@ class TestKeygen:
     @example(small=1, cofactor=25326001, seed=2)
     @example(small=1, cofactor=2152302898747, seed=3)
     @example(small=1, cofactor=3474749660383, seed=4)
+    # The first base is a strong liar, so the second round fails: the
+    # rounds after the first, tested together, must leave the generator
+    # just past the first failing base.
+    @example(small=1, cofactor=1373653, seed=6)
+    @example(small=1, cofactor=25326001, seed=15)
+    @example(small=1, cofactor=2152302898747, seed=5)
+    @example(small=1, cofactor=3474749660383, seed=1)
     def test_small_factor_shortcut_draws_like_the_plain_test(self, small,
                                                              cofactor, seed):
         # Same answer and the same bases drawn, so a seeded key generation
@@ -191,7 +198,38 @@ class TestEncryptDecrypt:
 
 
 class TestCrtPower:
-    """Set-up computes each encryption's ``r**n`` by CRT, holding p, q."""
+    """Set-up computes each encryption's ``r**n`` and each blinded power
+    ``x**d mod n`` by CRT, holding p, q."""
+
+    @pytest.fixture(scope="class")
+    def keys(self, kp512):
+        return {16: keygen(16, random.Random(16))[1], 512: kp512[1]}
+
+    @settings(max_examples=120, deadline=None)
+    @given(bits=st.sampled_from([16, 512]),
+           order=st.sampled_from(["p-above-q", "p-below-q"]),
+           unit=st.one_of(st.sampled_from(["1", "n-1"]), st.integers()),
+           exponent=st.sampled_from(["0", "1", "n-1", "k*(p-1)", "k*(q-1)",
+                                     "random"]),
+           k=st.integers(min_value=1, max_value=1 << 600))
+    @example(bits=16, order="p-above-q", unit="n-1", exponent="1", k=1)
+    @example(bits=16, order="p-below-q", unit=2, exponent="n-1", k=1)
+    @example(bits=512, order="p-above-q", unit=3, exponent="k*(p-1)", k=5)
+    @example(bits=512, order="p-below-q", unit="1", exponent="k*(q-1)", k=1)
+    @example(bits=16, order="p-below-q", unit=7, exponent="k*(p-1)", k=1)
+    @example(bits=512, order="p-above-q", unit="n-1", exponent="n-1", k=1)
+    def test_pow_mod_n_equals_plain_pow(self, keys, bits, order, unit,
+                                        exponent, k):
+        low, high = sorted((keys[bits].p, keys[bits].q))
+        p, q = (high, low) if order == "p-above-q" else (low, high)
+        pk, sk = keypair_from_primes(p, q, insecure_test_mode=True)
+        n = pk.n
+        unit = {"1": 1, "n-1": n - 1}[unit] if isinstance(unit, str) \
+            else unit % n
+        assume(math.gcd(unit, n) == 1)
+        exponent = {"0": 0, "1": 1, "n-1": n - 1, "k*(p-1)": k * (p - 1),
+                    "k*(q-1)": k * (q - 1), "random": k % n}[exponent]
+        assert sk.pow_mod_n(unit, exponent) == pow(unit, exponent, n)
 
     def test_encrypt_with_secret_key_is_unchanged(self, kp512, rng):
         pk, sk = kp512

@@ -5,8 +5,10 @@ import logging
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,6 +403,48 @@ class TestWorkerPool:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == \
             f"{oracle_intersection([3, 5, 8, 13], [5, 13, 21])}\n"
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        # A parent killed without its exit handlers must not leave its
+        # workers running: they hold its stdout, so a reader waiting for
+        # EOF would hang.  So this reads one line and never waits for EOF.
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to tell a zombie from a live process")
+        script = ("import os, signal\n"
+                  "from psiauth import pool\n"
+                  "pool.usable_cpus = lambda: 2\n"
+                  "executor = pool._get_pool()\n"
+                  "executor.submit(os.getpid).result()\n"
+                  "print(*executor._processes, flush=True)\n"
+                  "os.kill(os.getpid(), signal.SIGKILL)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(pool.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True) as proc:
+            workers = []
+            try:
+                workers = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(workers) == 2
+                assert proc.wait(timeout=30) == -signal.SIGKILL
+                deadline = time.monotonic() + 30
+                while any(map(running, workers)) and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not any(map(running, workers))
+            finally:
+                for pid in filter(running, workers):
+                    os.kill(pid, signal.SIGKILL)
+                proc.kill()
+
+
+def running(pid):
+    """Whether ``pid`` names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
 
 
 def hashed(mode, labels):
