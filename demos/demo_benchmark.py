@@ -19,4 +19,5 @@ records += bench_run([4, 8, 16, 24], key_bits=256, solver="gaussian",
 
 print(format_table(records))
 print("\ngaussian setup should pull ahead of closed-form as size grows;")
-print("auth cost is solver-independent (it only touches the finished record)")
+print("both solvers build the same record and secret, so auth cost is "
+      "solver-independent")

@@ -94,6 +94,11 @@ def bench_run(sizes: Sequence[int], key_bits: int = 1024,
         raise ValueError("no sizes to benchmark")
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    # Each measurement draws 2 * size distinct features of feature_bits.
+    if 2 * max(sizes) > 1 << feature_bits:
+        raise ValueError(f"size {max(sizes)} needs {2 * max(sizes)} distinct "
+                         f"features, more than {feature_bits}-bit features "
+                         f"offer")
     records = []
     for size in sizes:
         setup_times = []

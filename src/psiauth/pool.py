@@ -5,7 +5,10 @@ response and the carrier's match tests each hand their per-item powers to
 ``_in_pool``.  The pool is created on first use with one worker per usable
 CPU and kept until exit; a worker exits when its parent dies.  Workers are
 forked, so any secret in a job reaches only children of the process that
-holds it.
+holds it.  A carrier forks them with ``fork_workers`` before it starts any
+serving or handler thread.  A pool rebuilt after a worker died is still
+forked by the next pooled call, from a handler thread in a carrier; the
+warning that drops the broken pool says so.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["usable_cpus"]
+__all__ = ["fork_workers", "usable_cpus"]
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +87,16 @@ def _get_pool() -> ProcessPoolExecutor:
                 initializer=_init_worker, initargs=(os.getpid(),))
             _pool_pid = os.getpid()
         return _pool
+
+
+def fork_workers() -> None:
+    """Fork the pool's workers now, if there is more than one usable CPU.
+
+    The ``fork`` executor forks every worker at the pool's first submit, so
+    one trivial job forks them all, from the thread that calls this.
+    """
+    if usable_cpus() > 1:
+        _get_pool().submit(int).result()
 
 
 def _drop_pool(pool: ProcessPoolExecutor) -> None:

@@ -7,7 +7,7 @@ satisfy, for every profile feature ``a``,
 
     r'_0 * r'_1**a * r'_2**(a**2) * ... * r'_s**(a**s) == R'  (mod n**2)
 
-Both solvers draw ``r'_1 .. r'_s`` from the order-``n`` subgroup, so each is
+Every ``r'_1 .. r'_s`` lies in the order-``n`` subgroup, so each is
 ``1`` modulo ``n`` and ``r'_0 == R' (mod n)``: modulo ``n`` the product is
 ``R'`` at every value, a root or not.  The device reads the blinded
 randomizers only modulo ``n``, and the record holds them modulo ``n``: the
@@ -30,18 +30,20 @@ of CPUs.  Key generation, before them, tests each candidate prime's
 Miller-Rabin rounds after the first in the same pool, and draws every base
 in this process.
 
-Two solvers produce the blinding randomizers:
+A blinding solution randomizes a *kernel* of the power matrix: an integer
+vector ``(e_0 .. e_s)`` with ``sum(e_k * a**k) == 0`` at every profile
+feature ``a``.  ``solve_blinding`` randomizes any kernel; set-up gives it
+the polynomial's coefficients, which is exact and linear-time.
+``solve_blinding_gaussian`` finds a kernel by fraction-free Gaussian
+elimination over the s-by-s power matrix, the cubic-cost reference used to
+benchmark set-up against the cheap path, and hands it to ``solve_blinding``.
+Both keep the anchor they are given and make the same draws, and set-up
+reads the blinding only modulo ``n``, so the solver choice changes set-up's
+time and never its record or secret.
 
-* ``solve_blinding`` assigns exponents proportional to the polynomial
-  coefficients, which is exact and linear-time because the polynomial
-  vanishes at every profile feature.
-* ``solve_blinding_gaussian`` solves the underlying s-by-s power-matrix
-  system by fraction-free Gaussian elimination over the integers.  It is the
-  cubic-cost reference used to benchmark set-up against the cheap solver.
-
-Both draw the exponent base from the order-``n`` subgroup of units modulo
+The exponent base is drawn from the order-``n`` subgroup of units modulo
 ``n**2`` (the elements ``1 + k*n``).  Powers of such a base depend on the
-exponent only modulo ``n``, so neither solver needs the secret key to reduce
+exponent only modulo ``n``, so no solver needs the secret key to reduce
 its exponents, and the blinding identity stays exact whether evaluation
 powers ``a**k`` are used raw or reduced modulo ``n``; the authentication
 protocol evaluates by Horner's rule, which amounts to raw powers.
@@ -253,20 +255,18 @@ class BlindingSolution:
     anchor: int
 
 
-def _subgroup_pow(k: int, exponent: int, n: int, n_squared: int) -> int:
-    # (1 + k*n) ** exponent == 1 + (k * exponent % n) * n  (mod n**2)
-    return (1 + (k * exponent % n) * n) % n_squared
-
-
-def solve_blinding(coeffs: Sequence[int], anchor: int, pk: PaillierPublicKey,
+def solve_blinding(kernel: Sequence[int], anchor: int, pk: PaillierPublicKey,
                    rng: random.Random | None = None) -> BlindingSolution:
-    """Closed-form blinding randomizers for the given polynomial.
+    """Blinding randomizers from a kernel of the power matrix.
 
-    With base ``w`` and a nonzero scale ``c``, setting the exponent of
-    ``r'_k`` to ``-c * p_k`` makes the product telescope to
-    ``w**(-c * p(a)) == 1`` at every root ``a``, so the identity holds with
-    ``r'_0`` absorbing the anchor.  The scale is never zero, which rules out
-    the trivial solution ``r'_1 = .. = r'_s = 1``.
+    With base ``w = 1 + k*n`` and a nonzero scale ``c``, setting
+    ``r'_k = w**(-c * e_k)`` makes the product telescope to
+    ``w**(-c * sum(e_k * a**k)) == 1`` at every feature ``a``, so the
+    identity holds with ``r'_0`` absorbing the given anchor, which is
+    returned as is.  ``k * c`` is never ``0`` modulo ``n``, which rules out
+    the trivial solution ``r'_1 = .. = r'_s = 1`` for the coefficients,
+    whose top entry is ``1``.  The draws do not depend on the kernel, so
+    neither do the caller's draws after them.
     """
     rng = rng or _SYSTEM
     n, n_squared = pk.n, pk.n_squared
@@ -277,12 +277,9 @@ def solve_blinding(coeffs: Sequence[int], anchor: int, pk: PaillierPublicKey,
         scale = rng.randrange(1, n)
         if k * scale % n:  # keep the top randomizer visibly non-trivial
             break
-    randomizers = []
-    for index, coeff in enumerate(coeffs):
-        value = _subgroup_pow(k, -scale * coeff, n, n_squared)
-        if index == 0:
-            value = value * anchor % n_squared
-        randomizers.append(value)
+    # (1 + k*n) ** x == 1 + (k * x % n) * n  (mod n**2)
+    randomizers = [1 + (k * -scale * e % n) * n for e in kernel]
+    randomizers[0] = randomizers[0] * anchor % n_squared
     return BlindingSolution(tuple(randomizers), anchor)
 
 
@@ -327,19 +324,18 @@ def _solve_scaled_integer_system(matrix: list[list[int]],
 def solve_blinding_gaussian(features: FeatureSet, anchor: int,
                             pk: PaillierPublicKey,
                             rng: random.Random | None = None) -> BlindingSolution:
-    """Blinding randomizers via exact Gaussian elimination (benchmark path).
+    """Blinding randomizers from a kernel found by Gaussian elimination.
 
-    Builds the s-by-s matrix of feature powers ``a_j**k`` over the integers
-    and solves it fraction-free for exponents hitting a common random target,
-    scaling the target by the determinant so the solution stays integral.
-    The anchor of the returned solution is recomputed from the target; the
-    supplied unit serves as ``r'_0``.  Any degeneracy (zero or colliding
-    features) falls back to the closed-form solver with a logged warning.
+    Builds the s-by-s matrix of feature powers ``a_j**k`` (``k = 1 .. s``)
+    over the integers and solves ``M x == det * (1, .., 1)`` fraction-free,
+    so ``(det, -x_1, .., -x_s)`` is a kernel, which ``solve_blinding``
+    randomizes under the given anchor.  Any degeneracy (zero or colliding
+    features) falls back to the coefficients with a logged warning.  This is
+    the cubic-cost reference used to benchmark set-up against the cheap
+    solver: it changes set-up's time, and a set-up under either solver
+    gives the same record and secret.
     """
-    rng = rng or _SYSTEM
-    n, n_squared = pk.n, pk.n_squared
-    if not 1 <= anchor < n_squared or math.gcd(anchor, n) != 1:
-        raise ValueError("anchor must be a unit modulo n**2")
+    n = pk.n
     roots = features.values
     size = len(roots)
     try:
@@ -358,22 +354,12 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
         solution, det = _solve_scaled_integer_system(matrix, [1] * size)
         if det % n == 0:
             raise DegenerateSystemError("determinant divisible by n")
+        kernel = [det] + [-x for x in solution]
     except DegenerateSystemError as exc:
         log.warning("gaussian blinding solve degenerate (%s); "
                     "falling back to the closed-form solver", exc)
-        coeffs = poly_from_roots(features, n)
-        return solve_blinding(coeffs, anchor, pk, rng)
-    while True:
-        k = rng.randrange(1, n)
-        target = rng.randrange(1, n)
-        if k * target * det % n:
-            break
-    randomizers = [anchor]
-    for x in solution:
-        randomizers.append(_subgroup_pow(k, target * x, n, n_squared))
-    anchor_out = anchor * _subgroup_pow(k, target * det, n, n_squared) \
-        % n_squared
-    return BlindingSolution(tuple(randomizers), anchor_out)
+        kernel = poly_from_roots(features, n)
+    return solve_blinding(kernel, anchor, pk, rng)
 
 
 def _check_blinded(pk: PaillierPublicKey, blinded: Sequence[int]) -> None:
@@ -523,11 +509,11 @@ def build_encrypted_profile(
     pk, sk = keygen(bits, rng)
     coeffs = poly_from_roots(features, pk.n)
     enc_randomizers = [draw_unit(rng, pk.n) for _ in coeffs]
-    anchor_seed = draw_unit(rng, pk.n_squared)
+    anchor = draw_unit(rng, pk.n_squared)
     if solver == "gaussian":
-        blinding = solve_blinding_gaussian(features, anchor_seed, pk, rng)
+        blinding = solve_blinding_gaussian(features, anchor, pk, rng)
     else:
-        blinding = solve_blinding(coeffs, anchor_seed, pk, rng)
+        blinding = solve_blinding(coeffs, anchor, pk, rng)
     unblinded = [rp * pow(r, -1, pk.n) % pk.n
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]
     d = rng.randrange(1, pk.n)
@@ -541,7 +527,7 @@ def build_encrypted_profile(
         pk, tuple(powers[0::2]), tuple(powers[1::2]), features.size,
         features.mode, count=features.count, cap=features.cap,
         threshold=threshold)
-    secret = DeviceSecret(user_id, d, blinding.anchor, features.mode,
+    secret = DeviceSecret(user_id, d, anchor, features.mode,
                           count=features.count, cap=features.cap)
     if keep_setup_audit:
         audit = SetupAudit(sk, tuple(coeffs), tuple(enc_randomizers),

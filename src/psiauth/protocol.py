@@ -67,8 +67,10 @@ blinded randomizers (``profiles``), the challenge's teeth and
 Everything else stays in the calling process: every random draw,
 ``R'**d``, the shuffle, and every check ``carrier_score`` makes before it
 tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and ``theta``
-thus cross a pipe only to forked children of the process that holds them.  A dead worker costs one call its parallelism, not its result:
-the call finishes in-process and the next one builds a new pool.
+thus cross a pipe only to forked children of the process that holds them.
+
+A dead worker costs one call its parallelism, not its result: the call
+finishes in-process and the next one builds a new pool.
 """
 
 from __future__ import annotations

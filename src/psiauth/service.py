@@ -29,7 +29,7 @@ from .protocol import (
     challenge_teeth,
     decide,
 )
-from . import wire
+from . import pool, wire
 
 __all__ = ["CarrierConfig", "CarrierService", "ProfileStore", "UnknownUserError"]
 
@@ -245,12 +245,16 @@ class CarrierService:
     _HANDLERS = {wire.StoreProfile: _handle_store, wire.AuthInit: _handle_init,
                  wire.Response: _handle_response}
 
+    # Both fork the pool's workers first, so that no worker is forked from
+    # a process that runs a serving or handler thread.
     def start(self) -> None:
+        pool.fork_workers()
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         name="carrier", daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
+        pool.fork_workers()
         self._server.serve_forever()
 
     def shutdown(self) -> None:

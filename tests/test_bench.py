@@ -58,6 +58,15 @@ class TestBenchRun:
         with pytest.raises(ValueError):
             bench_run([])
 
+    def test_sizes_beyond_the_feature_space_rejected(self):
+        # 2 * 5 distinct features do not fit in [1, 2**3]; refused before
+        # any key generation instead of drawing forever.
+        with pytest.raises(ValueError, match="distinct features"):
+            bench_run([5], key_bits=64, feature_bits=3)
+        record, = bench_run([4], key_bits=64, repetitions=1, seed=7,
+                            feature_bits=3, include_auth=False)
+        assert record.set_size == 4
+
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             BenchRecord(1, -0.1, 0.0, 128, "closed-form", 1)

@@ -229,6 +229,9 @@ FAILING = {
         "bench", "--sizes", "2", "--key-bits", "64", "--feature-bits", "8",
         "--repetitions", "1", "--seed", "1",
         "--csv", str(tmp / "missing" / "bench.csv")],
+    "bench-sizes-beyond-features": lambda tmp, port: [
+        "bench", "--sizes", "2", "--key-bits", "64", "--feature-bits", "1",
+        "--repetitions", "1"],
     "oracle-case-b-without-table": lambda tmp, port: [
         "oracle", "--mode", "case-b", "--profile", write(tmp / "a.txt", "x"),
         "--sample", write(tmp / "b.txt", "x")],

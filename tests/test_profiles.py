@@ -16,6 +16,7 @@ from psiauth import (
     decrypt,
     encode_numeric,
     hash_feature,
+    keygen,
     poly_from_roots,
     solve_blinding,
     solve_blinding_gaussian,
@@ -119,6 +120,7 @@ class TestBlindingSolvers:
                                   pk, rng)
             else:
                 solution = solver(features, anchor, pk, rng)
+            assert solution.anchor == anchor
             assert blinding_identity_holds(
                 solution.randomizers, solution.anchor, values, pk.n_squared)
 
@@ -150,10 +152,11 @@ class TestBlindingSolvers:
         pk, sk = keypair_from_primes(3, 5, insecure_test_mode=True)
         features = case_a([15])  # 15 = 0 mod n: zero row in the power matrix
         rng = random.Random(3)
+        anchor = draw_unit(rng, pk.n_squared)
         with caplog.at_level(logging.WARNING, logger="psiauth.profiles"):
-            solution = solve_blinding_gaussian(
-                features, draw_unit(rng, pk.n_squared), pk, rng)
+            solution = solve_blinding_gaussian(features, anchor, pk, rng)
         assert "falling back" in caplog.text
+        assert solution.anchor == anchor
         assert blinding_identity_holds(
             solution.randomizers, solution.anchor, features.values,
             pk.n_squared, reduce_mod=pk.n * sk.lam)
@@ -246,6 +249,26 @@ class TestBuildEncryptedProfile:
                 assert pow(blind * pow(r, -1, n_squared), d,
                            n_squared) % n == stored
         assert differ > 0
+
+    @pytest.mark.parametrize("mode", [*sorted(SETUP_RUNS), "fallback"])
+    def test_solver_changes_neither_record_nor_secret(self, mode, caplog):
+        # The two kernels differ, but both solvers make the same draws and
+        # keep set-up's R', and set-up reads the blinding only modulo n.
+        if mode == "fallback":
+            # Set-up's key for this seed; a feature of 0 mod n makes the
+            # Gaussian solver fall back to the coefficients.
+            n = keygen(128, random.Random(35))[0].n
+            features = case_a([5, n])
+        else:
+            features = SETUP_RUNS[mode]
+        runs = []
+        for solver in ("closed-form", "gaussian"):
+            with caplog.at_level(logging.WARNING, logger="psiauth.profiles"):
+                profile, secret = build_encrypted_profile(
+                    "u", features, 128, random.Random(35), solver=solver)
+            runs.append((profile.to_bytes(), secret.to_bytes()))
+        assert runs[0] == runs[1]
+        assert ("falling back" in caplog.text) == (mode == "fallback")
 
     @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
     @pytest.mark.parametrize("mode", sorted(SETUP_RUNS))

@@ -577,9 +577,25 @@ class TestDeviceClient:
             local_decision = decide(matches, profile, len(entries))
             assert wire_decision == local_decision
 
+    def test_workers_forked_before_serving(self, tmp_path, fresh_pool):
+        # start() forks every worker before its serving thread exists, so
+        # no request forks them from a handler thread.
+        config = CarrierConfig(store_root=tmp_path / "store", seed=7)
+        with CarrierService(config):
+            assert pool._pool is not None
+            workers = list(pool._pool._processes.values())
+            assert len(workers) == pool.usable_cpus()
+            assert all(worker.is_alive() for worker in workers)
+
+    def test_one_cpu_carrier_forks_no_pool(self, tmp_path, fresh_pool,
+                                           one_cpu):
+        config = CarrierConfig(store_root=tmp_path / "store", seed=7)
+        with one_cpu(), CarrierService(config):
+            assert pool._pool is None
+
     def test_pool_workers_keep_no_socket_open(self, tmp_path, fresh_pool):
-        # The carrier forks the pool while it listens and holds a
-        # connection; after shutdown its port must refuse connections.
+        # The carrier forks the pool while it listens; after shutdown its
+        # port must refuse connections.
         config = CarrierConfig(store_root=tmp_path / "store", seed=7)
         with CarrierService(config) as svc:
             address = svc.address
