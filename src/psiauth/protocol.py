@@ -47,16 +47,19 @@ The device evaluates both response legs by Horner's rule in the exponent,
 raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
 exponents, so the encryption randomizers cancel carrier-side.
 
-The challenge powers ``C_i**theta`` have the same bases in every session, so
+The session exponent ``theta`` is drawn below ``session_exponent_bound(n)``,
+``min(n, 2**256)``; ``carrier_challenge`` says why 256 bits suffice.  The
+challenge powers ``C_i**theta`` have the same bases in every session, so
 the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
-over the coefficient's teeth ``C_i**(2**(j * w))``, ``j < 6``,
-``w = ceil(|n| / 6)``: ``w`` squarings and up to ``w`` products, where a
-plain power takes ``|n|`` squarings.  The teeth are public values derived
-from the stored record alone, never from ``theta``, so the carrier keeps
-them beside the record (``service.ProfileStore.teeth``) from its first
-challenge on.  Squaring to them (``challenge_teeth``) and then running the
-comb costs about 0.8 of a plain ``pow`` at 1024 bits; the comb over stored
-teeth costs about 0.28.
+over the coefficient's teeth ``C_i**(2**(j * w))``, ``j < 5``,
+``w = ceil(256 / 5) = 52`` bits (``ceil(|n| / 5)`` for ``n`` below
+``2**256``): ``w`` squarings and up to ``w`` products, where a plain power
+takes 256 squarings.  The teeth are public values derived from the stored
+record alone, never from ``theta``, so the carrier keeps them beside the
+record (``service.ProfileStore.teeth``) from its first challenge on.
+Squaring to them (``challenge_teeth``) and then running the comb costs
+about 0.9 of a plain ``pow`` to a 256-bit ``theta`` at 1024 bits; the comb
+over stored teeth costs about 0.3.
 
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
@@ -109,6 +112,7 @@ __all__ = [
     "device_respond_weighted",
     "respond",
     "response_values",
+    "session_exponent_bound",
 ]
 
 _SYSTEM = random.SystemRandom()
@@ -170,7 +174,7 @@ class SessionState:
     """Carrier-private state for one challenge; single use."""
 
     session_id: bytes
-    session_exponent: int  # theta, uniform in [1, n)
+    session_exponent: int  # theta, uniform below session_exponent_bound(n)
     profile: EncryptedProfile
     created_at: float
     sample_size: int | None = None  # declared by the device, if it did
@@ -242,13 +246,18 @@ class AuthDecision:
                    read_mode(reader))
 
 
-# Teeth per challenged coefficient: the coefficient itself and five more.
-_TEETH = 6
+def session_exponent_bound(n: int) -> int:
+    """The exclusive upper bound of a session exponent: ``min(n, 2**256)``."""
+    return min(n, 1 << 256)
+
+
+# Teeth per challenged coefficient: the coefficient itself and four more.
+_TEETH = 5
 
 
 def _comb_width(n: int) -> int:
-    """Bits per comb limb: ``_TEETH`` limbs cover any exponent below ``n``."""
-    return -(-n.bit_length() // _TEETH)
+    """Bits per comb limb: ``_TEETH`` limbs cover any session exponent."""
+    return -(-(session_exponent_bound(n) - 1).bit_length() // _TEETH)
 
 
 def _teeth_chunk(pk: PaillierPublicKey, coeffs: list[int]) -> list[int]:
@@ -308,13 +317,40 @@ def carrier_challenge(profile: EncryptedProfile,
     ``challenge_teeth``, computed first if not given (see the module
     docstring).  ``session_exponent`` and ``session_id`` replace the draws
     from ``rng``, so a carrier can lock its generator for the draws only.
+
+    ``theta`` is uniform in ``[1, session_exponent_bound(n))``: 256 bits
+    at 1024-bit keys and up, where it is always a unit modulo ``n``; at
+    512 bits it is a multiple of ``p`` or ``q`` with probability below
+    ``2**-250``.  The short exponent rests on the short-exponent
+    assumption in groups of unknown order (Koshiba and Kurosawa, PKC
+    2004), and on these points:
+
+    * The carrier picks ``theta``, so the device's privacy cannot rest on
+      it; the tests run ``theta = 1``.
+    * A party that holds the record's ``C_i`` (it read the unauthenticated
+      ``StoreProfile`` frame, or the carrier's store) forges matches
+      without ``theta`` (see ``carrier_score``), so ``theta``'s length
+      changes nothing for it.
+    * A party without the ``C_i`` sees no pair ``(g, g**theta)`` to search
+      before a response: the challenge carries the powers only.  A man in
+      the middle that holds a genuine matching entry ``(c, r)`` holds one,
+      ``c = (r**n)**theta``, for the session in flight only, and already
+      scores that entry's powers without ``theta`` (see
+      ``carrier_score``).
+    * Once the record holder's forgery is closed, recovering ``theta``
+      from ``(C_i, C_i**theta)`` takes about ``2**128`` kangaroo steps,
+      which must finish within the session timeout; factoring a 1024-bit
+      or 2048-bit ``n`` costs less.  The order of ``Z*_{n**2}`` is unknown
+      without the factors, so the small-factor attack of van Oorschot and
+      Wiener (EUROCRYPT 1996) has no subgroup to project into but the one
+      the Jacobi symbol reads, which leaks ``theta mod 2`` at most.
     """
     rng = rng or _SYSTEM
-    n = profile.public_key.n
+    bound = session_exponent_bound(profile.public_key.n)
     theta = session_exponent if session_exponent is not None \
-        else rng.randrange(1, n)
-    if not 1 <= theta < n:
-        raise ValueError("session exponent outside [1, n)")
+        else rng.randrange(1, bound)
+    if not 1 <= theta < bound:
+        raise ValueError("session exponent outside [1, min(n, 2**256))")
     sid = session_id if session_id is not None \
         else rng.getrandbits(128).to_bytes(16, "big")
     if teeth is None:
@@ -490,17 +526,24 @@ def carrier_score(session: SessionState,
     match with classes of their own, and no check on repeated classes can
     refuse them.
 
-    Against a party without ``(d, R')`` the count is otherwise sound.  A
-    party that holds them, a thief with the phone or its secret file, builds
-    genuine entries at will: knowing k profile features, it reaches any
-    count by sending each with fresh randomizers, or as ``b + j*n``, which
-    evaluates like the feature ``b``.  The ratio-class refusal does not stop
-    it.  In Cases A and C, a session opened for a declared sample size
-    refuses a response with any other entry count, so ``decide`` takes
-    Case C's ``|Y|`` from the declaration, not from the entries.  The device
-    declares that size too, so a thief declares what it sends.  Case B
-    sends one entry per unit of similarity, and bounding its entry count
-    needs a bound stored at set-up, which is still open.
+    A party that holds the record's ``C_i`` without ``(d, R')``, one that
+    read the unauthenticated ``StoreProfile`` frame or the carrier's store,
+    forges matches too.  With ``C'_i`` the challenge's powered coefficients,
+    the entry ``(pow(C'_i % n, n, n**2), C_i % n)`` matches, since
+    ``(C_i % n)**(n * theta)`` depends on ``C_i**theta mod n`` only, and
+    each ``i`` brings a ratio class of its own.
+
+    Against every other party without ``(d, R')`` the count is otherwise
+    sound.  A party that holds them, a thief with the phone or its secret
+    file, builds genuine entries at will: knowing k profile features, it
+    reaches any count by sending each with fresh randomizers, or as
+    ``b + j*n``, which evaluates like the feature ``b``.  The ratio-class
+    refusal does not stop it.  In Cases A and C, a session opened for a
+    declared sample size refuses a response with any other entry count, so
+    ``decide`` takes Case C's ``|Y|`` from the declaration, not from the
+    entries.  The device declares that size too, so a thief declares what
+    it sends.  Case B sends one entry per unit of similarity, and bounding
+    its entry count needs a bound stored at set-up, which is still open.
     """
     session.consume()
     if not entries:
@@ -552,9 +595,11 @@ def decide(match_count: int, profile: EncryptedProfile,
     which ``carrier_score`` holds the entry count to.
 
     The outcome is only as sound as the count (see ``carrier_score``): it
-    holds against a party without the device's ``(d, R')``, but a party
-    that holds them and knows k profile features can reach any count, and
-    so any outcome.
+    holds against a party without the device's ``(d, R')``, with two
+    exceptions.  A party that holds the record's ``C_i`` forges a match per
+    coefficient without the secrets, and a party that holds ``(d, R')`` and
+    knows k profile features can reach any count; either reaches any
+    outcome it can count to.
     """
     if match_count < 0 or sample_size < 1:
         raise ValueError("match count must be >= 0 and sample size >= 1")

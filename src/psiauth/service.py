@@ -17,10 +17,12 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import DecodeError, Reader, encode_uints, write_atomically
+from .encoding import DecodeError, Reader, encode_uint, encode_uints, \
+    write_atomically
 from .profiles import EncryptedProfile
 from .protocol import (
     _TEETH,
+    _comb_width,
     ProtocolError,
     SessionError,
     SessionState,
@@ -28,6 +30,7 @@ from .protocol import (
     carrier_score,
     challenge_teeth,
     decide,
+    session_exponent_bound,
 )
 from . import pool, wire
 
@@ -64,10 +67,13 @@ class ProfileStore:
 
     def teeth(self, user_id: str, profile: EncryptedProfile
               ) -> tuple[int, ...]:
-        """``challenge_teeth(profile)``, kept behind the SHA-256 of the
-        record's bytes so that no other record's teeth are ever used; a
-        missing or mismatched file is computed again and rewritten."""
-        digest = hashlib.sha256(profile.to_bytes()).digest()
+        """``challenge_teeth(profile)``, kept behind the SHA-256 of the comb
+        width and the record's bytes, so that no other record's teeth, and
+        no teeth of another width, are ever used; a missing or mismatched
+        file is computed again and rewritten."""
+        width = _comb_width(profile.public_key.n)
+        digest = hashlib.sha256(encode_uint(width) +
+                                profile.to_bytes()).digest()
         target = self._path(user_id, ".teeth")
         count = (_TEETH - 1) * len(profile.enc_coeffs)
         try:
@@ -218,7 +224,8 @@ class CarrierService:
         profile = self.store.load(msg.user_id)
         # Lock the draws only: one user's teeth and comb stall no other's.
         with self._rng_lock:
-            theta = self._rng.randrange(1, profile.public_key.n)
+            theta = self._rng.randrange(
+                1, session_exponent_bound(profile.public_key.n))
             sid = self._rng.getrandbits(128).to_bytes(16, "big")
         challenge, session = carrier_challenge(
             profile, teeth=self.store.teeth(msg.user_id, profile),

@@ -31,6 +31,11 @@ def kp512():
     return keygen(512, random.Random(0xB0B))
 
 
+@pytest.fixture(scope="session")
+def kp1024():
+    return keygen(1024, random.Random(0x1024))
+
+
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """A worker pool of at least two processes, forked by the test's first

@@ -7,7 +7,7 @@ import random
 import signal
 import time
 
-from psiauth import FeatureMode, FeatureSet, wire
+from psiauth import EncryptedProfile, FeatureMode, FeatureSet, wire
 from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
@@ -19,6 +19,7 @@ from psiauth.encoding import (
     encode_uint,
     encode_uints,
 )
+from psiauth.paillier import draw_unit
 
 # Tests keep feature values far below the smaller prime factor of each key
 # size, so the profile polynomial cannot vanish modulo n at a non-member and
@@ -32,6 +33,12 @@ def kill_one_worker(executor) -> None:
     while not executor._broken and time.monotonic() < deadline:
         time.sleep(0.01)
     assert executor._broken
+
+
+def one_coefficient_profile(pk, rng: random.Random) -> EncryptedProfile:
+    """The smallest record under ``pk``: one random unit coefficient."""
+    return EncryptedProfile(pk, (draw_unit(rng, pk.n_squared),), (1,), 0,
+                            FeatureMode.CASE_A)
 
 
 def distinct_values(rng: random.Random, count: int, bits: int) -> list[int]:

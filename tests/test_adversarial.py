@@ -10,11 +10,14 @@ refused response, an empty one included, burns its session.  Without a
 stored threshold the bar is a majority of the enrolled profile, so one
 known feature sent once is rejected.  Powers and
 products of genuine entries still score, a device that holds ``(d, R')``
-builds as many genuine matches as it likes from one known feature, and the
-device answers a challenge under any modulus, which hands its sample to
-whoever forged that challenge; strict ``xfail`` tests pin these gaps.
+builds as many genuine matches as it likes from one known feature, a
+party that holds the stored record forges a match per coefficient without
+any secret, and the device answers a challenge under any modulus, which
+hands its sample to whoever forged that challenge; strict ``xfail`` tests
+pin these gaps.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -218,6 +221,28 @@ def test_one_feature_alone_is_rejected(enrolled):
     entries = device_respond(secret, challenge, sample, rng)
     decision = decide(carrier_score(session, entries), profile, len(entries))
     assert decision.match_count == 1
+    assert not decision.accepted
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a holder of the record's C_i, without (d, R'), "
+                   "sends (C'_i mod n)**n with the ratio C_i mod n for three "
+                   "coefficients and scores 3 of 3, accepted at threshold 3")
+def test_record_holder_forges_no_match(enrolled):
+    # The record crosses the unauthenticated channel in StoreProfile, and
+    # the carrier's store holds it.  For the challenge's powers C'_i =
+    # C_i**theta, the ratio C_i mod n raised to n * theta is
+    # (C'_i mod n)**n modulo n**2, which needs neither theta nor a secret.
+    profile, _ = enrolled
+    profile = dataclasses.replace(profile, threshold=3)
+    pk = profile.public_key
+    n = pk.n
+    challenge, session = carrier_challenge(profile, random.Random(14))
+    forged = [AuthResponseEntry(pow(powered % n, n, pk.n_squared), coeff % n)
+              for powered, coeff in zip(challenge.powered_coeffs[:3],
+                                        profile.enc_coeffs[:3])]
+    decision = decide(carrier_score(session, forged), profile, len(forged))
+    assert decision.match_count == 0
     assert not decision.accepted
 
 

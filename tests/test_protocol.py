@@ -41,9 +41,11 @@ from psiauth import (
 from psiauth import pool, protocol
 from psiauth.encoding import encode_uint
 from psiauth.paillier import draw_unit
-from psiauth.protocol import SessionState, default_threshold
+from psiauth.protocol import SessionState, default_threshold, \
+    session_exponent_bound
 
-from helpers import distinct_values, kill_one_worker, overlap_instance
+from helpers import distinct_values, kill_one_worker, \
+    one_coefficient_profile, overlap_instance
 
 
 def case_a(values):
@@ -111,10 +113,33 @@ class TestCarrierChallenge:
         assert len(exponents) == 20
         assert len(coeff_views) == 20
 
-    def test_exponent_range_checked(self, enrolled, rng):
-        profile, _ = enrolled
-        with pytest.raises(ValueError):
-            carrier_challenge(profile, rng, session_exponent=0)
+    def test_exponent_range_checked(self, kp128, kp512, rng):
+        # Below 2**256 the bound is n; from there on it is 2**256.
+        for (pk, _), bound in ((kp128, kp128[0].n), (kp512, 1 << 256)):
+            assert session_exponent_bound(pk.n) == bound
+            profile = one_coefficient_profile(pk, rng)
+            for theta in (0, bound):
+                with pytest.raises(ValueError, match="session exponent"):
+                    carrier_challenge(profile, rng, session_exponent=theta)
+            challenge, _ = carrier_challenge(profile, rng,
+                                             session_exponent=bound - 1)
+            assert challenge.powered_coeffs == \
+                (pow(profile.enc_coeffs[0], bound - 1, pk.n_squared),)
+
+    def test_bound_is_n_below_2_to_the_256(self):
+        for n in (15, (1 << 255) + 1, (1 << 256) - 1):
+            assert session_exponent_bound(n) == n
+        for n in ((1 << 256) + 1, (1 << 1024) - 1):
+            assert session_exponent_bound(n) == 1 << 256
+
+    def test_drawn_exponents_have_at_most_256_bits(self, kp1024, rng):
+        pk = kp1024[0]
+        profile = one_coefficient_profile(pk, rng)
+        teeth = protocol.challenge_teeth(profile)
+        lengths = [carrier_challenge(profile, rng, teeth=teeth)[1]
+                   .session_exponent.bit_length() for _ in range(200)]
+        # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
+        assert max(lengths) == 256
 
 
 class TestChallengeComb:
@@ -124,24 +149,27 @@ class TestChallengeComb:
     @given(bits=st.integers(min_value=16, max_value=512),
            seed=st.integers(min_value=0, max_value=2 ** 32),
            base=st.sampled_from(["1", "n**2-1", "unit", "0", "p*k"]),
-           theta=st.sampled_from(["1", "2**w", "n-1", "random"]))
-    @example(bits=16, seed=0, base="unit", theta="n-1")
+           theta=st.sampled_from(["1", "2**w", "bound-1", "random"]))
+    @example(bits=16, seed=0, base="unit", theta="bound-1")
     @example(bits=18, seed=1, base="n**2-1", theta="2**w")
+    @example(bits=256, seed=4, base="unit", theta="bound-1")
+    @example(bits=257, seed=5, base="unit", theta="bound-1")
     @example(bits=511, seed=2, base="unit", theta="random")
-    @example(bits=512, seed=3, base="unit", theta="n-1")
+    @example(bits=512, seed=3, base="unit", theta="bound-1")
     def test_miss_and_hit_equal_plain_pow(self, bits, seed, base, theta):
         rng = random.Random(seed)
         pk, sk = keygen(bits, rng)
         n, n_squared = pk.n, pk.n_squared
+        bound = session_exponent_bound(n)
         width = protocol._comb_width(n)
-        assert protocol._TEETH * width >= bits
+        assert protocol._TEETH * width >= (bound - 1).bit_length()
         # The teeth are squared to in base-n digit pairs; a non-unit base
         # (0, or a multiple of p) must come out the same.
         base = {"1": 1, "n**2-1": n_squared - 1,
                 "unit": draw_unit(rng, n_squared), "0": 0,
                 "p*k": sk.p * rng.randrange(1, sk.q * n)}[base]
-        theta = {"1": 1, "2**w": 1 << width, "n-1": n - 1,
-                 "random": rng.randrange(1, n)}[theta]
+        theta = {"1": 1, "2**w": 1 << width, "bound-1": bound - 1,
+                 "random": rng.randrange(1, bound)}[theta]
         profile = EncryptedProfile(pk, (base,), (1,), 0, FeatureMode.CASE_A)
         teeth = protocol.challenge_teeth(profile)
         assert teeth == tuple(pow(base, 1 << (j * width), n_squared)
@@ -784,12 +812,12 @@ class TestDecide:
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
 # profile and secret bytes, challenge and response bytes, and the match
-# counts.  Recorded when the record and the challenge began to carry the
-# blinded randomizers modulo n: the run before, with each of those values
-# reduced modulo n, gives this digest, so nothing else moved.  The pairs
-# themselves are pinned to the earlier construction below.
-PINNED_TRANSCRIPT_DIGEST = ("285f879bfc037452a7d8294aa0f0621b"
-                            "814039c4de683072438042596d8a26ab")
+# counts.  Recorded when session exponents were first drawn below 2**256:
+# the construction before, handed the same theta and session-id draws
+# through ``session_exponent`` and ``session_id``, gives this digest, so
+# only theta's range moved.
+PINNED_TRANSCRIPT_DIGEST = ("5c67f41549c3674c9066345d60809f84"
+                            "a92afb020318f5eb2cd116f3e01e8311")
 
 
 def transcript_blobs():
@@ -829,11 +857,13 @@ def test_seeded_transcript_is_pinned():
 
 
 # SHA-256 over the (cipher, ratio) pairs of ``seeded_entries``, recorded
-# from the three-value entries (cipher, correction, tag) that preceded the
-# pairs, with ratio = tag * correction**-1 mod n.  The pairs are computed
-# from the same randomizers, so every cipher and every ratio is unchanged.
-PINNED_PAIR_DIGEST = ("cd239ff6127ac8379e8382c6a6c15375"
-                      "81bc648a8861f7aacf2632631dab4392")
+# like the transcript digest when session exponents were first drawn below
+# 2**256: the construction before, handed the same theta and session-id
+# draws, gives this digest.  The pairs themselves match the three-value
+# entries (cipher, correction, tag) that preceded them, with
+# ratio = tag * correction**-1 mod n, under the same randomizers.
+PINNED_PAIR_DIGEST = ("1503ae84acf8bb38e0e5f2e84f989c8e"
+                      "f3e29098350af0898c718f5561d799a2")
 
 
 def seeded_entries():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 import socket
@@ -25,7 +26,8 @@ from psiauth import service as service_module
 from psiauth.encoding import encode_uint, encode_uints
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
-from helpers import malformed_frames, overlap_instance
+from helpers import malformed_frames, one_coefficient_profile, \
+    overlap_instance
 
 
 def case_a(values):
@@ -174,6 +176,42 @@ class TestChallengeTeeth:
         assert store.teeth("u", profile) == teeth
         assert jobs == [profile.size + 1]
 
+    @pytest.mark.parametrize("count", ["six-teeth", "five-teeth"])
+    def test_teeth_of_another_width_recomputed(self, tmp_path, rng,
+                                               monkeypatch, count):
+        # Teeth C**(2**(j * w)) of the width w = ceil(|n| / 6) that a comb
+        # of six teeth over exponents below n used, stored behind the
+        # SHA-256 of the record alone, as that carrier wrote them: the
+        # coefficient's five other teeth, or just four, the count a comb of
+        # five teeth reads.  Only the width in the digest refuses the four.
+        store = ProfileStore(tmp_path)
+        profile, _ = build_encrypted_profile("u", case_a([3, 4, 5]), 128,
+                                             rng)
+        pk = profile.public_key
+        old_width = -(-pk.n.bit_length() // 6)
+        assert old_width != protocol._comb_width(pk.n)
+        stored = 5 if count == "six-teeth" else 4
+        old_teeth = [pow(c, 1 << (j * old_width), pk.n_squared)
+                     for c in profile.enc_coeffs
+                     for j in range(1, stored + 1)]
+        record_digest = hashlib.sha256(profile.to_bytes()).digest()
+        path = store._path("u", ".teeth")
+        path.write_bytes(record_digest + encode_uints(old_teeth))
+        expected = protocol.challenge_teeth(profile)
+        jobs = count_teeth_jobs(monkeypatch)
+        teeth = store.teeth("u", profile)
+        assert jobs == [profile.size + 1]
+        assert teeth == expected
+        written = path.read_bytes()
+        assert written[:32] != record_digest
+        assert written[32:] == encode_uints(teeth)
+        challenge, session = carrier_challenge(profile, rng, teeth=teeth)
+        assert challenge.powered_coeffs == tuple(
+            pow(c, session.session_exponent, pk.n_squared)
+            for c in profile.enc_coeffs)
+        assert store.teeth("u", profile) == teeth
+        assert jobs == [profile.size + 1]
+
 
 class TestServeFlow:
     def test_store_then_challenge_has_profile_shape(self, enrolled):
@@ -182,6 +220,17 @@ class TestServeFlow:
             reply = conn.request(wire.AuthInit("alice", 3))
             assert isinstance(reply, wire.Challenge)
             assert len(reply.challenge.powered_coeffs) == features.size + 1
+
+    def test_drawn_exponents_have_at_most_256_bits(self, service, kp1024,
+                                                   rng):
+        service.store.save("bob", one_coefficient_profile(kp1024[0], rng))
+        lengths = []
+        for _ in range(200):
+            reply = service.dispatch(wire.AuthInit("bob", 1))
+            session = service.sessions.claim(reply.challenge.session_id)
+            lengths.append(session.session_exponent.bit_length())
+        # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
+        assert max(lengths) == 256
 
     def test_auth_init_unknown_user(self, service):
         with client.CarrierConnection(service.address) as conn:
