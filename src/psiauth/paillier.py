@@ -68,25 +68,21 @@ MIN_KEY_BITS = 16
 # Miller-Rabin rounds; error probability at most 4**-60 per candidate.
 PRIMALITY_ROUNDS = 60
 
-_SMALL_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227,
-    229, 233, 239, 241, 251,
-)
 
-
-def _sieve_product(low: int, high: int) -> int:
-    """The product of the primes in ``[low, high)``, ``low >= 2``."""
+def _sieve(split: int, high: int) -> tuple[tuple[int, ...], int]:
+    """The odd primes below ``split``, and the product of the primes from
+    ``split`` to ``high``, from one sieve of Eratosthenes."""
     sieve = bytearray([1]) * high
     for i in range(2, math.isqrt(high) + 1):
         if sieve[i]:
             sieve[i * i::i] = bytes(len(range(i * i, high, i)))
-    return math.prod(i for i in range(low, high) if sieve[i])
+    return (tuple(i for i in range(3, split) if sieve[i]),
+            math.prod(i for i in range(split, high) if sieve[i]))
 
 
-# The primes from 257 to 2**16, past trial division (``is_probable_prime``).
-_SIEVE_PRODUCT = _sieve_product(_SMALL_PRIMES[-1] + 1, 1 << 16)
+# The odd primes below 256, tried by division (``is_probable_prime``), and
+# the product of the primes from 257 to 2**16, past trial division.
+_SMALL_PRIMES, _SIEVE_PRODUCT = _sieve(256, 1 << 16)
 
 _SYSTEM = random.SystemRandom()
 

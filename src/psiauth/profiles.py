@@ -389,6 +389,10 @@ class EncryptedProfile:
     threshold: int | None = None
 
     def __post_init__(self):
+        # A record of size 0 would default to threshold 0 and accept any
+        # response; no set-up builds one, since a feature set is never empty.
+        if self.size < 1:
+            raise ValueError("profile size must be positive")
         if len(self.enc_coeffs) != self.size + 1:
             raise ValueError("coefficient count must be size + 1")
         if len(self.blinded_randomizers) != self.size + 1:

@@ -272,8 +272,8 @@ def _teeth_chunk(pk: PaillierPublicKey, coeffs: list[int]) -> list[int]:
 
 
 def challenge_teeth(profile: EncryptedProfile) -> tuple[int, ...]:
-    """``C_i**(2**(j * w))`` for each coefficient ``C_i`` and ``0 < j < 6``,
-    flat: the teeth ``carrier_challenge`` combs over, in one pooled job."""
+    """``C_i**(2**(j * w))`` for each ``C_i`` and ``0 < j < _TEETH``, flat:
+    the teeth ``carrier_challenge`` combs over, in one pooled job."""
     return tuple(_in_pool(_teeth_chunk, profile.public_key,
                           list(profile.enc_coeffs)))
 
@@ -309,14 +309,13 @@ def carrier_challenge(profile: EncryptedProfile,
                       *,
                       teeth: Sequence[int] | None = None,
                       session_exponent: int | None = None,
-                      session_id: bytes | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
     """Open a session: raise the encrypted coefficients to a fresh exponent.
 
     Each power ``C_i**theta`` is a comb over ``teeth``, the profile's
     ``challenge_teeth``, computed first if not given (see the module
-    docstring).  ``session_exponent`` and ``session_id`` replace the draws
-    from ``rng``, so a carrier can lock its generator for the draws only.
+    docstring).  ``theta`` is drawn from ``rng`` first and the session id
+    second; ``session_exponent`` replaces the draw of ``theta``.
 
     ``theta`` is uniform in ``[1, session_exponent_bound(n))``: 256 bits
     at 1024-bit keys and up, where it is always a unit modulo ``n``; at
@@ -351,8 +350,7 @@ def carrier_challenge(profile: EncryptedProfile,
         else rng.randrange(1, bound)
     if not 1 <= theta < bound:
         raise ValueError("session exponent outside [1, min(n, 2**256))")
-    sid = session_id if session_id is not None \
-        else rng.getrandbits(128).to_bytes(16, "big")
+    sid = rng.getrandbits(128).to_bytes(16, "big")
     if teeth is None:
         teeth = challenge_teeth(profile)
     per_coeff = _TEETH - 1

@@ -30,7 +30,6 @@ from .protocol import (
     carrier_score,
     challenge_teeth,
     decide,
-    session_exponent_bound,
 )
 from . import pool, wire
 
@@ -180,9 +179,10 @@ class CarrierService:
         self.config = config
         self.store = ProfileStore(config.store_root)
         self.sessions = SessionTable(config.session_timeout)
+        # Handlers share it unlocked: a Random runs each call in C under the
+        # GIL, and a SystemRandom reads os.urandom, so no draw is corrupted.
         self._rng = random.Random(config.seed) if config.seed is not None \
             else random.SystemRandom()
-        self._rng_lock = threading.Lock()
         self._server = _Server((config.host, config.port), _Handler)
         self._server.service = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
@@ -222,14 +222,8 @@ class CarrierService:
         if msg.sample_size < 1:
             raise ProtocolError("declared sample size must be positive")
         profile = self.store.load(msg.user_id)
-        # Lock the draws only: one user's teeth and comb stall no other's.
-        with self._rng_lock:
-            theta = self._rng.randrange(
-                1, session_exponent_bound(profile.public_key.n))
-            sid = self._rng.getrandbits(128).to_bytes(16, "big")
         challenge, session = carrier_challenge(
-            profile, teeth=self.store.teeth(msg.user_id, profile),
-            session_exponent=theta, session_id=sid)
+            profile, self._rng, teeth=self.store.teeth(msg.user_id, profile))
         session.sample_size = msg.sample_size
         self.sessions.add(session)
         log.info("session %s opened for %r (declared sample size %d)",

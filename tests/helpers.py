@@ -35,10 +35,11 @@ def kill_one_worker(executor) -> None:
     assert executor._broken
 
 
-def one_coefficient_profile(pk, rng: random.Random) -> EncryptedProfile:
-    """The smallest record under ``pk``: one random unit coefficient."""
-    return EncryptedProfile(pk, (draw_unit(rng, pk.n_squared),), (1,), 0,
-                            FeatureMode.CASE_A)
+def smallest_profile(pk, rng: random.Random) -> EncryptedProfile:
+    """The smallest valid record under ``pk``: size 1, two random unit
+    coefficients."""
+    coeffs = (draw_unit(rng, pk.n_squared), draw_unit(rng, pk.n_squared))
+    return EncryptedProfile(pk, coeffs, (1, 1), 1, FeatureMode.CASE_A)
 
 
 def distinct_values(rng: random.Random, count: int, bits: int) -> list[int]:
@@ -145,6 +146,9 @@ def malformed_frames() -> dict[str, bytes]:
         "profile size": (
             0x01, user + modulus + encode_uints([2, 3]) +
             encode_uints([2, 3]) + encode_uint(2) + case_a + encode_uint(0)),
+        "profile size 0": (
+            0x01, user + modulus + encode_uints([2]) + encode_uints([2]) +
+            encode_uint(0) + case_a + encode_uint(0)),
         "profile blinded value n": (0x01, user + profile((2, n))),
         "profile blinded value 0": (0x01, user + profile((2, 0))),
         "challenge blinded value n": (0x04, challenge((n, 3))),

@@ -16,8 +16,8 @@ from psiauth import (
     keypair_from_primes,
     scalar_pow,
 )
-from psiauth.paillier import PRIMALITY_ROUNDS, _SMALL_PRIMES, \
-    is_probable_prime
+from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
+    _SMALL_PRIMES, is_probable_prime
 
 
 # Cofactors ``k * _PERIOD + unit`` are odd, at least 257 and coprime to every
@@ -122,6 +122,16 @@ class TestKeygen:
         assert is_probable_prime(2) and is_probable_prime(65537)
         assert not is_probable_prime(1)
         assert not is_probable_prime(65537 * 65539)
+
+    def test_small_primes_and_sieve_product(self):
+        # Trial division tries the odd primes below 256, and the shortcut
+        # takes a gcd with the product of the primes from 257 to 2**16.
+        def prime(m):
+            return all(m % k for k in range(2, math.isqrt(m) + 1))
+
+        assert _SMALL_PRIMES == tuple(m for m in range(3, 256) if prime(m))
+        assert _SIEVE_PRODUCT == \
+            math.prod(m for m in range(257, 1 << 16) if prime(m))
 
 
 class TestEncryptDecrypt:

@@ -22,9 +22,9 @@ from psiauth import (
     solve_blinding_gaussian,
 )
 from psiauth import pool
-from psiauth.encoding import DecodeError
+from psiauth.encoding import DecodeError, encode_uint, encode_uints
 from psiauth.paillier import draw_unit, keypair_from_primes
-from psiauth.profiles import _solve_scaled_integer_system
+from psiauth.profiles import _solve_scaled_integer_system, encode_mode
 
 from helpers import blinding_identity_holds, distinct_values, \
     kill_one_worker
@@ -402,6 +402,18 @@ class TestSerialization:
     def test_secret_roundtrip(self, rng):
         _, secret = self.build(rng)
         assert DeviceSecret.from_bytes(secret.to_bytes()) == secret
+
+    def test_size_zero_refused(self, kp128, rng):
+        # Its default threshold would be 0, which accepts any response.
+        pk = kp128[0]
+        coeff = draw_unit(rng, pk.n_squared)
+        with pytest.raises(ValueError, match="size must be positive"):
+            EncryptedProfile(pk, (coeff,), (1,), 0, FeatureMode.CASE_A)
+        data = (pk.to_bytes() + encode_uints([coeff]) + encode_uints([1]) +
+                encode_uint(0) + encode_mode(FeatureMode.CASE_A, None, None) +
+                encode_uint(0))
+        with pytest.raises(DecodeError, match="size must be positive"):
+            EncryptedProfile.from_bytes(data)
 
     def test_trailing_bytes_rejected(self, rng):
         profile, _ = self.build(rng)

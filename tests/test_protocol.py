@@ -44,8 +44,8 @@ from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, default_threshold, \
     session_exponent_bound
 
-from helpers import distinct_values, kill_one_worker, \
-    one_coefficient_profile, overlap_instance
+from helpers import distinct_values, kill_one_worker, overlap_instance, \
+    smallest_profile
 
 
 def case_a(values):
@@ -117,14 +117,14 @@ class TestCarrierChallenge:
         # Below 2**256 the bound is n; from there on it is 2**256.
         for (pk, _), bound in ((kp128, kp128[0].n), (kp512, 1 << 256)):
             assert session_exponent_bound(pk.n) == bound
-            profile = one_coefficient_profile(pk, rng)
+            profile = smallest_profile(pk, rng)
             for theta in (0, bound):
                 with pytest.raises(ValueError, match="session exponent"):
                     carrier_challenge(profile, rng, session_exponent=theta)
             challenge, _ = carrier_challenge(profile, rng,
                                              session_exponent=bound - 1)
-            assert challenge.powered_coeffs == \
-                (pow(profile.enc_coeffs[0], bound - 1, pk.n_squared),)
+            assert challenge.powered_coeffs == tuple(
+                pow(c, bound - 1, pk.n_squared) for c in profile.enc_coeffs)
 
     def test_bound_is_n_below_2_to_the_256(self):
         for n in (15, (1 << 255) + 1, (1 << 256) - 1):
@@ -134,10 +134,15 @@ class TestCarrierChallenge:
 
     def test_drawn_exponents_have_at_most_256_bits(self, kp1024, rng):
         pk = kp1024[0]
-        profile = one_coefficient_profile(pk, rng)
+        profile = smallest_profile(pk, rng)
         teeth = protocol.challenge_teeth(profile)
-        lengths = [carrier_challenge(profile, rng, teeth=teeth)[1]
-                   .session_exponent.bit_length() for _ in range(200)]
+        lengths = []
+        for _ in range(200):
+            challenge, session = carrier_challenge(profile, rng, teeth=teeth)
+            theta = session.session_exponent
+            assert challenge.powered_coeffs == tuple(
+                pow(c, theta, pk.n_squared) for c in profile.enc_coeffs)
+            lengths.append(theta.bit_length())
         # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
         assert max(lengths) == 256
 
@@ -170,15 +175,19 @@ class TestChallengeComb:
                 "p*k": sk.p * rng.randrange(1, sk.q * n)}[base]
         theta = {"1": 1, "2**w": 1 << width, "bound-1": bound - 1,
                  "random": rng.randrange(1, bound)}[theta]
-        profile = EncryptedProfile(pk, (base,), (1,), 0, FeatureMode.CASE_A)
+        # The smallest valid record: the base beside a random unit.
+        coeffs = (base, draw_unit(rng, n_squared))
+        profile = EncryptedProfile(pk, coeffs, (1, 1), 1, FeatureMode.CASE_A)
         teeth = protocol.challenge_teeth(profile)
-        assert teeth == tuple(pow(base, 1 << (j * width), n_squared)
+        assert teeth == tuple(pow(c, 1 << (j * width), n_squared)
+                              for c in coeffs
                               for j in range(1, protocol._TEETH))
         # Over the given teeth, and over teeth the challenge computes.
         for given_teeth in (teeth, None):
             challenge, _ = carrier_challenge(profile, rng, teeth=given_teeth,
                                              session_exponent=theta)
-            assert challenge.powered_coeffs == (pow(base, theta, n_squared),)
+            assert challenge.powered_coeffs == tuple(
+                pow(c, theta, n_squared) for c in coeffs)
 
     def test_teeth_that_do_not_fit_refused(self, enrolled, rng):
         profile, _ = enrolled

@@ -26,8 +26,7 @@ from psiauth import service as service_module
 from psiauth.encoding import encode_uint, encode_uints
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
-from helpers import malformed_frames, one_coefficient_profile, \
-    overlap_instance
+from helpers import malformed_frames, overlap_instance, smallest_profile
 
 
 def case_a(values):
@@ -223,14 +222,56 @@ class TestServeFlow:
 
     def test_drawn_exponents_have_at_most_256_bits(self, service, kp1024,
                                                    rng):
-        service.store.save("bob", one_coefficient_profile(kp1024[0], rng))
+        service.store.save("bob", smallest_profile(kp1024[0], rng))
         lengths = []
         for _ in range(200):
             reply = service.dispatch(wire.AuthInit("bob", 1))
+            assert reply.challenge.powered_coeffs == \
+                plain_powers(service, reply.challenge)
             session = service.sessions.claim(reply.challenge.session_id)
             lengths.append(session.session_exponent.bit_length())
         # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
         assert max(lengths) == 256
+
+    def test_sessions_draw_what_carrier_challenge_draws(self, service, rng):
+        # The carrier opens each session with carrier_challenge over its own
+        # generator: theta first, then the session id, session after session.
+        profile, _ = build_encrypted_profile("u", case_a([3, 4, 5]), 128, rng)
+        service.store.save("u", profile)
+        teeth = service.store.teeth("u", profile)
+        draws = random.Random(service.config.seed)
+        for _ in range(2):
+            reply = service.dispatch(wire.AuthInit("u", 2))
+            session = service.sessions.claim(reply.challenge.session_id)
+            expected, state = carrier_challenge(profile, draws, teeth=teeth)
+            assert reply.challenge == expected
+            assert (session.session_id, session.session_exponent) == \
+                (state.session_id, state.session_exponent)
+
+    def test_concurrent_sessions_draw_distinct_ids(self, service, kp128, rng):
+        # Handler threads share the carrier's generator without a lock.
+        pk = kp128[0]
+        service.store.save("bob", smallest_profile(pk, rng))
+        ids = []
+        together = threading.Barrier(4)
+
+        def init():
+            with client.CarrierConnection(service.address) as conn:
+                together.wait(10)
+                for _ in range(25):
+                    reply = conn.request(wire.AuthInit("bob", 1))
+                    ids.append(reply.challenge.session_id)
+
+        threads = [threading.Thread(target=init) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(set(ids)) == 100
+        sessions = service.sessions._sessions
+        assert set(sessions) == set(ids)
+        bound = protocol.session_exponent_bound(pk.n)
+        assert all(1 <= s.session_exponent < bound for s in sessions.values())
 
     def test_auth_init_unknown_user(self, service):
         with client.CarrierConnection(service.address) as conn:
