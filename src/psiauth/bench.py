@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import pool
+from .paillier import DEFAULT_KEY_BITS
 from .profiles import FeatureMode, FeatureSet, build_encrypted_profile
 from .protocol import carrier_challenge, carrier_score, decide, \
     device_respond
@@ -76,7 +77,7 @@ def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
     return setup_seconds, auth_seconds
 
 
-def bench_run(sizes: Sequence[int], key_bits: int = 1024,
+def bench_run(sizes: Sequence[int], key_bits: int = DEFAULT_KEY_BITS,
               solver: str = "closed-form", repetitions: int = 3,
               seed: int | None = None, *, feature_bits: int = 128,
               include_auth: bool = True) -> list[BenchRecord]:

@@ -12,6 +12,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import client
 from .oracles import oracle_intersection, oracle_l1, oracle_weighted
+from .paillier import DEFAULT_KEY_BITS
 from .profiles import FeatureMode, FeatureSet, encode_numeric, hash_feature
 from .service import CarrierConfig, CarrierService
 from .similarity import SimilarityFunction
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     setup.add_argument("--values", help="Case C: whitespace-separated numeric vector")
     setup.add_argument("--cap", type=int, default=None,
                        help="Case C: public per-entry magnitude cap")
-    setup.add_argument("--key-bits", type=int, default=1024)
+    setup.add_argument("--key-bits", type=int, default=DEFAULT_KEY_BITS)
     setup.add_argument("--threshold", type=int, default=None,
                        help="per-user decision threshold stored at the carrier")
     setup.set_defaults(func=_cmd_setup)
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="time set-up and authentication")
     bench.add_argument("--sizes", default="1,5,10,15,20,25,30,35,40,45,50",
                        help="comma-separated profile sizes")
-    bench.add_argument("--key-bits", type=int, default=1024)
+    bench.add_argument("--key-bits", type=int, default=DEFAULT_KEY_BITS)
     bench.add_argument("--solver", choices=("closed-form", "gaussian"),
                        default="closed-form")
     bench.add_argument("--repetitions", type=int, default=3)

@@ -7,6 +7,7 @@ import socket
 from pathlib import Path
 
 from .encoding import write_atomically
+from .paillier import DEFAULT_KEY_BITS
 from .profiles import DeviceSecret, EncryptedProfile, FeatureSet, \
     build_encrypted_profile
 from .protocol import AuthDecision, respond, response_values
@@ -88,7 +89,7 @@ def load_device_secret(path: Path | str) -> DeviceSecret:
 
 
 def setup_device(address: tuple[str, int], user_id: str, features: FeatureSet,
-                 secret_path: Path | str, bits: int = 1024,
+                 secret_path: Path | str, bits: int = DEFAULT_KEY_BITS,
                  rng: random.Random | None = None, *,
                  threshold: int | None = None) -> DeviceSecret:
     """Full set-up: build the profile, ship it, then persist the secret.

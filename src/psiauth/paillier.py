@@ -269,14 +269,12 @@ def _passes_round(base: int, d: int, r: int, modulus: int) -> bool:
     return False
 
 
-def _rounds_chunk(context: tuple[int, int, int, int],
-                  bases: list[int]) -> list[bool]:
-    """Whether each base passes its round modulo ``small`` (past ``1``)
-    and then modulo the candidate, for ``context = (candidate, d, r,
-    small)``."""
+def _base_passes(context: tuple[int, int, int, int], base: int) -> bool:
+    """Whether ``base`` passes its round modulo ``small`` (past ``1``) and
+    then modulo the candidate, for ``context = (candidate, d, r, small)``."""
     candidate, d, r, small = context
-    return [(small == 1 or _passes_round(a, d, r, small)) and
-            _passes_round(a, d, r, candidate) for a in bases]
+    return (small == 1 or _passes_round(base, d, r, small)) and \
+        _passes_round(base, d, r, candidate)
 
 
 def is_probable_prime(candidate: int,
@@ -313,7 +311,7 @@ def is_probable_prime(candidate: int,
         d //= 2
         r += 1
     context = (candidate, d, r, math.gcd(candidate, _SIEVE_PRODUCT))
-    if not _rounds_chunk(context, [rng.randrange(2, candidate - 1)])[0]:
+    if not _base_passes(context, rng.randrange(2, candidate - 1)):
         return False
     try:
         state = rng.getstate()
@@ -321,7 +319,7 @@ def is_probable_prime(candidate: int,
         state = None
     bases = [rng.randrange(2, candidate - 1)
              for _ in range(PRIMALITY_ROUNDS - 1)]
-    passed = _in_pool(_rounds_chunk, context, bases)
+    passed = _in_pool(_base_passes, context, bases)
     if all(passed):
         return True
     if state is not None:

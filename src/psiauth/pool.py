@@ -1,14 +1,15 @@
 """One persistent pool of forked worker processes for independent powers.
 
 Key generation's Miller-Rabin rounds, set-up, the challenge, the device
-response and the carrier's match tests each hand their per-item powers to
-``_in_pool``.  The pool is created on first use with one worker per usable
-CPU and kept until exit; a worker exits when its parent dies.  Workers are
-forked, so any secret in a job reaches only children of the process that
-holds it.  A carrier forks them with ``fork_workers`` before it starts any
-serving or handler thread.  A pool rebuilt after a worker died is still
-forked by the next pooled call, from a handler thread in a carrier; the
-warning that drops the broken pool says so.
+response and the carrier's match tests each map a job of one item,
+``job(context, item)``, over their items with ``_in_pool``.  The pool is
+created on first use with one worker per usable CPU and kept until exit; a
+worker exits when its parent dies.  Workers are forked, so any secret in a
+job reaches only children of the process that holds it.  A carrier forks
+them with ``fork_workers`` before it starts any serving or handler thread.
+A pool rebuilt after a worker died is still forked by the next pooled call,
+from a handler thread in a carrier; the warning that drops the broken pool
+says so.
 """
 
 from __future__ import annotations
@@ -107,28 +108,35 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown()
 
 
-def _in_pool(job, context, items: list) -> list:
-    """``job(context, chunk)`` over ``items`` in contiguous chunks, in order.
+def _map(job, context, items: list) -> list:
+    return [job(context, item) for item in items]
 
-    Each of up to one pool process per usable CPU gets one chunk, so
-    ``context`` is pickled once per worker.  With one CPU or one item the
-    job runs in-process.  If a worker died, the pool is dropped, so the next
-    call builds a new one, and the job reruns in-process; jobs are pure, so
-    the values are the same.  The rebuild is logged with the job's name and
-    the worker count only: contexts and items may hold secrets.
+
+def _in_pool(job, context, items: list) -> list:
+    """``[job(context, item) for item in items]``, on the worker pool.
+
+    Worker ``k`` of ``c``, one per usable CPU up to one per item, runs the
+    strided chunk ``items[k::c]``: cheap items and dear ones spread evenly,
+    and ``context`` is pickled once per worker.  With one CPU or one item
+    the job runs in-process.  If a worker died, the pool is dropped, so the
+    next call builds a new one, and the job reruns in-process; jobs are
+    pure, so the values are the same.  The rebuild is logged with the job's
+    name and the worker count only: contexts and items may hold secrets.
     """
     chunks = min(usable_cpus(), len(items))
     if chunks <= 1:
-        return job(context, items)
+        return _map(job, context, items)
     pool = _get_pool()
-    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
     try:
-        futures = [pool.submit(job, context, items[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:])]
-        return [out for future in futures for out in future.result()]
+        futures = [pool.submit(_map, job, context, items[k::chunks])
+                   for k in range(chunks)]
+        results = [None] * len(items)
+        for k, future in enumerate(futures):
+            results[k::chunks] = future.result()
+        return results
     except BrokenProcessPool:
         log.warning("worker pool of %d processes broke in %s; finishing "
                     "in-process, the next call forks a new pool",
                     pool._max_workers, job.__name__)
         _drop_pool(pool)
-        return job(context, items)
+        return _map(job, context, items)

@@ -62,6 +62,7 @@ from typing import Iterable, Sequence
 from .encoding import MAX_COEFFS, MAX_USER_ID_BYTES, Reader, encode_str, \
     encode_uint, encode_uints
 from .paillier import (
+    DEFAULT_KEY_BITS,
     PaillierPublicKey,
     PaillierSecretKey,
     draw_unit,
@@ -474,20 +475,22 @@ class SetupAudit:
     unblinded_randomizers: tuple[int, ...]
 
 
-def _setup_chunk(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
-                 jobs: list[tuple[int | None, int]]) -> list[int]:
+def _setup_power(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
+                 job: tuple[int | None, int]) -> int:
     """The cipher of ``coeff`` under randomizer ``base`` for a job
     ``(coeff, base)``, and ``base**d mod n`` by CRT for a job
     ``(None, base)``, ``base`` a unit."""
     pk, sk, d = context
-    return [sk.pow_mod_n(base, d) if coeff is None
-            else encrypt(pk, coeff, base, sk=sk)[0] for coeff, base in jobs]
+    coeff, base = job
+    if coeff is None:
+        return sk.pow_mod_n(base, d)
+    return encrypt(pk, coeff, base, sk=sk)[0]
 
 
 def build_encrypted_profile(
     user_id: str,
     features: FeatureSet,
-    bits: int = 1024,
+    bits: int = DEFAULT_KEY_BITS,
     rng: random.Random | None = None,
     *,
     solver: str = "closed-form",
@@ -521,15 +524,12 @@ def build_encrypted_profile(
     unblinded = [rp * pow(r, -1, pk.n) % pk.n
                  for rp, r in zip(blinding.randomizers, enc_randomizers)]
     d = rng.randrange(1, pk.n)
-    # Every draw is made; the two kinds of power alternate, so each worker's
-    # contiguous chunk gets a like share of the cheaper encryptions.
-    jobs = []
-    for coeff, r, value in zip(coeffs, enc_randomizers, unblinded):
-        jobs += [(coeff, r), (None, value)]
-    powers = _in_pool(_setup_chunk, (pk, sk, d), jobs)
+    jobs = [*zip(coeffs, enc_randomizers),
+            *((None, value) for value in unblinded)]
+    powers = _in_pool(_setup_power, (pk, sk, d), jobs)
     profile = EncryptedProfile(
-        pk, tuple(powers[0::2]), tuple(powers[1::2]), features.size,
-        features.mode, count=features.count, cap=features.cap,
+        pk, tuple(powers[:len(coeffs)]), tuple(powers[len(coeffs):]),
+        features.size, features.mode, count=features.count, cap=features.cap,
         threshold=threshold)
     secret = DeviceSecret(user_id, d, anchor, features.mode,
                           count=features.count, cap=features.cap)

@@ -260,27 +260,26 @@ def _comb_width(n: int) -> int:
     return -(-(session_exponent_bound(n) - 1).bit_length() // _TEETH)
 
 
-def _teeth_chunk(pk: PaillierPublicKey, coeffs: list[int]) -> list[int]:
-    """The teeth of each ``C`` after ``C`` itself, flat, in digit pairs."""
+def _coeff_teeth(pk: PaillierPublicKey, coeff: int) -> list[int]:
+    """The teeth of ``coeff`` after ``coeff`` itself, in digit pairs."""
     width = _comb_width(pk.n)
-    out = []
-    for tooth in coeffs:
-        for _ in range(_TEETH - 1):
-            tooth = pk.power(tooth, 1 << width)
-            out.append(tooth)
-    return out
+    teeth = [coeff]
+    for _ in range(_TEETH - 1):
+        teeth.append(pk.power(teeth[-1], 1 << width))
+    return teeth[1:]
 
 
 def challenge_teeth(profile: EncryptedProfile) -> tuple[int, ...]:
     """``C_i**(2**(j * w))`` for each ``C_i`` and ``0 < j < _TEETH``, flat:
     the teeth ``carrier_challenge`` combs over, in one pooled job."""
-    return tuple(_in_pool(_teeth_chunk, profile.public_key,
-                          list(profile.enc_coeffs)))
+    return tuple(tooth for teeth in _in_pool(_coeff_teeth, profile.public_key,
+                                             list(profile.enc_coeffs))
+                 for tooth in teeth)
 
 
-def _challenge_chunk(context: tuple[int, PaillierPublicKey],
-                     items: list[tuple[int, Sequence[int]]]) -> list[int]:
-    """``C**theta`` for each ``(C, teeth)``.
+def _comb_power(context: tuple[PaillierPublicKey, list[tuple[int, int]]],
+                item: tuple[int, Sequence[int]]) -> int:
+    """``C**theta`` for an item ``(C, teeth)``, over ``theta``'s steps.
 
     The teeth of ``C`` are ``C**(2**(j * w))`` for ``j < _TEETH``; the
     first is ``C`` itself, so ``teeth`` holds the others.  Their
@@ -289,19 +288,13 @@ def _challenge_chunk(context: tuple[int, PaillierPublicKey],
     (Lim and Lee, CRYPTO 1994).  The table and the walk run in base-``n``
     digit pairs.
     """
-    theta, pk = context
-    width = _comb_width(pk.n)
-    steps = [(1, sum(((theta >> (j * width + bit)) & 1) << j
-                     for j in range(_TEETH)))
-             for bit in reversed(range(width))]
-    out = []
-    for base, teeth in items:
-        table = [(1, 0), pk.digits(base)]
-        for tooth in teeth:
-            tooth = pk.digits(tooth)
-            table += [pk.times(entry, tooth) for entry in table]
-        out.append(pk.walk(table, steps))
-    return out
+    pk, steps = context
+    base, teeth = item
+    table = [(1, 0), pk.digits(base)]
+    for tooth in teeth:
+        tooth = pk.digits(tooth)
+        table += [pk.times(entry, tooth) for entry in table]
+    return pk.walk(table, steps)
 
 
 def carrier_challenge(profile: EncryptedProfile,
@@ -358,8 +351,11 @@ def carrier_challenge(profile: EncryptedProfile,
         raise ValueError("teeth do not fit the profile's coefficients")
     items = [(coeff, teeth[k * per_coeff:(k + 1) * per_coeff])
              for k, coeff in enumerate(profile.enc_coeffs)]
-    powered = tuple(_in_pool(_challenge_chunk, (theta, profile.public_key),
-                             items))
+    width = _comb_width(profile.public_key.n)
+    steps = [(1, sum(((theta >> (j * width + bit)) & 1) << j
+                     for j in range(_TEETH)))
+             for bit in reversed(range(width))]
+    powered = tuple(_in_pool(_comb_power, (profile.public_key, steps), items))
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)
@@ -367,9 +363,10 @@ def carrier_challenge(profile: EncryptedProfile,
     return challenge, state
 
 
-def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
-                    challenge: AuthChallenge,
-                    anchor_d: int) -> AuthResponseEntry:
+def _response_entry(context: tuple[DeviceSecret, AuthChallenge, int],
+                    job: tuple[int, int]) -> AuthResponseEntry:
+    secret, challenge, anchor_d = context
+    value, randomizer = job
     pk = challenge.public_key
     n, n_squared = pk.n, pk.n_squared
     # Horner's rule in the exponent, top coefficient first: the exponents are
@@ -385,13 +382,6 @@ def _response_entry(value: int, randomizer: int, secret: DeviceSecret,
     cipher = pk.power(cipher_acc, secret.secret_exponent * randomizer)
     ratio = pow(anchor_d * pow(blinded_acc, -1, n) % n, randomizer, n)
     return AuthResponseEntry(cipher, ratio)
-
-
-def _response_chunk(context: tuple[DeviceSecret, AuthChallenge, int],
-                    jobs: list[tuple[int, int]]) -> list[AuthResponseEntry]:
-    secret, challenge, anchor_d = context
-    return [_response_entry(value, randomizer, secret, challenge, anchor_d)
-            for value, randomizer in jobs]
 
 
 def _check_params(secret: DeviceSecret, other: FeatureSet | AuthChallenge,
@@ -453,7 +443,7 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
     pk = challenge.public_key
     anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
     jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
-    entries = _in_pool(_response_chunk, (secret, challenge, anchor_d), jobs)
+    entries = _in_pool(_response_entry, (secret, challenge, anchor_d), jobs)
     rng.shuffle(entries)
     return entries
 
@@ -479,11 +469,10 @@ def device_respond_weighted(secret: DeviceSecret, challenge: AuthChallenge,
                    rng)
 
 
-def _match_chunk(context: tuple[int, PaillierPublicKey],
-                 entries: list[AuthResponseEntry]) -> list[bool]:
+def _matches(context: tuple[int, PaillierPublicKey],
+             entry: AuthResponseEntry) -> bool:
     theta, pk = context
-    return [entry.cipher == pk.power(entry.ratio, theta * pk.n)
-            for entry in entries]
+    return entry.cipher == pk.power(entry.ratio, theta * pk.n)
 
 
 def carrier_score(session: SessionState,
@@ -567,7 +556,7 @@ def carrier_score(session: SessionState,
         if ratio_class in seen:
             raise ProtocolError("response repeats a ratio class")
         seen.add(ratio_class)
-    return sum(_in_pool(_match_chunk, (theta, pk), list(entries)))
+    return sum(_in_pool(_matches, (theta, pk), list(entries)))
 
 
 def default_threshold(profile: EncryptedProfile) -> int:

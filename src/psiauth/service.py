@@ -14,11 +14,12 @@ import random
 import socketserver
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import DecodeError, Reader, encode_uint, encode_uints, \
-    write_atomically
+from .encoding import MAX_ENTRIES, DecodeError, Reader, encode_uint, \
+    encode_uints, write_atomically
 from .profiles import EncryptedProfile
 from .protocol import (
     _TEETH,
@@ -48,6 +49,9 @@ class ProfileStore:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # (user, digest) -> the teeth its first concurrent caller delivers.
+        self._teeth_in_flight: dict[tuple[str, bytes], Future] = {}
+        self._lock = threading.Lock()
 
     def _path(self, user_id: str, suffix: str = ".profile") -> Path:
         digest = hashlib.sha256(user_id.encode("utf-8")).hexdigest()
@@ -69,10 +73,30 @@ class ProfileStore:
         """``challenge_teeth(profile)``, kept behind the SHA-256 of the comb
         width and the record's bytes, so that no other record's teeth, and
         no teeth of another width, are ever used; a missing or mismatched
-        file is computed again and rewritten."""
+        file is computed again and rewritten.  Concurrent callers for one
+        user and record wait for the first one's read or computation; the
+        lock that finds it is held for no read and no computation."""
         width = _comb_width(profile.public_key.n)
         digest = hashlib.sha256(encode_uint(width) +
                                 profile.to_bytes()).digest()
+        key = (user_id, digest)
+        with self._lock:
+            shared = self._teeth_in_flight.get(key)
+            first = shared is None
+            if first:
+                shared = self._teeth_in_flight[key] = Future()
+        if first:
+            try:
+                shared.set_result(self._stored_teeth(user_id, profile, digest))
+            except BaseException as exc:  # raised below, to every caller
+                shared.set_exception(exc)
+            with self._lock:
+                del self._teeth_in_flight[key]
+        return shared.result()
+
+    def _stored_teeth(self, user_id: str, profile: EncryptedProfile,
+                      digest: bytes) -> tuple[int, ...]:
+        """The teeth stored behind ``digest``, or new ones, then stored."""
         target = self._path(user_id, ".teeth")
         count = (_TEETH - 1) * len(profile.enc_coeffs)
         try:
@@ -219,8 +243,11 @@ class CarrierService:
         return wire.StoreAck()
 
     def _handle_init(self, msg: wire.AuthInit) -> wire.Message:
-        if msg.sample_size < 1:
-            raise ProtocolError("declared sample size must be positive")
+        # A Case A or C response must have this many entries, and no
+        # response may carry more than MAX_ENTRIES.
+        if not 1 <= msg.sample_size <= MAX_ENTRIES:
+            raise ProtocolError("declared sample size must be in "
+                                f"[1, {MAX_ENTRIES}]")
         profile = self.store.load(msg.user_id)
         challenge, session = carrier_challenge(
             profile, self._rng, teeth=self.store.teeth(msg.user_id, profile))

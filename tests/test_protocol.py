@@ -302,8 +302,29 @@ POOL_RUNS = {
 }
 
 
+def cost_by_item(base: int, item: int) -> tuple[int, int]:
+    """A pure job whose cost grows with ``item``."""
+    return item, pow(base, 1 << (item * 4000), (1 << 521) - 1)
+
+
 class TestWorkerPool:
     """The pool computes exactly what the in-process path computes."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_come_back_in_item_order(self, fresh_pool, monkeypatch,
+                                             workers):
+        # Worker k runs items[k::workers]; every result must land back at
+        # its own item's place, for every item count up to 9.
+        monkeypatch.setattr(pool, "usable_cpus", lambda: workers)
+        try:
+            for count in range(10):
+                items = list(range(count, 0, -1))
+                expected = [cost_by_item(3, item) for item in items]
+                assert pool._in_pool(cost_by_item, 3, items) == expected
+            assert len(pool._pool._processes) == workers
+        finally:
+            if pool._pool is not None:
+                pool._drop_pool(pool._pool)
 
     @pytest.fixture
     def enrolled_a(self):
@@ -365,7 +386,7 @@ class TestWorkerPool:
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
             f"worker pool of {pool.usable_cpus()} processes broke in "
-            f"_challenge_chunk; finishing in-process, the next call forks a "
+            f"_comb_power; finishing in-process, the next call forks a "
             f"new pool")
         for secret in (theta, profile.public_key.n_squared,
                        *profile.enc_coeffs, *teeth):

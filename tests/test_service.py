@@ -8,6 +8,7 @@ import time
 import pytest
 
 from psiauth import (
+    EncryptedProfile,
     FeatureMode,
     FeatureSet,
     ModeMismatchError,
@@ -23,7 +24,7 @@ from psiauth import (
 )
 from psiauth import client, pool, protocol, wire
 from psiauth import service as service_module
-from psiauth.encoding import encode_uint, encode_uints
+from psiauth.encoding import MAX_ENTRIES, encode_uint, encode_uints
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
 from helpers import malformed_frames, overlap_instance, smallest_profile
@@ -94,7 +95,7 @@ def count_teeth_jobs(monkeypatch):
     jobs = []
 
     def in_pool(job, context, items):
-        if job is protocol._teeth_chunk:
+        if job is protocol._coeff_teeth:
             jobs.append(len(items))
         return pool._in_pool(job, context, items)
 
@@ -107,6 +108,45 @@ def plain_powers(service, challenge):
     pk = session.profile.public_key
     return tuple(pow(c, session.session_exponent, pk.n_squared)
                  for c in session.profile.enc_coeffs)
+
+
+def stall_one_user(service, monkeypatch, name):
+    """Hold ``service.<name>`` for user a's record while user b sends a
+    first AuthInit, which must still complete."""
+    rng = random.Random(16)
+    for user in ("a", "b"):
+        profile, _ = build_encrypted_profile(user, case_a([1, 2]), 128, rng)
+        service.store.save(user, profile)
+    held_profile = service.store.load("a")
+    entered, release = threading.Event(), threading.Event()
+    real = getattr(service_module, name)
+
+    def held(profile, *args, **kwargs):
+        if profile == held_profile:
+            entered.set()
+            release.wait(10)
+        return real(profile, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, name, held)
+    replies = {}
+
+    def init(user):
+        replies[user] = service.dispatch(wire.AuthInit(user, 1))
+
+    first = threading.Thread(target=init, args=("a",))
+    second = threading.Thread(target=init, args=("b",))
+    first.start()
+    try:
+        assert entered.wait(10)
+        second.start()
+        second.join(timeout=5)
+        assert isinstance(replies.get("b"), wire.Challenge)
+    finally:
+        release.set()
+        first.join(timeout=10)
+        if second.ident is not None:
+            second.join(timeout=10)
+    assert isinstance(replies["a"], wire.Challenge)
 
 
 class TestChallengeTeeth:
@@ -128,6 +168,64 @@ class TestChallengeTeeth:
             assert reply.challenge.powered_coeffs == \
                 plain_powers(restarted, reply.challenge)
         assert jobs == [features.size + 1]
+
+    def test_concurrent_first_challenges_compute_the_teeth_once(
+            self, service, kp1024, monkeypatch):
+        # Four first challenges for one record meet in ProfileStore.teeth:
+        # the first computes the record's teeth, the others wait for it.
+        pk = kp1024[0]
+        draws = random.Random(17)
+        coeffs = tuple(draws.randrange(2, pk.n_squared) for _ in range(21))
+        service.store.save("bob", EncryptedProfile(
+            pk, coeffs, (1,) * 21, 20, FeatureMode.CASE_A))
+        jobs = count_teeth_jobs(monkeypatch)
+        together = threading.Barrier(4)
+        real_teeth = service.store.teeth
+        real_compute = service_module.challenge_teeth
+
+        def arrive(*args):
+            together.wait(10)
+            return real_teeth(*args)
+
+        def slow(profile):
+            time.sleep(0.2)  # still in flight when the other three arrive
+            return real_compute(profile)
+
+        monkeypatch.setattr(service.store, "teeth", arrive)
+        monkeypatch.setattr(service_module, "challenge_teeth", slow)
+        replies = []
+        threads = [threading.Thread(target=lambda: replies.append(
+            service.dispatch(wire.AuthInit("bob", 1)))) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert jobs == [21]
+        assert len(replies) == 4
+        for reply in replies:
+            assert reply.challenge.powered_coeffs == \
+                plain_powers(service, reply.challenge)
+
+    def test_held_teeth_stall_no_other_user(self, service, monkeypatch):
+        # User a's teeth are held mid-computation, with a's record in
+        # flight; user b's first AuthInit must still complete.
+        stall_one_user(service, monkeypatch, "challenge_teeth")
+
+    def test_failed_teeth_computation_not_kept(self, tmp_path, rng,
+                                              monkeypatch):
+        # Its caller sees the error, and the next caller computes afresh.
+        store = ProfileStore(tmp_path)
+        profile, _ = build_encrypted_profile("u", case_a([3, 4]), 128, rng)
+
+        def broken(profile):
+            raise RuntimeError("teeth failed")
+
+        monkeypatch.setattr(service_module, "challenge_teeth", broken)
+        with pytest.raises(RuntimeError, match="teeth failed"):
+            store.teeth("u", profile)
+        monkeypatch.undo()
+        assert store.teeth("u", profile) == protocol.challenge_teeth(profile)
+        assert store._teeth_in_flight == {}
 
     def test_restored_record_never_meets_old_teeth(self, enrolled, rng):
         service, _, _ = enrolled
@@ -301,15 +399,23 @@ class TestServeFlow:
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert service.sessions._sessions == {}
 
-    def test_non_positive_sample_size_opens_no_session(self, enrolled):
+    def test_sample_size_outside_range_opens_no_session(self, enrolled,
+                                                        caplog):
         # The declared size is what a Case A or C response is held to and
         # what decide divides by, so zero is refused before any session.
+        # No response carries more than MAX_ENTRIES entries, so no larger
+        # declaration can be met; nor may it reach a log line, where 5,000
+        # digits pass Python's int-to-str limit.
         service, _, _ = enrolled
         with client.CarrierConnection(service.address) as conn:
-            with pytest.raises(client.CarrierReplyError) as excinfo:
-                conn.request(wire.AuthInit("alice", 0))
-            assert excinfo.value.code == wire.ERR_PROTOCOL
-        assert service.sessions._sessions == {}
+            for size in (0, MAX_ENTRIES + 1, 10 ** 5000):
+                with pytest.raises(client.CarrierReplyError) as excinfo:
+                    conn.request(wire.AuthInit("alice", size))
+                assert excinfo.value.code == wire.ERR_PROTOCOL
+                assert service.sessions._sessions == {}
+            reply = conn.request(wire.AuthInit("alice", 3))
+            assert isinstance(reply, wire.Challenge)
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_replayed_response_rejected(self, enrolled):
         service, secret, _ = enrolled
@@ -428,41 +534,7 @@ class TestServeFlow:
     def test_one_challenge_stalls_no_other_user(self, service, monkeypatch):
         # User a's challenge is held mid-computation; user b's AuthInit must
         # still complete, so no lock may be held around the challenge.
-        rng = random.Random(16)
-        for user in ("a", "b"):
-            profile, _ = build_encrypted_profile(user, case_a([1, 2]), 128,
-                                                 rng)
-            service.store.save(user, profile)
-        held_profile = service.store.load("a")
-        entered, release = threading.Event(), threading.Event()
-        real = service_module.carrier_challenge
-
-        def held(profile, *args, **kwargs):
-            if profile == held_profile:
-                entered.set()
-                release.wait(10)
-            return real(profile, *args, **kwargs)
-
-        monkeypatch.setattr(service_module, "carrier_challenge", held)
-        replies = {}
-
-        def init(user):
-            replies[user] = service.dispatch(wire.AuthInit(user, 1))
-
-        first = threading.Thread(target=init, args=("a",))
-        second = threading.Thread(target=init, args=("b",))
-        first.start()
-        try:
-            assert entered.wait(10)
-            second.start()
-            second.join(timeout=5)
-            assert isinstance(replies.get("b"), wire.Challenge)
-        finally:
-            release.set()
-            first.join(timeout=10)
-            if second.ident is not None:
-                second.join(timeout=10)
-        assert isinstance(replies["a"], wire.Challenge)
+        stall_one_user(service, monkeypatch, "carrier_challenge")
 
     def test_unexpected_message_answered_with_protocol_error(self, service):
         with client.CarrierConnection(service.address) as conn:
