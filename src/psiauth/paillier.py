@@ -27,7 +27,9 @@ depends only on ``a mod n`` (Paillier, EUROCRYPT 1999), for
 holds for every integer ``x``, units or not.  So ``power`` runs one
 half-width ``pow`` modulo ``n`` and one chain of ``|n|`` squarings for both
 powers on the right.  The device's mask ``acc**(d * rho)``, an exponent of
-about ``3|n|`` bits, costs about two thirds of what it did unsplit.  Like
+about ``2|n| + 256`` bits (``rho = t + n*k`` with ``k`` below ``2**256``),
+takes ``|n|`` squarings modulo ``n**2`` and a half-width power to
+``|n| + 256`` bits.  ``power`` stays exact for every exponent.  Like
 ``pow``, a power takes a time that depends on the exponent.
 
 A ciphertext is a plain integer in ``[1, n**2)``; every operation that takes

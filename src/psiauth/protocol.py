@@ -38,16 +38,22 @@ the device's Horner steps and its cipher mask ``acc**(d * rho)``, the
 carrier's ``n * theta`` power in each match test, and the challenge comb with
 the squarings to its teeth.  ``power`` splits every exponent of at least
 ``n`` at ``n``, into a half-width ``pow`` modulo ``n`` and one chain of
-``|n|`` squarings modulo ``n**2``: the mask's exponent of about ``3|n|``
-bits takes ``|n|`` squarings there instead of ``3|n|``, and the match test
-is a power to ``theta`` modulo ``n`` and an ``n``-th power.
+``|n|`` squarings modulo ``n**2``: the mask's exponent ``d * rho``, of
+about ``2|n| + 256`` bits, takes ``|n|`` squarings there and a half-width
+power to ``|n| + 256`` bits, and the match test is a power to ``theta``
+modulo ``n`` and an ``n``-th power.
+
+Each randomizer is ``rho = t + n*k``, with ``t`` a uniform unit below
+``n`` and ``k`` uniform below ``short_exponent_bound(n)``, so the ratio
+power and the mask's half-width power take exponents of ``|n| + 256``
+bits; ``respond`` says why the short ``k`` is safe.
 
 The device evaluates both response legs by Horner's rule in the exponent,
 ``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
 raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
 exponents, so the encryption randomizers cancel carrier-side.
 
-The session exponent ``theta`` is drawn below ``session_exponent_bound(n)``,
+The session exponent ``theta`` is drawn below ``short_exponent_bound(n)``,
 ``min(n, 2**256)``; ``carrier_challenge`` says why 256 bits suffice.  The
 challenge powers ``C_i**theta`` have the same bases in every session, so
 the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
@@ -112,7 +118,7 @@ __all__ = [
     "device_respond_weighted",
     "respond",
     "response_values",
-    "session_exponent_bound",
+    "short_exponent_bound",
 ]
 
 _SYSTEM = random.SystemRandom()
@@ -174,7 +180,7 @@ class SessionState:
     """Carrier-private state for one challenge; single use."""
 
     session_id: bytes
-    session_exponent: int  # theta, uniform below session_exponent_bound(n)
+    session_exponent: int  # theta, uniform below short_exponent_bound(n)
     profile: EncryptedProfile
     created_at: float
     sample_size: int | None = None  # declared by the device, if it did
@@ -246,8 +252,9 @@ class AuthDecision:
                    read_mode(reader))
 
 
-def session_exponent_bound(n: int) -> int:
-    """The exclusive upper bound of a session exponent: ``min(n, 2**256)``."""
+def short_exponent_bound(n: int) -> int:
+    """The exclusive upper bound of both short exponents, a session
+    exponent ``theta`` and a randomizer's ``k``: ``min(n, 2**256)``."""
     return min(n, 1 << 256)
 
 
@@ -257,7 +264,7 @@ _TEETH = 5
 
 def _comb_width(n: int) -> int:
     """Bits per comb limb: ``_TEETH`` limbs cover any session exponent."""
-    return -(-(session_exponent_bound(n) - 1).bit_length() // _TEETH)
+    return -(-(short_exponent_bound(n) - 1).bit_length() // _TEETH)
 
 
 def _coeff_teeth(pk: PaillierPublicKey, coeff: int) -> list[int]:
@@ -310,7 +317,7 @@ def carrier_challenge(profile: EncryptedProfile,
     docstring).  ``theta`` is drawn from ``rng`` first and the session id
     second; ``session_exponent`` replaces the draw of ``theta``.
 
-    ``theta`` is uniform in ``[1, session_exponent_bound(n))``: 256 bits
+    ``theta`` is uniform in ``[1, short_exponent_bound(n))``: 256 bits
     at 1024-bit keys and up, where it is always a unit modulo ``n``; at
     512 bits it is a multiple of ``p`` or ``q`` with probability below
     ``2**-250``.  The short exponent rests on the short-exponent
@@ -338,7 +345,7 @@ def carrier_challenge(profile: EncryptedProfile,
       the Jacobi symbol reads, which leaks ``theta mod 2`` at most.
     """
     rng = rng or _SYSTEM
-    bound = session_exponent_bound(profile.public_key.n)
+    bound = short_exponent_bound(profile.public_key.n)
     theta = session_exponent if session_exponent is not None \
         else rng.randrange(1, bound)
     if not 1 <= theta < bound:
@@ -437,12 +444,54 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
     randomizers evaluate to a non-unit modulo ``n`` raises
     ``ProtocolError``.  The secret holds no modulus, so any other ``n`` is
     answered too (an open gap, see the README threat model).
+
+    Each randomizer is ``rho = t + n*k``: ``t`` is drawn first, a uniform
+    unit below ``n``, then ``k``, uniform below ``short_exponent_bound(n)``
+    like ``theta``.  Below ``n = 2**256`` that is a uniform unit below
+    ``n**2``, the draw of a full-width ``rho``.  Above it, ``k`` has 256
+    bits, and the ratio power and the mask's half-width power take
+    exponents of ``|n| + 256`` bits instead of ``2|n|``.  The adversary
+    here is the carrier, which sees every response and picks every
+    ``theta``.  With ``Y = R'**d / B(b) mod n``, where ``B(b)`` is the
+    blinded leg evaluated at the entry's value ``b``, an entry shows it two
+    things:
+
+    * The ``(1+n)`` part of ``cipher / ratio**(n*theta) mod n**2``, which
+      reads ``theta*d*rho*P(b) = theta*d*t*P(b) mod n``.  Only ``t`` enters
+      it, and the ``t`` are independent uniform units, for repeated Case B
+      values and across sessions too.  So this reading keeps the law it
+      had under a full-width ``rho``.  The carrier's choice of ``theta``
+      only scales ``t``'s multiplier.
+    * The ratio ``Y**t * (Y**n)**k mod n``, the only place ``k`` shows.
+      The order of ``Y`` divides ``lambda(n)``, and ``n`` is ``p + q - 1``
+      modulo it.  So ``Y**t`` alone is uniform in the group ``Y`` generates,
+      to within about ``2*(p + q)/n``, whatever ``k`` is.
+
+    A test on ``k`` needs both ``Y`` and ``t``.  ``Y`` needs ``R'**d``, the
+    record and a guessed value.  ``t`` needs the first reading divided by
+    ``theta*d*P(b)``.  A party without the device secret ``(d, R')`` has
+    neither, so it has no test.  A party that holds the secret, ``theta``
+    and ``P(b)`` still needs about ``2**128`` kangaroo steps per guess to
+    find ``k < 2**256`` in ``(Y**n)**k``.  Factoring a 1024-bit or
+    2048-bit ``n`` costs less than that and breaks a full-width ``rho`` as
+    well: the Legendre symbols of a ratio modulo ``p`` and ``q`` are those
+    of ``Y`` raised to ``rho``, so they refute wrong guesses whatever
+    ``rho``'s length, and the factors decrypt the record too.  The Jacobi
+    symbol of a ratio reads at most ``rho``'s parity, that of ``t + k``.
+    ``t`` and ``n - t`` are both units and differ in parity, so that parity
+    is uniform under either draw.  A challenge under a foreign modulus
+    reads the sample through ``rho`` of any length (the README threat
+    model).  The argument rests on the short-exponent assumption in groups
+    of unknown order (Koshiba and Kurosawa, PKC 2004).  ``d`` stays full
+    width: it hides the encryption randomizers in the stored ``r_k**-d``.
     """
     _check_params(secret, challenge, "challenge")
     rng = rng or _SYSTEM
     pk = challenge.public_key
     anchor_d = pow(secret.anchor, secret.secret_exponent, pk.n)
-    jobs = [(value, draw_unit(rng, pk.n_squared)) for value in values]
+    bound = short_exponent_bound(pk.n)
+    jobs = [(value, draw_unit(rng, pk.n) + pk.n * rng.randrange(bound))
+            for value in values]
     entries = _in_pool(_response_entry, (secret, challenge, anchor_d), jobs)
     rng.shuffle(entries)
     return entries

@@ -14,7 +14,9 @@ builds as many genuine matches as it likes from one known feature, a
 party that holds the stored record forges a match per coefficient without
 any secret, and the device answers a challenge under any modulus, which
 hands its sample to whoever forged that challenge; strict ``xfail`` tests
-pin these gaps.
+pin these gaps.  What the carrier reads of an entry's randomizer
+``rho = t + n*k`` is pinned too: the ``(1+n)`` part of its cipher depends
+on ``t`` alone, so ``k`` shows in the ratio only.
 """
 
 import dataclasses
@@ -37,6 +39,7 @@ from psiauth import (
     encode_numeric,
 )
 from psiauth import PaillierPublicKey, client, protocol, wire
+from psiauth.paillier import draw_unit
 from psiauth.service import CarrierConfig, CarrierService
 
 from helpers import distinct_values
@@ -66,6 +69,39 @@ def one_genuine_entry(profile, secret, rng):
     sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
     (entry,) = device_respond(secret, challenge, sample, rng)
     return entry, session
+
+
+def test_carrier_reading_depends_on_rho_mod_n_only():
+    # The carrier reads theta*d*rho*P(b) mod n from the (1+n) part of
+    # cipher / ratio**(n*theta), for a matching and a non-matching value.
+    # A randomizer's k, rho // n, shows in the ratio only.
+    rng = random.Random(0x7A0)
+    features = FeatureSet.from_values(FeatureMode.CASE_A, [5, 11, 17])
+    profile, secret, audit = build_encrypted_profile(
+        "u", features, 128, rng, keep_setup_audit=True)
+    pk = profile.public_key
+    n, n_squared, d = pk.n, pk.n_squared, secret.secret_exponent
+    challenge, session = carrier_challenge(profile, rng)
+    theta = session.session_exponent
+    context = (secret, challenge, pow(secret.anchor, d, n))
+
+    def reading(entry):
+        unmasked = entry.cipher * pow(entry.ratio, -n * theta, n_squared)
+        low = unmasked % n_squared - 1
+        assert low % n == 0
+        return low // n
+
+    bound = protocol.short_exponent_bound(n)
+    rho = draw_unit(rng, n) + n * rng.randrange(bound)
+    for value in (11, 12):
+        p_b = sum(c * value ** i for i, c in enumerate(audit.coeffs)) % n
+        assert (p_b == 0) == (value in features.values)
+        entry = protocol._response_entry(context, (value, rho))
+        shifted = protocol._response_entry(
+            context, (value, rho + n * rng.randrange(1, bound)))
+        assert reading(entry) == theta * d * rho * p_b % n
+        assert reading(shifted) == reading(entry)
+        assert shifted.ratio != entry.ratio
 
 
 def test_unit_cipher_forgery_rejected(enrolled):

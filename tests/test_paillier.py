@@ -18,6 +18,7 @@ from psiauth import (
 )
 from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
     _SMALL_PRIMES, is_probable_prime
+from psiauth.protocol import short_exponent_bound
 
 
 # Cofactors ``k * _PERIOD + unit`` are odd, at least 257 and coprime to every
@@ -265,7 +266,8 @@ class TestDigitPairPower:
                                  "random"]),
            exponent=st.sampled_from(["0", "1", "2", "2**k", "2**k-1",
                                      "2**k+1", "random", "n-1", "n", "k*n",
-                                     "k*n-1", "k*n+1", "d*rho"]))
+                                     "k*n-1", "k*n+1", "d*rho",
+                                     "d*(t+n*k)"]))
     @example(bits=16, seed=0, base="n**2-1", exponent="2**k-1")
     @example(bits=17, seed=1, base="p*k", exponent="random")
     @example(bits=511, seed=2, base=">=n**2", exponent="2**k+1")
@@ -279,6 +281,9 @@ class TestDigitPairPower:
     @example(bits=512, seed=9, base="p*k", exponent="k*n+1")
     @example(bits=16, seed=10, base="n", exponent="d*rho")
     @example(bits=512, seed=11, base=">=n**2", exponent="d*rho")
+    # The device's mask: d times rho = t + n*k, k below the short bound.
+    @example(bits=16, seed=12, base="random", exponent="d*(t+n*k)")
+    @example(bits=512, seed=13, base="p*k", exponent="d*(t+n*k)")
     def test_equals_plain_pow(self, bits, seed, base, exponent):
         rng = random.Random(seed)
         pk, sk = keygen(bits, rng)
@@ -293,7 +298,10 @@ class TestDigitPairPower:
                     "2**k-1": (1 << k) - 1, "2**k+1": (1 << k) + 1,
                     "random": rng.getrandbits(k), "n-1": n - 1, "n": n,
                     "k*n": k * n, "k*n-1": k * n - 1, "k*n+1": k * n + 1,
-                    "d*rho": rng.randrange(1, n) * rng.randrange(1, n_squared)
+                    "d*rho": rng.randrange(1, n) * rng.randrange(1, n_squared),
+                    "d*(t+n*k)": rng.randrange(1, n) * (
+                        rng.randrange(1, n) +
+                        n * rng.randrange(short_exponent_bound(n)))
                     }[exponent]
         assert pk.power(base, exponent) == pow(base, exponent, n_squared)
 

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from psiauth import (
     INFINITE,
     AuthResponseEntry,
+    DeviceSecret,
     EncryptedProfile,
     FeatureMode,
     FeatureSet,
@@ -42,7 +43,7 @@ from psiauth import pool, protocol
 from psiauth.encoding import encode_uint
 from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, default_threshold, \
-    session_exponent_bound
+    short_exponent_bound
 
 from helpers import distinct_values, kill_one_worker, overlap_instance, \
     smallest_profile
@@ -55,9 +56,12 @@ def case_a(values):
 def raw_entries(secret, challenge, values, rng):
     """Unshuffled entries from raw power products, one per value in order.
 
-    Each ratio is built the long way, as ``tag * correction**-1 mod n`` from
-    the full-width powers ``tag = R'**(d * rho)`` and ``correction = B**rho``
-    modulo ``n**2``, where ``B`` is the blinded leg's raw power product.
+    Each randomizer is drawn as ``respond`` draws it, ``rho = t + n*k``
+    with ``t`` a unit below ``n`` drawn first and then ``k`` below
+    ``short_exponent_bound(n)``.  Each ratio is built the long way, as
+    ``tag * correction**-1 mod n`` from the full-width powers
+    ``tag = R'**(d * rho)`` and ``correction = B**rho`` modulo ``n**2``,
+    where ``B`` is the blinded leg's raw power product.
     """
     n, n_squared = challenge.public_key.n, challenge.public_key.n_squared
 
@@ -70,7 +74,8 @@ def raw_entries(secret, challenge, values, rng):
     d = secret.secret_exponent
     entries = []
     for x in values:
-        rho = draw_unit(rng, n_squared)
+        t = draw_unit(rng, n)
+        rho = t + n * rng.randrange(short_exponent_bound(n))
         tag = pow(secret.anchor, d * rho, n_squared)
         correction = pow(raw_product(challenge.blinded_randomizers, x), rho,
                          n_squared)
@@ -116,7 +121,7 @@ class TestCarrierChallenge:
     def test_exponent_range_checked(self, kp128, kp512, rng):
         # Below 2**256 the bound is n; from there on it is 2**256.
         for (pk, _), bound in ((kp128, kp128[0].n), (kp512, 1 << 256)):
-            assert session_exponent_bound(pk.n) == bound
+            assert short_exponent_bound(pk.n) == bound
             profile = smallest_profile(pk, rng)
             for theta in (0, bound):
                 with pytest.raises(ValueError, match="session exponent"):
@@ -128,9 +133,9 @@ class TestCarrierChallenge:
 
     def test_bound_is_n_below_2_to_the_256(self):
         for n in (15, (1 << 255) + 1, (1 << 256) - 1):
-            assert session_exponent_bound(n) == n
+            assert short_exponent_bound(n) == n
         for n in ((1 << 256) + 1, (1 << 1024) - 1):
-            assert session_exponent_bound(n) == 1 << 256
+            assert short_exponent_bound(n) == 1 << 256
 
     def test_drawn_exponents_have_at_most_256_bits(self, kp1024, rng):
         pk = kp1024[0]
@@ -165,7 +170,7 @@ class TestChallengeComb:
         rng = random.Random(seed)
         pk, sk = keygen(bits, rng)
         n, n_squared = pk.n, pk.n_squared
-        bound = session_exponent_bound(n)
+        bound = short_exponent_bound(n)
         width = protocol._comb_width(n)
         assert protocol._TEETH * width >= (bound - 1).bit_length()
         # The teeth are squared to in base-n digit pairs; a non-unit base
@@ -237,6 +242,37 @@ class TestDeviceRespond:
             if entries == expected:
                 identity_count += 1
         assert identity_count <= 5  # expectation is 100/120
+
+    def test_randomizers_are_a_unit_plus_a_short_multiple_of_n(
+            self, kp1024, rng, monkeypatch):
+        # respond hands _response_entry one job (value, rho) per value, in
+        # value order; rho = t + n*k with t a unit below n and k below the
+        # bound theta is drawn from.
+        pk = kp1024[0]
+        n, bound = pk.n, short_exponent_bound(pk.n)
+        challenge, _ = carrier_challenge(smallest_profile(pk, rng), rng,
+                                         session_exponent=1)
+        secret = DeviceSecret("u", rng.randrange(1, n),
+                              draw_unit(rng, pk.n_squared),
+                              FeatureMode.CASE_A)
+        captured = []
+
+        def in_pool(job, context, items):
+            assert job is protocol._response_entry
+            captured.extend(items)
+            return list(items)
+
+        monkeypatch.setattr(protocol, "_in_pool", in_pool)
+        values = list(range(1, 201))
+        protocol.respond(secret, challenge, values, rng)
+        assert [value for value, _ in captured] == values
+        ks = []
+        for _, rho in captured:
+            assert math.gcd(rho % n, n) == 1
+            assert rho < n * bound
+            ks.append(rho // n)
+        # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
+        assert max(ks).bit_length() == (bound - 1).bit_length() == 256
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_non_unit_challenge_raises_protocol_error(self, rng, cpus,
@@ -842,12 +878,12 @@ class TestDecide:
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
 # profile and secret bytes, challenge and response bytes, and the match
-# counts.  Recorded when session exponents were first drawn below 2**256:
-# the construction before, handed the same theta and session-id draws
-# through ``session_exponent`` and ``session_id``, gives this digest, so
-# only theta's range moved.
-PINNED_TRANSCRIPT_DIGEST = ("5c67f41549c3674c9066345d60809f84"
-                            "a92afb020318f5eb2cd116f3e01e8311")
+# counts.  Recorded when each randomizer was first drawn as rho = t + n*k
+# with k below short_exponent_bound(n): the same tree with the draw of a
+# full-width rho, a unit below n**2, gives the digest recorded before,
+# 5c67f415...e8311, so only rho's draw moved.
+PINNED_TRANSCRIPT_DIGEST = ("ff4a067f5c516645925a0b6f204808b1"
+                            "1fb7e85097d0b9a777382ef5bbaa55b5")
 
 
 def transcript_blobs():
@@ -887,13 +923,13 @@ def test_seeded_transcript_is_pinned():
 
 
 # SHA-256 over the (cipher, ratio) pairs of ``seeded_entries``, recorded
-# like the transcript digest when session exponents were first drawn below
-# 2**256: the construction before, handed the same theta and session-id
-# draws, gives this digest.  The pairs themselves match the three-value
+# like the transcript digest when rho was first drawn as t + n*k: with a
+# full-width rho drawn below n**2, the same tree gives the digest recorded
+# before, 1503ae84...799a2.  The pairs themselves match the three-value
 # entries (cipher, correction, tag) that preceded them, with
 # ratio = tag * correction**-1 mod n, under the same randomizers.
-PINNED_PAIR_DIGEST = ("1503ae84acf8bb38e0e5f2e84f989c8e"
-                      "f3e29098350af0898c718f5561d799a2")
+PINNED_PAIR_DIGEST = ("80ab2a5336a8eb7c0753814f700765e8"
+                      "d9dfd10adb02f4792ddcf0fefd351370")
 
 
 def seeded_entries():

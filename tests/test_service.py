@@ -368,7 +368,7 @@ class TestServeFlow:
         assert len(set(ids)) == 100
         sessions = service.sessions._sessions
         assert set(sessions) == set(ids)
-        bound = protocol.session_exponent_bound(pk.n)
+        bound = protocol.short_exponent_bound(pk.n)
         assert all(1 <= s.session_exponent < bound for s in sessions.values())
 
     def test_auth_init_unknown_user(self, service):
