@@ -67,8 +67,14 @@ __all__ = [
 DEFAULT_KEY_BITS = 1024
 MIN_KEY_BITS = 16
 
-# Miller-Rabin rounds; error probability at most 4**-60 per candidate.
+# Miller-Rabin rounds for a caller-chosen candidate only.  4**-60 bounds the
+# chance that a composite passes in the worst case, whoever chose it; key
+# generation's random candidates take fewer rounds (``_random_rounds``).
 PRIMALITY_ROUNDS = 60
+
+# A random prime's error bound, in bits: 2**-128, with two bits spare for
+# drawing only from the half of the range whose top two bits are set.
+_RANDOM_ERROR_BITS = 130
 
 
 def _sieve(split: int, high: int) -> tuple[tuple[int, ...], int]:
@@ -281,7 +287,20 @@ def _base_passes(context: tuple[int, int, int, int], base: int) -> bool:
 
 def is_probable_prime(candidate: int,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with randomly chosen bases.
+    """Miller-Rabin primality test with ``PRIMALITY_ROUNDS`` random bases.
+
+    A composite passes with probability at most ``4**-PRIMALITY_ROUNDS``,
+    Rabin's worst case, which holds for every candidate, one an adversary
+    chose included.  Key generation's candidates are uniformly drawn and
+    take fewer rounds (``_random_prime``), by a bound on the average over
+    random candidates that says nothing about a chosen one; so a
+    caller-chosen candidate, as ``keypair_from_primes`` tests, keeps 60.
+    """
+    return _miller_rabin(candidate, rng or _SYSTEM, PRIMALITY_ROUNDS)
+
+
+def _miller_rabin(candidate: int, rng: random.Random, rounds: int) -> bool:
+    """Miller-Rabin primality test with ``rounds`` randomly chosen bases.
 
     A candidate with a prime factor below ``2**16`` is rejected by the
     first round that fails modulo ``g``, the product of those factors: a
@@ -291,8 +310,8 @@ def is_probable_prime(candidate: int,
 
     The first round runs here.  A random composite that passes it is rare
     (Damgard, Landrock and Pomerance, Math. Comp. 1993), so the other
-    ``PRIMALITY_ROUNDS - 1`` bases are drawn at once and tested together on
-    the worker pool (``pool``), whose forked workers see the candidate as
+    ``rounds - 1`` bases are drawn at once and tested together on the
+    worker pool (``pool``), whose forked workers see the candidate as
     set-up's see ``p`` and ``q``.  If one fails, ``rng`` is rewound to just
     past the first failing base: the plain test draws exactly the bases up
     to it, so a seeded key is unchanged.
@@ -306,7 +325,6 @@ def is_probable_prime(candidate: int,
     for p in _SMALL_PRIMES:
         if candidate % p == 0:
             return candidate == p
-    rng = rng or _SYSTEM
     d = candidate - 1
     r = 0
     while d % 2 == 0:
@@ -319,8 +337,7 @@ def is_probable_prime(candidate: int,
         state = rng.getstate()
     except NotImplementedError:  # SystemRandom: no state to replay
         state = None
-    bases = [rng.randrange(2, candidate - 1)
-             for _ in range(PRIMALITY_ROUNDS - 1)]
+    bases = [rng.randrange(2, candidate - 1) for _ in range(rounds - 1)]
     passed = _in_pool(_base_passes, context, bases)
     if all(passed):
         return True
@@ -331,18 +348,50 @@ def is_probable_prime(candidate: int,
     return False
 
 
+def _random_error_log2(bits: int, rounds: int) -> float:
+    """``log2`` of ``_random_prime``'s bound on the chance that a random
+    ``bits``-bit candidate that passed ``rounds`` rounds is composite."""
+    return (1.5 * math.log2(bits) + rounds - 0.5 * math.log2(rounds) +
+            2 * (2 - math.sqrt(rounds * bits)))
+
+
+def _random_rounds(bits: int) -> int:
+    """Miller-Rabin rounds for a uniformly drawn ``bits``-bit candidate:
+    the smallest ``t`` with ``3 <= t <= bits/9`` whose bound
+    (``_random_error_log2``) is at most ``2**-_RANDOM_ERROR_BITS``, or
+    ``PRIMALITY_ROUNDS`` where there is none.  13 at 512 bits, 6 at 1024,
+    and 60 for every size up to 256 bits."""
+    for rounds in range(3, bits // 9 + 1):
+        if _random_error_log2(bits, rounds) <= -_RANDOM_ERROR_BITS:
+            return rounds
+    return PRIMALITY_ROUNDS
+
+
 def _random_prime(bits: int, rng: random.Random) -> int:
     """Random prime with exactly ``bits`` bits and the top two bits set.
 
     Forcing the two leading bits makes the product of two such primes always
     have the full target bit length.
+
+    Each candidate is drawn uniformly, so it takes ``_random_rounds(bits)``
+    Miller-Rabin rounds.  For a random odd ``k``-bit number, the chance
+    that it is composite given that it passed ``t`` rounds is at most
+    ``k**(3/2) * 2**t * t**(-1/2) * 4**(2 - sqrt(t*k))`` for ``k >= 21``
+    and ``3 <= t <= k/9`` (Damgard, Landrock and Pomerance, Math. Comp.
+    1993; Handbook of Applied Cryptography, Fact 4.48(ii)).  The count
+    keeps that below ``2**-130``: ``2**-128``, with two bits spare for
+    drawing from only the half of the ``k``-bit range whose second bit is
+    set.  Where no ``t`` in range reaches it, as up to 256 bits, the count
+    is ``PRIMALITY_ROUNDS``.  The bound averages over random candidates,
+    which is why ``is_probable_prime`` keeps 60 rounds for chosen ones.
     """
     if bits < 8:
         raise KeyGenerationError("prime size below 8 bits")
     top = (1 << (bits - 1)) | (1 << (bits - 2))
+    rounds = _random_rounds(bits)
     for _ in range(128 * bits):
         candidate = rng.getrandbits(bits) | top | 1
-        if is_probable_prime(candidate, rng=rng):
+        if _miller_rabin(candidate, rng, rounds):
             return candidate
     raise KeyGenerationError(f"no {bits}-bit prime found within retry budget")
 

@@ -70,7 +70,7 @@ over stored teeth costs about 0.3.
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
 key generation's Miller-Rabin rounds after a candidate's first
-(``paillier.is_probable_prime``), set-up's coefficient encryptions and
+(``paillier._miller_rabin``), set-up's coefficient encryptions and
 blinded randomizers (``profiles``), the challenge's teeth and
 ``C_i**theta``, the device's entries and the carrier's match tests.
 Everything else stays in the calling process: every random draw,

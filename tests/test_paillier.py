@@ -16,8 +16,10 @@ from psiauth import (
     keypair_from_primes,
     scalar_pow,
 )
+from psiauth import paillier
 from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
-    _SMALL_PRIMES, is_probable_prime
+    _SMALL_PRIMES, _miller_rabin, _random_error_log2, _random_rounds, \
+    is_probable_prime
 from psiauth.protocol import short_exponent_bound
 
 
@@ -27,12 +29,12 @@ _PERIOD = 2 * math.prod(_SMALL_PRIMES)
 _UNITS = [p for p in range(257, 1000, 2) if is_probable_prime(p)]
 
 
-def plain_miller_rabin(candidate, rng):
+def plain_miller_rabin(candidate, rng, rounds=PRIMALITY_ROUNDS):
     """Reference: the Miller-Rabin test without the small-factor shortcut."""
     d, r = candidate - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    for _ in range(PRIMALITY_ROUNDS):
+    for _ in range(rounds):
         a = rng.randrange(2, candidate - 1)
         x = pow(a, d, candidate)
         if x in (1, candidate - 1):
@@ -118,6 +120,84 @@ class TestKeygen:
         assert is_probable_prime(candidate, fast) == \
             plain_miller_rabin(candidate, plain)
         assert fast.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize("rounds", [13, 6])
+    @settings(max_examples=150, deadline=None)
+    @given(small=st.sampled_from([1, 257, 4099, 65521]),
+           cofactor=st.builds(lambda k, unit: k * _PERIOD + unit,
+                              st.integers(min_value=0, max_value=1 << 64),
+                              st.sampled_from(_UNITS)),
+           seed=st.integers(min_value=0, max_value=1 << 32))
+    # Strong pseudoprimes to small bases, each with a factor below 2**16.
+    @example(small=1, cofactor=1373653, seed=1)
+    @example(small=1, cofactor=25326001, seed=2)
+    @example(small=1, cofactor=2152302898747, seed=3)
+    @example(small=1, cofactor=3474749660383, seed=4)
+    # The first base is a strong liar, so the second round fails.
+    @example(small=1, cofactor=1373653, seed=6)
+    @example(small=1, cofactor=25326001, seed=15)
+    @example(small=1, cofactor=2152302898747, seed=5)
+    @example(small=1, cofactor=3474749660383, seed=1)
+    # A prime: every round passes, and exactly ``rounds`` bases are drawn.
+    @example(small=1, cofactor=2**61 - 1, seed=7)
+    def test_random_candidate_rounds_draw_like_the_plain_test(
+            self, rounds, small, cofactor, seed):
+        # Key generation's count for 512-bit and 1024-bit primes.
+        candidate = small * (cofactor | 1)
+        assume(all(candidate % p for p in _SMALL_PRIMES))
+        fast, plain = random.Random(seed), random.Random(seed)
+        assert _miller_rabin(candidate, fast, rounds) == \
+            plain_miller_rabin(candidate, plain, rounds)
+        assert fast.getstate() == plain.getstate()
+
+    def test_random_rounds_keep_60_up_to_256_bits(self):
+        # Every 512-bit key, the seeded ones in the tests included, draws
+        # as it did with 60 rounds for each prime.
+        assert all(_random_rounds(bits) == PRIMALITY_ROUNDS
+                   for bits in range(8, 257))
+
+    def test_random_rounds_at_512_and_1024_bits(self):
+        assert (_random_rounds(512), _random_rounds(1024)) == (13, 6)
+        # The bound itself, k**1.5 * 2**t / sqrt(t) * 4**(2 - sqrt(t*k)):
+        # below 2**-130 at the count, above it one round fewer.
+        for bits, rounds in ((512, 13), (1024, 6)):
+            def bound(t):
+                return bits ** 1.5 * 2 ** t / math.sqrt(t) * \
+                    4 ** (2 - math.sqrt(t * bits))
+            assert bound(rounds) <= 2 ** -130 < bound(rounds - 1)
+
+    def test_each_random_round_count_is_the_least_that_meets_the_bound(self):
+        for bits in range(21, 2049):
+            rounds = _random_rounds(bits)
+            allowed = range(3, bits // 9 + 1)
+            meets = [t for t in allowed if _random_error_log2(bits, t) <= -130]
+            if rounds == PRIMALITY_ROUNDS:
+                assert not meets, bits
+            else:
+                assert rounds == meets[0], bits
+
+    def test_caller_chosen_candidates_keep_every_round(self, monkeypatch):
+        bases = []
+
+        def counting(job, context, items):
+            bases.append(len(items))
+            return in_pool(job, context, items)
+
+        in_pool = paillier._in_pool
+        monkeypatch.setattr(paillier, "_in_pool", counting)
+        _, sk = keygen(1024, random.Random(3))
+        # Key generation: each first round in-process, 12 on the pool.
+        assert set(bases) == {_random_rounds(512) - 1}
+        bases.clear()
+        assert is_probable_prime(sk.p, random.Random(3))
+        assert bases == [PRIMALITY_ROUNDS - 1]
+
+    def test_seeded_1024_bit_keys_pass_60_rounds(self):
+        for seed in range(5):
+            _, sk = keygen(1024, random.Random(seed))
+            for prime in (sk.p, sk.q):
+                assert prime.bit_length() == 512
+                assert plain_miller_rabin(prime, random.Random(seed))
 
     def test_primality_helper_rejects_composites(self):
         assert is_probable_prime(2) and is_probable_prime(65537)
