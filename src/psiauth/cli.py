@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import random
 import signal
@@ -86,15 +87,17 @@ def _cmd_serve(args) -> int:
         session_timeout=args.session_timeout, seed=args.seed))
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    bound_host, bound_port = service.address
-    print(f"carrier listening on {bound_host}:{bound_port}, "
-          f"profiles under {args.data_dir}")
-    # kill's SIGTERM stops the carrier like Ctrl-C, so its pool workers exit.
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        service.shutdown()
+    # Ctrl-C stops serve with status 0, during the carrier's start too.
+    with contextlib.suppress(KeyboardInterrupt), service:
+        # kill's SIGTERM stops it like Ctrl-C, so its pool workers exit.
+        # The handler is installed once start() has forked them: a
+        # KeyboardInterrupt raised in a fork's after-fork hook is ignored.
+        # The ready line follows, flushed even into a pipe, so a reader may
+        # send SIGTERM as soon as it has read the line.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print("carrier listening on %s:%d, profiles under %s"
+              % (*service.address, args.data_dir), flush=True)
+        service.wait()
     return EXIT_OK
 
 

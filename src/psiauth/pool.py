@@ -5,8 +5,9 @@ response and the carrier's match tests each map a job of one item,
 ``job(context, item)``, over their items with ``_in_pool``.  The pool is
 created on first use with one worker per usable CPU and kept until exit; a
 worker exits when its parent dies.  Workers are forked, so any secret in a
-job reaches only children of the process that holds it.  A carrier forks
-them with ``fork_workers`` before it starts any serving or handler thread.
+job reaches only children of the process that holds it.  A carrier's
+``start``, the one caller of ``fork_workers``, forks them before it starts
+its serving thread, so no serving or handler thread runs at the fork.
 A pool rebuilt after a worker died is still forked by the next pooled call,
 from a handler thread in a carrier; the warning that drops the broken pool
 says so.

@@ -209,7 +209,8 @@ class CarrierService:
             else random.SystemRandom()
         self._server = _Server((config.host, config.port), _Handler)
         self._server.service = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        name="carrier", daemon=True)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -273,23 +274,33 @@ class CarrierService:
     _HANDLERS = {wire.StoreProfile: _handle_store, wire.AuthInit: _handle_init,
                  wire.Response: _handle_response}
 
-    # Both fork the pool's workers first, so that no worker is forked from
-    # a process that runs a serving or handler thread.
     def start(self) -> None:
-        pool.fork_workers()
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="carrier", daemon=True)
-        self._thread.start()
+        """Fork the pool's workers, then serve on the "carrier" thread.
 
-    def serve_forever(self) -> None:
-        pool.fork_workers()
-        self._server.serve_forever()
+        The workers are forked first, so that none is forked from a process
+        that runs a serving or handler thread.  A ``start`` that raises, as
+        when Ctrl-C interrupts the fork, has closed the listening socket.
+        """
+        try:
+            pool.fork_workers()
+            self._thread.start()
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def wait(self) -> None:
+        """Block until the serving loop ends, as it does in ``shutdown``; a
+        signal's exception, such as ``KeyboardInterrupt``, ends the wait."""
+        self._thread.join()
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        """Stop the serving loop if ``start`` started it, then close the
+        listening socket.  Returns from any state: before ``start``, after
+        a ``start`` that raised, and when called again."""
+        if self._thread.is_alive():
+            self._server.shutdown()
+            self._thread.join()
         self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
     def __enter__(self) -> "CarrierService":
         self.start()

@@ -1,5 +1,6 @@
 import os
 import random
+import select
 import signal
 import socket
 import subprocess
@@ -140,32 +141,69 @@ class TestServeCommand:
 
     def test_sigterm_stops_the_carrier_and_its_workers(self, tmp_path):
         # kill's SIGTERM ends serve like Ctrl-C.  A clean exit joins the
-        # pool that a challenge forks, so serve exits 0 only after its
-        # workers have; without the handler it would die with -SIGTERM and
-        # leave them running.
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(psiauth.__file__).parents[1]))
-        with subprocess.Popen(
-                [sys.executable, "-u", "-m", "psiauth.cli", "serve",
-                 "--listen", "127.0.0.1:0", "--data-dir",
-                 str(tmp_path / "store")],
-                env=env, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, text=True) as proc:
+        # pool that the carrier forks at start, so serve exits 0 only after
+        # its workers have; without the handler it would die with -SIGTERM
+        # and leave them running.
+        with spawn_serve(tmp_path) as proc:
             try:
-                # "carrier listening on HOST:PORT, profiles under ..."
-                address = proc.stdout.readline().split()[3].rstrip(",")
-                host, port = address.rsplit(":", 1)
+                address = ready_address(proc)
                 features = FeatureSet.from_values(FeatureMode.CASE_A,
                                                   [3, 5, 8, 13])
-                client.setup_device((host, int(port)), "alice", features,
+                client.setup_device(address, "alice", features,
                                     tmp_path / "alice.secret", bits=128,
                                     rng=random.Random(9))
-                with client.CarrierConnection((host, int(port))) as conn:
+                with client.CarrierConnection(address) as conn:
                     conn.request(wire.AuthInit("alice", 2))
                 proc.send_signal(signal.SIGTERM)
                 assert proc.wait(timeout=30) == 0
             finally:
                 proc.kill()
+
+    @pytest.mark.parametrize("one_cpu", [False, True],
+                             ids=["pool-cpus", "one-cpu"])
+    def test_sigterm_on_the_ready_line_stops_serve(self, tmp_path, one_cpu):
+        # A SIGTERM sent as soon as the ready line is read stops serve.
+        # The line must be flushed, since stdout into a pipe is buffered,
+        # and the handler installed after the pool's fork: a signal that
+        # lands in the fork's after-fork hook is ignored, and the carrier
+        # would keep serving.
+        for run in range(3):
+            with spawn_serve(tmp_path / f"run-{run}", one_cpu) as proc:
+                try:
+                    ready_address(proc)
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=30) == 0
+                finally:
+                    proc.kill()
+
+
+def spawn_serve(tmp_path: Path, one_cpu: bool = False) -> subprocess.Popen:
+    """``psiauth serve`` in a child process whose stdout is a pipe and
+    buffered as a deployment's is: no ``-u`` and no ``PYTHONUNBUFFERED``.
+    ``one_cpu`` pins the child to one of this process's CPUs."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(psiauth.__file__).parents[1])
+    cpu = min(os.sched_getaffinity(0))
+    return subprocess.Popen(
+        [sys.executable, "-m", "psiauth.cli", "serve",
+         "--listen", "127.0.0.1:0", "--data-dir", str(tmp_path / "store")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu
+        else None)
+
+
+def ready_address(proc: subprocess.Popen, timeout: float = 10
+                  ) -> tuple[str, int]:
+    """The address in serve's ready line, which must arrive within
+    ``timeout`` seconds."""
+    readable, _, _ = select.select([proc.stdout], [], [], timeout)
+    assert readable, f"no ready line within {timeout} s"
+    # "carrier listening on HOST:PORT, profiles under ..."
+    address = proc.stdout.readline().split()[3].rstrip(",")
+    host, port = address.rsplit(":", 1)
+    return host, int(port)
 
 
 class TestOracleCommand:

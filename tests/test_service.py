@@ -770,3 +770,26 @@ class TestDeviceClient:
             assert pool._pool is not None
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=5).close()
+
+    def test_shutdown_without_start_frees_the_port(self, tmp_path):
+        # socketserver's own shutdown() waits for a serving loop, and one
+        # that never ran would keep it waiting for ever.
+        svc = CarrierService(CarrierConfig(store_root=tmp_path / "store"))
+        address = svc.address
+        stopper = threading.Thread(target=svc.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+
+    def test_interrupted_start_frees_the_port(self, tmp_path, monkeypatch):
+        # Ctrl-C in the pool's fork, before the serving loop runs.
+        def interrupted():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(pool, "fork_workers", interrupted)
+        svc = CarrierService(CarrierConfig(store_root=tmp_path / "store"))
+        with pytest.raises(KeyboardInterrupt):
+            svc.start()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(svc.address, timeout=5).close()
