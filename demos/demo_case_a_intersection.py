@@ -43,13 +43,15 @@ sample_apps = ["mail", "maps", "camera", "chess"]
 sample = FeatureSet.from_values(
     FeatureMode.CASE_A, (hash_feature(a.encode()) for a in sample_apps))
 
-challenge, session = carrier_challenge(profile, rng)
+# The device declares its sample size; the carrier opens the session for it.
+challenge, session = carrier_challenge(profile, rng, sample_size=sample.size)
 entries = device_respond(secret, challenge, sample, rng)
-print(f"\ndevice sends {len(entries)} shuffled (cipher, ratio) pairs; each "
-      f"value is a unit and reveals nothing on its own")
+print(f"\ndevice declares {sample.size} values and sends {len(entries)} "
+      f"shuffled (cipher, ratio) pairs; each value is a unit and reveals "
+      f"nothing on its own")
 
 matches = carrier_score(session, entries)
-decision = decide(matches, profile, len(entries))
+decision = decide(matches, session)
 
 print(f"carrier counts {matches} matches "
       f"(plaintext oracle agrees: "
@@ -62,9 +64,9 @@ print(f"dissimilarity 1/|intersection| = {decision.dissimilarity}, "
 stranger = FeatureSet.from_values(
     FeatureMode.CASE_A,
     (hash_feature(a.encode()) for a in ["poker", "darts", "torrents"]))
-challenge, session = carrier_challenge(profile, rng)
+challenge, session = carrier_challenge(profile, rng, sample_size=stranger.size)
 entries = device_respond(secret, challenge, stranger, rng)
-verdict = decide(carrier_score(session, entries), profile, len(entries))
+verdict = decide(carrier_score(session, entries), session)
 print(f"\nstranger sample: {verdict.match_count} matches, "
       f"dissimilarity {verdict.dissimilarity} -> "
       f"{'ACCEPT' if verdict.accepted else 'REJECT'}")

@@ -43,14 +43,16 @@ features = FeatureSet.from_values(FeatureMode.CASE_B, profile_towers)
 profile, secret = build_encrypted_profile("bob", features, 512, rng,
                                           threshold=2)
 
-challenge, session = carrier_challenge(profile, rng)
+# The device declares its sample's size, not its weighted entry count.
 sample = FeatureSet.from_values(FeatureMode.CASE_B, sample_towers)
+challenge, session = carrier_challenge(profile, rng, sample_size=sample.size)
 entries = device_respond_weighted(secret, challenge, sample, sim, rng)
 
 total_weight = sum(sim.weight(z, y) for y in sample_towers for z in TOWERS)
 print(f"profile towers: {profile_towers}")
 print(f"sample towers:  {sample_towers}")
-print(f"device sends {len(entries)} entries "
+print(f"device declares {session.sample_size} values and sends "
+      f"{len(entries)} entries "
       f"(= total support weight {total_weight} of the sample)")
 
 score = carrier_score(session, entries)
@@ -58,6 +60,6 @@ expected = oracle_weighted(profile_towers, sample_towers, sim)
 print(f"carrier's weighted match total: {score} (oracle: {expected})")
 print("  tower 105 is adjacent to both 104 and 106 -> weight 1 + 1")
 
-decision = decide(score, profile, len(entries))
+decision = decide(score, session)
 print(f"threshold 2 -> {'ACCEPT' if decision.accepted else 'REJECT'} "
       f"(dissimilarity {decision.dissimilarity})")

@@ -37,12 +37,15 @@ assert decode_numeric(x) == usual_day  # encoding is invertible
 
 profile, secret = build_encrypted_profile("carol", x, 512, rng, threshold=3)
 
-challenge, session = carrier_challenge(profile, rng)
+# The device declares |Y|; the carrier scores with that, not the entry count.
+challenge, session = carrier_challenge(profile, rng, sample_size=y.size)
 entries = device_respond(secret, challenge, y, rng)
 matches = carrier_score(session, entries)
-decision = decide(matches, profile, len(entries))
+decision = decide(matches, session)
 
-print(f"\nmatches = sum of min(u_i, v_i) = {matches}")
+print(f"\ndevice declares |Y| = {session.sample_size} and sends "
+      f"{len(entries)} entries")
+print(f"matches = sum of min(u_i, v_i) = {matches}")
 print(f"L1 via |X| + |Y| - 2*matches = {x.size} + {y.size} - {2 * matches} "
       f"= {decision.dissimilarity}")
 print(f"plaintext oracle: {oracle_l1(usual_day, fresh_day)}")

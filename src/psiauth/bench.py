@@ -69,10 +69,10 @@ def _measure(size: int, key_bits: int, solver: str, rng: random.Random,
         return setup_seconds, 0.0
     sample = FeatureSet.from_values(FeatureMode.CASE_A, sample_values)
     started = time.perf_counter()
-    challenge, session = carrier_challenge(profile, rng)
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=sample.size)
     entries = device_respond(secret, challenge, sample, rng)
-    matches = carrier_score(session, entries)
-    decide(matches, profile, len(entries))
+    decide(carrier_score(session, entries), session)
     auth_seconds = time.perf_counter() - started
     return setup_seconds, auth_seconds
 

@@ -133,12 +133,21 @@ class Reader:
 def write_atomically(path: Path, data: bytes) -> None:
     """Write ``data`` through a temporary file renamed over ``path``: a
     reader sees the old bytes or the new, and only the owner may read them
-    (``mkstemp``)."""
+    (``mkstemp``).  The file is synced before the rename and the directory
+    after it, so a crash leaves the old bytes or the new, never an empty
+    file."""
     fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp_name, path)
     except BaseException:
         os.unlink(temp_name)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

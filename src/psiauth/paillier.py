@@ -422,12 +422,11 @@ def keygen(bits: int = DEFAULT_KEY_BITS,
         raise ValueError(f"key size below {MIN_KEY_BITS} bits")
     rng = rng or _SYSTEM
     for _ in range(64):
+        # Both primes have their top two bits set, so p*q has exactly bits
+        # bits: at least 9 * 2**(bits - 4) and below 2**bits.
         p = _random_prime(bits - bits // 2, rng)
         q = _random_prime(bits // 2, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits or math.gcd(n, math.lcm(p - 1, q - 1)) != 1:
+        if p == q or math.gcd(p * q, math.lcm(p - 1, q - 1)) != 1:
             continue
         return _assemble(p, q)
     raise KeyGenerationError("no valid modulus within retry budget")

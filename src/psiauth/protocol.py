@@ -92,8 +92,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .encoding import MAX_COEFFS, MAX_SESSION_ID_BYTES, Reader, \
-    encode_bytes, encode_uint, encode_uints
+from .encoding import MAX_COEFFS, MAX_ENTRIES, MAX_SESSION_ID_BYTES, \
+    Reader, encode_bytes, encode_uint, encode_uints
 from .paillier import PaillierPublicKey, draw_unit
 from .pool import _in_pool
 from .profiles import MAX_FEATURE_VALUE, DeviceSecret, EncryptedProfile, \
@@ -177,13 +177,18 @@ class AuthChallenge:
 
 @dataclass
 class SessionState:
-    """Carrier-private state for one challenge; single use."""
+    """Carrier-private state for one challenge; single use.
+
+    ``sample_size`` is the device's declared ``|Y|``, in
+    ``[1, MAX_ENTRIES]``: the entry count a Case A or C response must have,
+    and the ``|Y|`` that ``decide`` reads.
+    """
 
     session_id: bytes
     session_exponent: int  # theta, uniform below short_exponent_bound(n)
     profile: EncryptedProfile
     created_at: float
-    sample_size: int | None = None  # declared by the device, if it did
+    sample_size: int
     consumed: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -307,10 +312,17 @@ def _comb_power(context: tuple[PaillierPublicKey, list[tuple[int, int]]],
 def carrier_challenge(profile: EncryptedProfile,
                       rng: random.Random | None = None,
                       *,
+                      sample_size: int,
                       teeth: Sequence[int] | None = None,
                       session_exponent: int | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
-    """Open a session: raise the encrypted coefficients to a fresh exponent.
+    """Open a session for a declared ``sample_size``: raise the encrypted
+    coefficients to a fresh exponent.
+
+    A ``sample_size`` outside ``[1, MAX_ENTRIES]`` raises ``ProtocolError``
+    before anything is drawn.  The session keeps it: ``carrier_score``
+    holds a Case A or C response to that many entries, and ``decide``
+    reads it as ``|Y|``, so the device never picks its own denominator.
 
     Each power ``C_i**theta`` is a comb over ``teeth``, the profile's
     ``challenge_teeth``, computed first if not given (see the module
@@ -344,6 +356,8 @@ def carrier_challenge(profile: EncryptedProfile,
       Wiener (EUROCRYPT 1996) has no subgroup to project into but the one
       the Jacobi symbol reads, which leaks ``theta mod 2`` at most.
     """
+    if not 1 <= sample_size <= MAX_ENTRIES:
+        raise ProtocolError(f"declared sample size outside [1, {MAX_ENTRIES}]")
     rng = rng or _SYSTEM
     bound = short_exponent_bound(profile.public_key.n)
     theta = session_exponent if session_exponent is not None \
@@ -366,7 +380,7 @@ def carrier_challenge(profile: EncryptedProfile,
     challenge = AuthChallenge(sid, profile.public_key, powered,
                               profile.blinded_randomizers, profile.mode,
                               count=profile.count, cap=profile.cap)
-    state = SessionState(sid, theta, profile, time.monotonic())
+    state = SessionState(sid, theta, profile, time.monotonic(), sample_size)
     return challenge, state
 
 
@@ -574,8 +588,8 @@ def carrier_score(session: SessionState,
     file, builds genuine entries at will: knowing k profile features, it
     reaches any count by sending each with fresh randomizers, or as
     ``b + j*n``, which evaluates like the feature ``b``.  The ratio-class
-    refusal does not stop it.  In Cases A and C, a session opened for a
-    declared sample size refuses a response with any other entry count, so
+    refusal does not stop it.  In Cases A and C, the session refuses a
+    response with any other entry count than its declared sample size, so
     ``decide`` takes Case C's ``|Y|`` from the declaration, not from the
     entries.  The device declares that size too, so a thief declares what
     it sends.  Case B sends one entry per unit of similarity, and bounding
@@ -584,11 +598,10 @@ def carrier_score(session: SessionState,
     session.consume()
     if not entries:
         raise ProtocolError("empty response")
-    declared = session.sample_size
-    if declared is not None and len(entries) != declared and \
+    if len(entries) != session.sample_size and \
             session.profile.mode is not FeatureMode.CASE_B:
         raise ProtocolError(f"response has {len(entries)} entries, "
-                            f"{declared} declared")
+                            f"{session.sample_size} declared")
     pk = session.profile.public_key
     n, n_squared = pk.n, pk.n_squared
     theta = session.session_exponent
@@ -618,17 +631,17 @@ def default_threshold(profile: EncryptedProfile) -> int:
     return (profile.size + 1) // 2
 
 
-def decide(match_count: int, profile: EncryptedProfile,
-           sample_size: int) -> AuthDecision:
+def decide(match_count: int, session: SessionState) -> AuthDecision:
     """Turn a match count into a dissimilarity score and an outcome.
 
-    The threshold is the profile's stored one, or ``default_threshold``.
-    Case A/B accept when the (weighted) match count reaches it; the
-    dissimilarity is its reciprocal, infinite for zero matches.  Case C
-    computes the L1 distance ``|X| + |Y| - 2 * matches`` from the stored
-    profile size and the sample size ``|Y|`` and accepts when it stays at
-    or below the threshold; the carrier passes the declared sample size,
-    which ``carrier_score`` holds the entry count to.
+    Everything but the count comes from ``session``: the stored record and
+    the declared sample size ``|Y|``.  The threshold is the record's stored
+    one, or ``default_threshold``.  Case A/B accept when the (weighted)
+    match count reaches it; the dissimilarity is its reciprocal, infinite
+    for zero matches.  Case C computes the L1 distance
+    ``|X| + |Y| - 2 * matches`` from the stored profile size and the
+    declared ``|Y|``, which ``carrier_score`` holds the entry count to, and
+    accepts when it stays at or below the threshold.
 
     The outcome is only as sound as the count (see ``carrier_score``): it
     holds against a party without the device's ``(d, R')``, with two
@@ -637,11 +650,12 @@ def decide(match_count: int, profile: EncryptedProfile,
     knows k profile features can reach any count; either reaches any
     outcome it can count to.
     """
-    if match_count < 0 or sample_size < 1:
-        raise ValueError("match count must be >= 0 and sample size >= 1")
+    if match_count < 0:
+        raise ValueError("match count must be >= 0")
+    profile = session.profile
     threshold = profile.threshold or default_threshold(profile)
     if profile.mode is FeatureMode.CASE_C:
-        distance = profile.size + sample_size - 2 * match_count
+        distance = profile.size + session.sample_size - 2 * match_count
         if distance < 0:
             raise ProtocolError(
                 "negative L1 distance signals a corrupted exchange")

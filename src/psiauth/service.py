@@ -18,8 +18,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoding import MAX_ENTRIES, DecodeError, Reader, encode_uint, \
-    encode_uints, write_atomically
+from .encoding import DecodeError, Reader, encode_uint, encode_uints, \
+    write_atomically
 from .profiles import EncryptedProfile
 from .protocol import (
     _TEETH,
@@ -174,17 +174,20 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         service: "CarrierService" = self.server.service  # type: ignore[attr-defined]
         try:
-            while True:
+            in_sync = True
+            while in_sync:
                 try:
                     msg = wire.read_frame(self.rfile)
                     if msg is None:
                         return
                     reply = service.dispatch(msg)
                 except DecodeError as exc:
-                    # Framing may be out of sync after a truncated read;
-                    # answer and keep listening, the peer decides whether
-                    # to go on.
+                    # A frame read whole keeps the stream in sync: answer and
+                    # keep listening.  A header over the frame limit leaves
+                    # its payload unread, so answer once and close; a
+                    # truncated read has reached the end of the stream.
                     reply = wire.ErrorReply(wire.ERR_DECODE, str(exc))
+                    in_sync = not isinstance(exc, wire.FramingError)
                 wire.write_frame(self.wfile, reply)
         except OSError:
             # The peer hung up, reset, or stayed silent past its timeout.
@@ -244,15 +247,10 @@ class CarrierService:
         return wire.StoreAck()
 
     def _handle_init(self, msg: wire.AuthInit) -> wire.Message:
-        # A Case A or C response must have this many entries, and no
-        # response may carry more than MAX_ENTRIES.
-        if not 1 <= msg.sample_size <= MAX_ENTRIES:
-            raise ProtocolError("declared sample size must be in "
-                                f"[1, {MAX_ENTRIES}]")
         profile = self.store.load(msg.user_id)
         challenge, session = carrier_challenge(
-            profile, self._rng, teeth=self.store.teeth(msg.user_id, profile))
-        session.sample_size = msg.sample_size
+            profile, self._rng, sample_size=msg.sample_size,
+            teeth=self.store.teeth(msg.user_id, profile))
         self.sessions.add(session)
         log.info("session %s opened for %r (declared sample size %d)",
                  session.session_id.hex()[:8], msg.user_id, msg.sample_size)
@@ -261,7 +259,7 @@ class CarrierService:
     def _handle_response(self, msg: wire.Response) -> wire.Message:
         session = self.sessions.claim(msg.session_id)
         matches = carrier_score(session, list(msg.entries))
-        decision = decide(matches, session.profile, session.sample_size)
+        decision = decide(matches, session)
         # The observed entry count can exceed the declared sample size in
         # Case B (one entry per similarity unit); worth surfacing.
         log.info("session %s scored: %d entries observed, %d matches, %s",

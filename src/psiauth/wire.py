@@ -41,6 +41,7 @@ __all__ = [
     "ERR_PROTOCOL",
     "ERR_SESSION",
     "ERR_UNKNOWN_USER",
+    "FramingError",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
     "REPLIES",
@@ -52,6 +53,13 @@ __all__ = [
 
 PROTOCOL_VERSION = 0x03
 MAX_PAYLOAD = 64 * 1024 * 1024
+
+
+class FramingError(DecodeError):
+    """``read_frame`` read no whole frame, so the stream has no frame
+    boundary left to resume at: it ended inside a frame, or a header
+    declared more than ``MAX_PAYLOAD`` and its payload stays unread."""
+
 
 ERR_UNKNOWN_USER = 0x01
 ERR_SESSION = 0x02
@@ -179,19 +187,22 @@ def write_frame(stream: BinaryIO, msg: Message) -> None:
 def read_frame(stream: BinaryIO) -> Message | None:
     """Read one frame; ``None`` on clean end of stream.
 
-    Whenever the version or message type is unknown, the payload has still
-    been consumed, so framing stays in sync and the peer can be answered
-    with an error instead of dropping the connection.
+    A frame read whole that fails to decode, for an unknown version or
+    message type or a bad payload, raises ``DecodeError`` with its payload
+    consumed, so framing stays in sync and the peer can be answered with an
+    error instead of dropping the connection.  A frame not read whole
+    raises ``FramingError``.
     """
     header = stream.read(6)
     if not header:
         return None
     if len(header) < 6:
-        raise DecodeError("truncated frame header", len(header))
+        raise FramingError("truncated frame header", len(header))
     length = int.from_bytes(header[2:6], "big")
     if length > MAX_PAYLOAD:
-        raise DecodeError(f"payload length {length} exceeds the frame limit", 2)
+        raise FramingError(f"payload length {length} exceeds the frame limit",
+                           2)
     payload = stream.read(length) if length else b""
     if len(payload) < length:
-        raise DecodeError("truncated payload", 6 + len(payload))
+        raise FramingError("truncated payload", 6 + len(payload))
     return decode_frame(header + payload)

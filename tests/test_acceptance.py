@@ -83,7 +83,8 @@ def test_criterion_1_case_a_correctness():
         profile_set, sample_set, _ = overlap_instance(
             rng, rng.randint(1, 20), rng.randint(1, 20), 128)
         profile, secret = checked_profile(f"u{index}", profile_set, 512, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng,
+                                               sample_size=sample_set.size)
         entries = device_respond(secret, challenge, sample_set, rng)
         score = carrier_score(session, entries)
         expected = oracle_intersection(profile_set.values, sample_set.values)
@@ -106,7 +107,8 @@ def test_criterion_2_soundness():
         profile_set = FeatureSet.from_values(FeatureMode.CASE_A, pool[:3])
         non_members = FeatureSet.from_values(FeatureMode.CASE_A, pool[3:])
         profile, secret = checked_profile(f"s{index}", profile_set, 128, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng,
+                                               sample_size=non_members.size)
         entries = device_respond(secret, challenge, non_members, rng)
         entries_checked += len(entries)
         spurious += carrier_score(session, entries)
@@ -133,7 +135,8 @@ def test_criterion_3_case_b_correctness():
         features = FeatureSet.from_values(FeatureMode.CASE_B, profile_values)
         sample = FeatureSet.from_values(FeatureMode.CASE_B, sample_values)
         profile, secret = checked_profile(f"w{index}", features, 256, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng,
+                                               sample_size=sample.size)
         expected = oracle_weighted(profile_values, sample_values, sim)
         response = device_respond_weighted(secret, challenge, sample, sim, rng)
         total = carrier_score(session, response)
@@ -158,10 +161,11 @@ def test_criterion_4_case_c_correctness():
         sample_features = encode_numeric(v, cap)
         profile, secret = checked_profile(f"n{index}", profile_features,
                                           256, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(
+            profile, rng, sample_size=sample_features.size)
         entries = device_respond(secret, challenge, sample_features, rng)
         matches = carrier_score(session, entries)
-        decision = decide(matches, profile, len(entries))
+        decision = decide(matches, session)
         assert decision.dissimilarity == Fraction(oracle_l1(u, v)), \
             f"instance {index}: L1 {decision.dissimilarity} != " \
             f"oracle {oracle_l1(u, v)}"
@@ -258,11 +262,11 @@ def test_criterion_8_wire_equivalence(tmp_path):
             over_wire = client.authenticate(service.address, secret,
                                             sample_set,
                                             rng=random.Random(respond_seed))
-            challenge, session = carrier_challenge(profile, random.Random(7))
+            challenge, session = carrier_challenge(
+                profile, random.Random(7), sample_size=sample_set.size)
             entries = device_respond(secret, challenge, sample_set,
                                      random.Random(respond_seed))
-            in_process = decide(carrier_score(session, entries), profile,
-                                len(entries))
+            in_process = decide(carrier_score(session, entries), session)
             assert over_wire == in_process, f"run {index} diverged"
             runs += 1
     codec_rng = random.Random(0xAC58)

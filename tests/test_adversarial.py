@@ -55,7 +55,9 @@ def enrolled():
 
 
 def score_raises(profile, entries, rng, match):
-    _, session = carrier_challenge(profile, rng)
+    # The forger declares what it sends; an empty response declares one.
+    _, session = carrier_challenge(profile, rng,
+                                   sample_size=len(entries) or 1)
     with pytest.raises(ProtocolError, match=match):
         carrier_score(session, entries)
     # The forged response still burns its challenge.
@@ -64,8 +66,11 @@ def score_raises(profile, entries, rng, match):
         carrier_score(session, entries)
 
 
-def one_genuine_entry(profile, secret, rng):
-    challenge, session = carrier_challenge(profile, rng)
+def one_genuine_entry(profile, secret, rng, declared=1):
+    """A genuine entry, and its session opened for ``declared`` entries:
+    the count a forger built from the entry sends."""
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=declared)
     sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
     (entry,) = device_respond(secret, challenge, sample, rng)
     return entry, session
@@ -81,7 +86,7 @@ def test_carrier_reading_depends_on_rho_mod_n_only():
         "u", features, 128, rng, keep_setup_audit=True)
     pk = profile.public_key
     n, n_squared, d = pk.n, pk.n_squared, secret.secret_exponent
-    challenge, session = carrier_challenge(profile, rng)
+    challenge, session = carrier_challenge(profile, rng, sample_size=2)
     theta = session.session_exponent
     context = (secret, challenge, pow(secret.anchor, d, n))
 
@@ -142,7 +147,7 @@ def test_repeated_genuine_triple_rejected(enrolled):
     entry, session = one_genuine_entry(profile, secret, rng)
     assert carrier_score(session, [entry]) == 1
 
-    entry, session = one_genuine_entry(profile, secret, rng)
+    entry, session = one_genuine_entry(profile, secret, rng, declared=2)
     with pytest.raises(ProtocolError, match="repeat"):
         carrier_score(session, [entry, entry])
     assert session.consumed
@@ -190,9 +195,10 @@ def test_entry_count_differs_from_declared_size(enrolled, tmp_path, mode,
 def test_honest_response_unaffected(enrolled):
     profile, secret = enrolled
     rng = random.Random(4)
-    challenge, session = carrier_challenge(profile, rng)
     sample = FeatureSet.from_values(FeatureMode.CASE_A,
                                     PROFILE[:3] + [1 << 40, 1 << 41])
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=sample.size)
     assert carrier_score(session,
                          device_respond(secret, challenge, sample, rng)) == 3
 
@@ -220,7 +226,8 @@ def test_variants_of_one_genuine_triple_rejected(enrolled, family):
     # ratios 5 for every exponent.
     profile, secret = enrolled
     rng = random.Random(5)
-    entry, session = one_genuine_entry(profile, secret, rng)
+    entry, session = one_genuine_entry(profile, secret, rng,
+                                       declared=2 if family == "unit" else 5)
     pk = profile.public_key
     refusal = "repeat" if family == "unit" else "unit below"
     with pytest.raises(ProtocolError, match=refusal):
@@ -238,7 +245,7 @@ def test_powers_of_one_genuine_triple_count_once(enrolled):
     # of r**k for every k; building it needs no secret.
     profile, secret = enrolled
     rng = random.Random(6)
-    entry, session = one_genuine_entry(profile, secret, rng)
+    entry, session = one_genuine_entry(profile, secret, rng, declared=5)
     pk = profile.public_key
     powers = [AuthResponseEntry(pow(entry.cipher, k, pk.n_squared),
                                 pow(entry.ratio, k, pk.n))
@@ -252,10 +259,11 @@ def test_one_feature_alone_is_rejected(enrolled):
     # is every entry of the response.
     profile, secret = enrolled
     rng = random.Random(8)
-    challenge, session = carrier_challenge(profile, rng)
     sample = FeatureSet.from_values(FeatureMode.CASE_A, PROFILE[:1])
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=sample.size)
     entries = device_respond(secret, challenge, sample, rng)
-    decision = decide(carrier_score(session, entries), profile, len(entries))
+    decision = decide(carrier_score(session, entries), session)
     assert decision.match_count == 1
     assert not decision.accepted
 
@@ -273,11 +281,12 @@ def test_record_holder_forges_no_match(enrolled):
     profile = dataclasses.replace(profile, threshold=3)
     pk = profile.public_key
     n = pk.n
-    challenge, session = carrier_challenge(profile, random.Random(14))
+    challenge, session = carrier_challenge(profile, random.Random(14),
+                                           sample_size=3)
     forged = [AuthResponseEntry(pow(powered % n, n, pk.n_squared), coeff % n)
               for powered, coeff in zip(challenge.powered_coeffs[:3],
                                         profile.enc_coeffs[:3])]
-    decision = decide(carrier_score(session, forged), profile, len(forged))
+    decision = decide(carrier_score(session, forged), session)
     assert decision.match_count == 0
     assert not decision.accepted
 
@@ -298,9 +307,10 @@ def test_stolen_device_repeating_one_feature_is_rejected(enrolled, spread):
     n = profile.public_key.n
     values = [PROFILE[0] + (k * n if spread == "plus-k-n" else 0)
               for k in range(5)]
-    challenge, session = carrier_challenge(profile, rng)
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=len(values))
     entries = protocol.respond(secret, challenge, values, rng)
-    decision = decide(carrier_score(session, entries), profile, len(entries))
+    decision = decide(carrier_score(session, entries), session)
     assert decision.match_count <= 1
     assert not decision.accepted
 
@@ -313,9 +323,9 @@ def test_stolen_device_repeating_one_numeric_value_is_rejected():
     profile, secret = build_encrypted_profile(
         "mallory", encode_numeric(u, 5), 512, random.Random(0xC0), threshold=10)
     rng = random.Random(10)
-    challenge, session = carrier_challenge(profile, rng)
+    challenge, session = carrier_challenge(profile, rng, sample_size=20)
     entries = protocol.respond(secret, challenge, [1] * 20, rng)
-    decision = decide(carrier_score(session, entries), profile, len(entries))
+    decision = decide(carrier_score(session, entries), session)
     assert decision.match_count <= u[0]
     assert not decision.accepted
 

@@ -20,8 +20,8 @@ from psiauth import (
 from psiauth import paillier
 from psiauth.encoding import encode_uint
 from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
-    _SMALL_PRIMES, _miller_rabin, _random_error_log2, _random_rounds, \
-    is_probable_prime
+    _SMALL_PRIMES, _miller_rabin, _random_error_log2, _random_prime, \
+    _random_rounds, is_probable_prime
 from psiauth.protocol import short_exponent_bound
 
 
@@ -99,6 +99,19 @@ class TestKeygen:
         for bits in (16, 33, 128):
             pk, _ = keygen(bits, rng)
             assert pk.n.bit_length() == bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.integers(min_value=16, max_value=640),
+           seed=st.integers(min_value=0, max_value=1 << 32))
+    @example(bits=16, seed=0)
+    @example(bits=17, seed=0)
+    def test_prime_pairs_have_the_full_bit_length(self, bits, seed):
+        # keygen takes p*q without a bit-length check: both primes' top two
+        # bits are set, so the product can be neither short nor long.
+        rng = random.Random(seed)
+        p = _random_prime(bits - bits // 2, rng)
+        q = _random_prime(bits // 2, rng)
+        assert (p * q).bit_length() == bits
 
     def test_generator_order(self, kp128):
         pk, _ = kp128

@@ -40,7 +40,7 @@ from psiauth import (
     oracle_weighted,
 )
 from psiauth import pool, protocol
-from psiauth.encoding import encode_uint
+from psiauth.encoding import MAX_ENTRIES, encode_uint
 from psiauth.paillier import draw_unit
 from psiauth.protocol import SessionState, default_threshold, \
     short_exponent_bound
@@ -96,14 +96,15 @@ def enrolled():
 class TestCarrierChallenge:
     def test_sizes(self, enrolled, rng):
         profile, _ = enrolled
-        challenge, _ = carrier_challenge(profile, rng)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=1)
         assert len(challenge.powered_coeffs) == profile.size + 1
         assert len(challenge.blinded_randomizers) == profile.size + 1
         assert challenge.blinded_randomizers == profile.blinded_randomizers
 
     def test_identity_exponent_hook(self, enrolled, rng):
         profile, _ = enrolled
-        challenge, session = carrier_challenge(profile, rng, session_exponent=1)
+        challenge, session = carrier_challenge(profile, rng, sample_size=1,
+                                               session_exponent=1)
         assert challenge.powered_coeffs == profile.enc_coeffs
         assert session.session_exponent == 1
 
@@ -112,7 +113,8 @@ class TestCarrierChallenge:
         exponents = set()
         coeff_views = set()
         for _ in range(20):
-            challenge, session = carrier_challenge(profile, rng)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=1)
             exponents.add(session.session_exponent)
             coeff_views.add(challenge.powered_coeffs)
         assert len(exponents) == 20
@@ -125,8 +127,9 @@ class TestCarrierChallenge:
             profile = smallest_profile(pk, rng)
             for theta in (0, bound):
                 with pytest.raises(ValueError, match="session exponent"):
-                    carrier_challenge(profile, rng, session_exponent=theta)
-            challenge, _ = carrier_challenge(profile, rng,
+                    carrier_challenge(profile, rng, sample_size=1,
+                                      session_exponent=theta)
+            challenge, _ = carrier_challenge(profile, rng, sample_size=1,
                                              session_exponent=bound - 1)
             assert challenge.powered_coeffs == tuple(
                 pow(c, bound - 1, pk.n_squared) for c in profile.enc_coeffs)
@@ -143,7 +146,8 @@ class TestCarrierChallenge:
         teeth = protocol.challenge_teeth(profile)
         lengths = []
         for _ in range(200):
-            challenge, session = carrier_challenge(profile, rng, teeth=teeth)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=1, teeth=teeth)
             theta = session.session_exponent
             assert challenge.powered_coeffs == tuple(
                 pow(c, theta, pk.n_squared) for c in profile.enc_coeffs)
@@ -189,7 +193,8 @@ class TestChallengeComb:
                               for j in range(1, protocol._TEETH))
         # Over the given teeth, and over teeth the challenge computes.
         for given_teeth in (teeth, None):
-            challenge, _ = carrier_challenge(profile, rng, teeth=given_teeth,
+            challenge, _ = carrier_challenge(profile, rng, sample_size=1,
+                                             teeth=given_teeth,
                                              session_exponent=theta)
             assert challenge.powered_coeffs == tuple(
                 pow(c, theta, n_squared) for c in coeffs)
@@ -199,27 +204,27 @@ class TestChallengeComb:
         teeth = protocol.challenge_teeth(profile)
         for wrong in (teeth[:-1], teeth + (1,)):
             with pytest.raises(ValueError):
-                carrier_challenge(profile, rng, teeth=wrong)
+                carrier_challenge(profile, rng, sample_size=1, teeth=wrong)
 
 
 class TestDeviceRespond:
     def test_entry_count_matches_sample(self, enrolled, rng):
         profile, secret = enrolled
-        challenge, _ = carrier_challenge(profile, rng)
         sample = case_a([11, 22, 33, 44, 55])
+        challenge, _ = carrier_challenge(profile, rng, sample_size=sample.size)
         assert len(device_respond(secret, challenge, sample, rng)) == 5
 
     def test_mode_mismatch_rejected(self, enrolled, rng):
         profile, secret = enrolled
-        challenge, _ = carrier_challenge(profile, rng)
         sample = encode_numeric((1, 2), 3)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=sample.size)
         with pytest.raises(ModeMismatchError):
             device_respond(secret, challenge, sample, rng)
 
     def test_case_c_parameter_mismatch_rejected(self, rng):
         profile, secret = build_encrypted_profile(
             "u", encode_numeric((2, 1, 2), 4), 128, rng)
-        challenge, _ = carrier_challenge(profile, rng)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=2)
         with pytest.raises(ModeMismatchError, match="numeric parameters"):
             device_respond(secret, challenge, encode_numeric((2, 1), 4), rng)
         with pytest.raises(ModeMismatchError, match="numeric parameters"):
@@ -233,7 +238,8 @@ class TestDeviceRespond:
         sample = case_a([7, 14, 21, 28, 35])
         identity_count = 0
         for seed in range(100):
-            challenge, _ = carrier_challenge(profile, random.Random(seed))
+            challenge, _ = carrier_challenge(profile, random.Random(seed),
+                                             sample_size=sample.size)
             rng = random.Random(seed * 1009 + 1)
             entries = device_respond(secret, challenge, sample, rng)
             expected = raw_entries(secret, challenge, sample.values,
@@ -251,7 +257,7 @@ class TestDeviceRespond:
         pk = kp1024[0]
         n, bound = pk.n, short_exponent_bound(pk.n)
         challenge, _ = carrier_challenge(smallest_profile(pk, rng), rng,
-                                         session_exponent=1)
+                                         sample_size=200, session_exponent=1)
         secret = DeviceSecret("u", rng.randrange(1, n),
                               draw_unit(rng, pk.n_squared),
                               FeatureMode.CASE_A)
@@ -284,7 +290,7 @@ class TestDeviceRespond:
         profile, secret, audit = build_encrypted_profile(
             "alice", case_a([101, 202, 303]), 128, rng,
             keep_setup_audit=True)
-        challenge, _ = carrier_challenge(profile, rng)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=3)
         crafted = dataclasses.replace(
             challenge, blinded_randomizers=(audit.secret_key.p,) *
             len(challenge.blinded_randomizers))
@@ -297,7 +303,7 @@ class TestDeviceRespond:
         # One encoding per value: a blinded randomizer lies in [1, n), so
         # n itself, which the device would read as 0, never reaches it.
         profile, _ = enrolled
-        challenge, _ = carrier_challenge(profile, rng)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=1)
         legs = len(challenge.blinded_randomizers)
         for value in (0, profile.public_key.n):
             with pytest.raises(ValueError, match=r"outside \[1, n\)"):
@@ -310,7 +316,8 @@ class TestDeviceRespond:
         features, sample, sim = POOL_RUNS[mode]
 
         def respond():
-            challenge, _ = carrier_challenge(profile, random.Random(1))
+            challenge, _ = carrier_challenge(profile, random.Random(1),
+                                             sample_size=sample.size)
             if sim is not None:
                 return device_respond_weighted(secret, challenge, sample, sim,
                                                random.Random(2))
@@ -371,7 +378,7 @@ class TestWorkerPool:
 
     def in_process_score(self, one_cpu, profile, theta, entries):
         with one_cpu():
-            session = SessionState(b"ref", theta, profile, 0.0)
+            session = SessionState(b"ref", theta, profile, 0.0, len(entries))
             return carrier_score(session, entries)
 
     def test_challenge_powers_equal_plain_pow(self, enrolled_a, fresh_pool,
@@ -386,7 +393,8 @@ class TestWorkerPool:
                                for j in range(1, protocol._TEETH))
 
         def powers(teeth=None):
-            challenge, _ = carrier_challenge(profile, teeth=teeth,
+            challenge, _ = carrier_challenge(profile, sample_size=1,
+                                             teeth=teeth,
                                              session_exponent=theta)
             return challenge.powered_coeffs
 
@@ -417,7 +425,8 @@ class TestWorkerPool:
         teeth = protocol.challenge_teeth(profile)
         kill_one_worker(pool._pool)
         with caplog.at_level(logging.WARNING, logger="psiauth.pool"):
-            carrier_challenge(profile, teeth=teeth, session_exponent=theta)
+            carrier_challenge(profile, sample_size=1, teeth=teeth,
+                              session_exponent=theta)
         record, = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
@@ -431,7 +440,8 @@ class TestWorkerPool:
     def test_score_equals_in_process_count(self, enrolled_a, fresh_pool,
                                            one_cpu):
         profile, secret, features, sample = enrolled_a
-        challenge, session = carrier_challenge(profile, random.Random(6))
+        challenge, session = carrier_challenge(profile, random.Random(6),
+                                               sample_size=sample.size)
         entries = device_respond(secret, challenge, sample, random.Random(7))
         assert len(entries) > 2
         expected = oracle_intersection(features.values, sample.values)
@@ -442,7 +452,8 @@ class TestWorkerPool:
     def test_repeated_class_in_last_entry_still_refused(self, enrolled_a,
                                                         fresh_pool):
         profile, secret, _, sample = enrolled_a
-        challenge, session = carrier_challenge(profile, random.Random(8))
+        challenge, session = carrier_challenge(profile, random.Random(8),
+                                               sample_size=sample.size + 1)
         entries = device_respond(secret, challenge, sample, random.Random(9))
         first = entries[0]
         pk = profile.public_key
@@ -456,7 +467,8 @@ class TestWorkerPool:
     def test_dead_worker_costs_no_result(self, enrolled_a, fresh_pool,
                                          one_cpu):
         profile, secret, features, sample = enrolled_a
-        challenge, _ = carrier_challenge(profile, random.Random(10))
+        challenge, _ = carrier_challenge(profile, random.Random(10),
+                                         sample_size=sample.size)
         with one_cpu():
             serial = device_respond(secret, challenge, sample,
                                     random.Random(11))
@@ -467,7 +479,9 @@ class TestWorkerPool:
                               random.Random(11)) == serial
         assert pool._pool is None
         theta = 0x5EED
-        challenge, session = carrier_challenge(profile, session_exponent=theta)
+        challenge, session = carrier_challenge(profile,
+                                               sample_size=sample.size,
+                                               session_exponent=theta)
         assert pool._pool not in (None, dead)
         entries = device_respond(secret, challenge, sample, random.Random(12))
         expected = oracle_intersection(features.values, sample.values)
@@ -485,9 +499,10 @@ class TestWorkerPool:
             "[3, 5, 8, 13])\n"
             "profile, secret = build_encrypted_profile('u', features, 512, "
             "rng)\n"
-            "challenge, session = carrier_challenge(profile, rng)\n"
             "sample = FeatureSet.from_values(FeatureMode.CASE_A, "
             "[5, 13, 21])\n"
+            "challenge, session = carrier_challenge(profile, rng, "
+            "sample_size=sample.size)\n"
             "entries = device_respond(secret, challenge, sample, rng)\n"
             "print(carrier_score(session, entries))\n")
         env = dict(os.environ,
@@ -564,7 +579,8 @@ class TestHornerEvaluation:
         n = profile.public_key.n
         sample = hashed(FeatureMode.CASE_A, self.SAMPLE)
         assert min(sample.values) ** profile.size > n
-        challenge, session = carrier_challenge(profile, random.Random(22))
+        challenge, session = carrier_challenge(profile, random.Random(22),
+                                               sample_size=sample.size)
         entries = device_respond(secret, challenge, sample, random.Random(23))
         replay = random.Random(23)
         expected = raw_entries(secret, challenge, sample.values, replay)
@@ -580,7 +596,8 @@ class TestHornerEvaluation:
                                                   solver="gaussian")
         for labels in (self.SAMPLE, self.PROFILE, ["app-x"]):
             sample = hashed(FeatureMode.CASE_A, labels)
-            challenge, session = carrier_challenge(profile, rng)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=sample.size)
             entries = device_respond(secret, challenge, sample, rng)
             assert carrier_score(session, entries) == \
                 oracle_intersection(features.values, sample.values)
@@ -592,12 +609,13 @@ class TestHornerEvaluation:
         profile, secret = build_encrypted_profile("u", features, 512, rng)
         for v in (u, (2, 1, 5, 0), (0, 5, 0, 5)):
             sample = encode_numeric(v, 5)
-            challenge, session = carrier_challenge(profile, rng)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=sample.size)
             entries = device_respond(secret, challenge, sample, rng)
             matches = carrier_score(session, entries)
             assert matches == oracle_intersection(features.values,
                                                   sample.values)
-            decision = decide(matches, profile, len(entries))
+            decision = decide(matches, session)
             assert decision.dissimilarity == oracle_l1(u, v)
 
 
@@ -610,7 +628,8 @@ class TestSplitScoringPower:
                                        random.Random(42))[0]
 
     def score(self, profile, theta, entry):
-        return carrier_score(SessionState(b"s", theta, profile, 0.0), [entry])
+        return carrier_score(SessionState(b"s", theta, profile, 0.0, 1),
+                             [entry])
 
     @settings(max_examples=30, deadline=None)
     @given(raw_tag=st.integers(min_value=0),
@@ -639,8 +658,9 @@ class TestSplitScoringPower:
 class TestCarrierScore:
     def score_of(self, profile, secret, sample_values, seed=0):
         rng = random.Random(seed)
-        challenge, session = carrier_challenge(profile, rng)
         sample = case_a(sample_values)
+        challenge, session = carrier_challenge(profile, rng,
+                                               sample_size=sample.size)
         entries = device_respond(secret, challenge, sample, rng)
         return carrier_score(session, entries)
 
@@ -651,7 +671,7 @@ class TestCarrierScore:
     def test_textbook_instance(self, rng):
         profile, secret = build_encrypted_profile("u", case_a([1, 2, 3]),
                                                   128, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng, sample_size=3)
         entries = device_respond(secret, challenge, case_a([2, 3, 4]), rng)
         assert carrier_score(session, entries) == 2
 
@@ -671,15 +691,38 @@ class TestCarrierScore:
                 rng, rng.randint(1, 8), rng.randint(1, 8), 32)
             profile, secret = build_encrypted_profile(
                 "u", profile_set, 128, rng)
-            challenge, session = carrier_challenge(profile, rng)
+            challenge, session = carrier_challenge(
+                profile, rng, sample_size=sample_set.size)
             entries = device_respond(secret, challenge, sample_set, rng)
             expected = oracle_intersection(profile_set.values,
                                            sample_set.values)
             assert carrier_score(session, entries) == expected
 
+    @pytest.mark.parametrize("delta", [1, -1], ids=["one-more", "one-fewer"])
+    @pytest.mark.parametrize("mode", ["case-a", "case-c"])
+    def test_entry_count_other_than_declared_refused(self, rng, mode, delta):
+        # A Case A or C response is held to the size its session was opened
+        # for, and the refused response still burns the session.
+        features, sample, _ = POOL_RUNS[mode]
+        profile, secret = build_encrypted_profile("u", features, 128, rng)
+        challenge, session = carrier_challenge(
+            profile, rng, sample_size=sample.size + delta)
+        entries = device_respond(secret, challenge, sample, rng)
+        with pytest.raises(ProtocolError, match="declared"):
+            carrier_score(session, entries)
+        assert session.consumed
+
+    def test_size_outside_range_refused_before_any_draw(self, enrolled, rng):
+        profile, _ = enrolled
+        state = rng.getstate()
+        for size in (0, MAX_ENTRIES + 1, 10 ** 5000):
+            with pytest.raises(ProtocolError, match="declared sample size"):
+                carrier_challenge(profile, rng, sample_size=size)
+        assert rng.getstate() == state
+
     def test_session_single_use(self, enrolled, rng):
         profile, secret = enrolled
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng, sample_size=1)
         entries = device_respond(secret, challenge, case_a([101]), rng)
         carrier_score(session, entries)
         with pytest.raises(SessionError):
@@ -687,13 +730,13 @@ class TestCarrierScore:
 
     def test_empty_response_rejected(self, enrolled, rng):
         profile, _ = enrolled
-        _, session = carrier_challenge(profile, rng)
+        _, session = carrier_challenge(profile, rng, sample_size=1)
         with pytest.raises(ProtocolError):
             carrier_score(session, [])
 
     def test_non_unit_entry_rejected(self, enrolled, rng):
         profile, _ = enrolled
-        _, session = carrier_challenge(profile, rng)
+        _, session = carrier_challenge(profile, rng, sample_size=1)
         bad = AuthResponseEntry(profile.public_key.n, 1)
         with pytest.raises(ProtocolError, match="unit"):
             carrier_score(session, [bad])
@@ -701,12 +744,12 @@ class TestCarrierScore:
     def test_score_is_shuffle_invariant(self, enrolled, rng):
         profile, secret = enrolled
         theta = 12345
-        challenge, session = carrier_challenge(profile, rng,
+        challenge, session = carrier_challenge(profile, rng, sample_size=4,
                                                session_exponent=theta)
         entries = device_respond(secret, challenge,
                                  case_a([101, 202, 7, 8]), rng)
         first = carrier_score(session, entries)
-        _, replay_session = carrier_challenge(profile, rng,
+        _, replay_session = carrier_challenge(profile, rng, sample_size=4,
                                               session_exponent=theta)
         reordered = list(reversed(entries))
         assert carrier_score(replay_session, reordered) == first
@@ -720,7 +763,8 @@ class TestCarrierScore:
         scores = set()
         for seed in (11, 12):
             rng = random.Random(seed)
-            challenge, session = carrier_challenge(profile, rng)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=len(sample))
             entries = device_respond(secret, challenge, case_a(sample), rng)
             transcripts.add(tuple(e.cipher for e in entries))
             scores.add(carrier_score(session, entries))
@@ -742,8 +786,8 @@ class TestWeightedResponses:
         sim = self.tent_kernel(1, 10)
         features = FeatureSet.from_values(FeatureMode.CASE_B, [4, 6])
         profile, secret = build_encrypted_profile("u", features, 128, rng)
-        challenge, _ = carrier_challenge(profile, rng)
         sample = FeatureSet.from_values(FeatureMode.CASE_B, [5])
+        challenge, _ = carrier_challenge(profile, rng, sample_size=sample.size)
         entries = device_respond_weighted(secret, challenge, sample, sim, rng)
         assert len(entries) == 4  # weights around 5: 1 + 2 + 1
         assert protocol.response_values(secret, sample, sim) == [4, 5, 5, 6]
@@ -765,14 +809,16 @@ class TestWeightedResponses:
         sample_values = [20, 40, 50]
         profile_a, secret_a = build_encrypted_profile(
             "u", case_a(values), 128, rng)
-        challenge_a, session_a = carrier_challenge(profile_a, rng)
+        challenge_a, session_a = carrier_challenge(
+            profile_a, rng, sample_size=len(sample_values))
         plain = device_respond(secret_a, challenge_a,
                                case_a(sample_values), rng)
 
         features_b = FeatureSet.from_values(FeatureMode.CASE_B, values)
         profile_b, secret_b = build_encrypted_profile(
             "u", features_b, 128, rng)
-        challenge_b, session_b = carrier_challenge(profile_b, rng)
+        challenge_b, session_b = carrier_challenge(
+            profile_b, rng, sample_size=len(sample_values))
         sim = SimilarityFunction.equality(sample_values)
         weighted = device_respond_weighted(
             secret_b, challenge_b,
@@ -797,8 +843,9 @@ class TestWeightedResponses:
             features = FeatureSet.from_values(FeatureMode.CASE_B,
                                               profile_values)
             profile, secret = build_encrypted_profile("u", features, 128, rng)
-            challenge, session = carrier_challenge(profile, rng)
             sample = FeatureSet.from_values(FeatureMode.CASE_B, sample_values)
+            challenge, session = carrier_challenge(profile, rng,
+                                                   sample_size=sample.size)
             response = device_respond_weighted(secret, challenge, sample,
                                                sim, rng)
             expected = oracle_weighted(profile_values, sample_values, sim)
@@ -807,11 +854,16 @@ class TestWeightedResponses:
     def test_uncovered_sample_rejected(self, rng):
         features = FeatureSet.from_values(FeatureMode.CASE_B, [1, 2])
         profile, secret = build_encrypted_profile("u", features, 128, rng)
-        challenge, _ = carrier_challenge(profile, rng)
         sample = FeatureSet.from_values(FeatureMode.CASE_B, [9])
+        challenge, _ = carrier_challenge(profile, rng, sample_size=sample.size)
         sim = SimilarityFunction.equality([1, 2])
         with pytest.raises(ValueError, match="cover"):
             device_respond_weighted(secret, challenge, sample, sim, rng)
+
+
+def opened(profile, sample_size):
+    """A session on ``profile`` opened for a declared ``sample_size``."""
+    return SessionState(b"s", 1, profile, 0.0, sample_size)
 
 
 class TestDecide:
@@ -824,13 +876,13 @@ class TestDecide:
 
     def test_zero_matches_is_infinitely_dissimilar(self, rng):
         profile = self.make_profile(rng)
-        decision = decide(0, profile, sample_size=4)
+        decision = decide(0, opened(profile, sample_size=4))
         assert decision.dissimilarity == INFINITE
         assert not decision.accepted
 
     def test_boundary_acceptance(self, rng):
         profile = dataclasses.replace(self.make_profile(rng), threshold=2)
-        decision = decide(2, profile, sample_size=4)
+        decision = decide(2, opened(profile, sample_size=4))
         assert decision.accepted
         assert decision.dissimilarity == Fraction(1, 2)
 
@@ -839,24 +891,24 @@ class TestDecide:
         # the entry count.
         profile = self.make_profile(rng)
         for sample_size in (1, 4, 9):
-            assert decide(3, profile, sample_size).accepted
-            assert not decide(2, profile, sample_size).accepted
+            assert decide(3, opened(profile, sample_size)).accepted
+            assert not decide(2, opened(profile, sample_size)).accepted
 
     def test_stored_threshold_used(self, rng):
         profile = self.make_profile(rng, threshold=1)
-        assert decide(1, profile, sample_size=4).accepted
+        assert decide(1, opened(profile, sample_size=4)).accepted
 
     def test_case_c_distance_identity(self, rng):
         profile = self.make_profile(rng, mode=FeatureMode.CASE_C)
         # U=(2,0,3), V=(1,1,3): |X|=5, |Y|=5, matches=4, L1=2
-        decision = decide(4, profile, sample_size=5)
+        decision = decide(4, opened(profile, sample_size=5))
         assert decision.dissimilarity == Fraction(2)
         assert decision.accepted  # default threshold ceil(3*3/4) = 3
 
     def test_case_c_negative_distance_flags_corruption(self, rng):
         profile = self.make_profile(rng, mode=FeatureMode.CASE_C)
         with pytest.raises(ProtocolError, match="corrupted"):
-            decide(40, profile, sample_size=5)
+            decide(40, opened(profile, sample_size=5))
 
     def test_threshold_must_be_positive(self, rng):
         profile = self.make_profile(rng)
@@ -898,7 +950,8 @@ def transcript_blobs():
     for seed, (features, sample, sim) in enumerate(runs, start=0x919):
         rng = random.Random(seed)
         profile, secret = build_encrypted_profile("pin", features, 512, rng)
-        challenge, session = carrier_challenge(profile, rng)
+        challenge, session = carrier_challenge(profile, rng,
+                                               sample_size=sample.size)
         if sim is None:
             entries = device_respond(secret, challenge, sample, rng)
             expected = oracle_intersection(features.values, sample.values)
@@ -951,7 +1004,8 @@ def seeded_entries():
         rng = random.Random(seed)
         profile, secret = build_encrypted_profile("pin", features, 512, rng)
         for _ in range(2):
-            challenge, _ = carrier_challenge(profile, rng)
+            challenge, _ = carrier_challenge(profile, rng,
+                                             sample_size=sample.size)
             if sim is None:
                 entries = device_respond(secret, challenge, sample, rng)
             else:
@@ -989,13 +1043,14 @@ def test_2048_bit_keys_score_like_the_oracles(mode):
     rng = random.Random(0x2048)
     profile, secret = build_encrypted_profile("big", features, 2048, rng)
     assert profile.public_key.n.bit_length() == 2048
-    challenge, session = carrier_challenge(profile, rng)
+    challenge, session = carrier_challenge(profile, rng,
+                                           sample_size=sample.size)
     if sim is None:
         entries = device_respond(secret, challenge, sample, rng)
     else:
         entries = device_respond_weighted(secret, challenge, sample, sim, rng)
     matches = carrier_score(session, entries)
-    decision = decide(matches, profile, len(sample.values))
+    decision = decide(matches, session)
     assert matches == expected
     threshold = default_threshold(profile)
     if mode == "case-c":

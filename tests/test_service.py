@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import os
 import random
 import socket
 import threading
@@ -72,13 +73,41 @@ class TestProfileStore:
         store = ProfileStore(tmp_path)
         profile, _ = build_encrypted_profile("u", case_a(values), 128, rng)
         store.save("u", profile)
-        carrier_challenge(profile, rng, teeth=store.teeth("u", profile))
+        carrier_challenge(profile, rng, sample_size=1,
+                          teeth=store.teeth("u", profile))
         files = [path for path in tmp_path.rglob("*") if path.is_file()]
         assert {path.suffix for path in files} == {".profile", ".teeth"}
         for path in files:
             blob = path.read_bytes()
             for value in values:
                 assert encode_uint(value) not in blob
+
+    def test_writes_are_synced_before_and_after_the_rename(
+            self, tmp_path, rng, monkeypatch):
+        # The file is synced before it is renamed over the record, and the
+        # directory after, so a crash cannot leave an empty record or
+        # teeth file behind.
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        store = ProfileStore(tmp_path)
+        profile, _ = build_encrypted_profile("u", case_a([5, 6]), 128, rng)
+        store.save("u", profile)
+        store.teeth("u", profile)
+
+        def identity(path):
+            stat = path.stat()
+            return stat.st_dev, stat.st_ino
+
+        directory = identity(tmp_path)
+        assert synced == [identity(store._path("u")), directory,
+                          identity(store._path("u", ".teeth")), directory]
 
     def test_overwrite_replaces_record(self, tmp_path, rng):
         store = ProfileStore(tmp_path)
@@ -302,7 +331,8 @@ class TestChallengeTeeth:
         written = path.read_bytes()
         assert written[:32] != record_digest
         assert written[32:] == encode_uints(teeth)
-        challenge, session = carrier_challenge(profile, rng, teeth=teeth)
+        challenge, session = carrier_challenge(profile, rng, sample_size=1,
+                                               teeth=teeth)
         assert challenge.powered_coeffs == tuple(
             pow(c, session.session_exponent, pk.n_squared)
             for c in profile.enc_coeffs)
@@ -341,7 +371,8 @@ class TestServeFlow:
         for _ in range(2):
             reply = service.dispatch(wire.AuthInit("u", 2))
             session = service.sessions.claim(reply.challenge.session_id)
-            expected, state = carrier_challenge(profile, draws, teeth=teeth)
+            expected, state = carrier_challenge(profile, draws,
+                                                sample_size=2, teeth=teeth)
             assert reply.challenge == expected
             assert (session.session_id, session.session_exponent) == \
                 (state.session_id, state.session_exponent)
@@ -416,6 +447,29 @@ class TestServeFlow:
             reply = conn.request(wire.AuthInit("alice", 3))
             assert isinstance(reply, wire.Challenge)
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_refused_declaration_draws_nothing(self, service, rng):
+        # carrier_challenge refuses the size before it draws theta or the
+        # session id, so a valid AuthInit after refused ones draws what it
+        # would have drawn alone.  The record is loaded first, so an
+        # unknown user is refused as unknown.
+        profile, _ = build_encrypted_profile("u", case_a([3, 4, 5]), 128, rng)
+        service.store.save("u", profile)
+        for size in (0, MAX_ENTRIES + 1):
+            assert service.dispatch(wire.AuthInit("ghost", size)).code == \
+                wire.ERR_UNKNOWN_USER
+            assert service.dispatch(wire.AuthInit("u", size)).code == \
+                wire.ERR_PROTOCOL
+        assert service.sessions._sessions == {}
+        reply = service.dispatch(wire.AuthInit("u", 2))
+        session = service.sessions.claim(reply.challenge.session_id)
+        expected, state = carrier_challenge(
+            profile, random.Random(service.config.seed), sample_size=2,
+            teeth=service.store.teeth("u", profile))
+        assert reply.challenge == expected
+        assert (session.session_id, session.session_exponent,
+                session.sample_size) == \
+            (state.session_id, state.session_exponent, 2)
 
     def test_replayed_response_rejected(self, enrolled):
         service, secret, _ = enrolled
@@ -530,6 +584,22 @@ class TestServeFlow:
                 reply = wire.read_frame(stream)
                 assert isinstance(reply, wire.ErrorReply), name
                 assert reply.code == wire.ERR_DECODE, name
+
+    def test_oversized_header_answered_once_then_closed(self, service):
+        # A header over the frame limit leaves its payload unread, so the
+        # bytes after it are not frames: ten more such headers draw no
+        # reply of their own, and the carrier closes the connection.
+        header = bytes([wire.PROTOCOL_VERSION, 0x05]) + \
+            (0xFFFFFFFF).to_bytes(4, "big")
+        with socket.create_connection(service.address, timeout=5) as raw, \
+                raw.makefile("rwb") as stream:
+            stream.write(header * 11)
+            stream.flush()
+            reply = wire.read_frame(stream)
+            assert isinstance(reply, wire.ErrorReply)
+            assert reply.code == wire.ERR_DECODE
+            assert "exceeds the frame limit" in reply.text
+            assert stream.read() == b""
 
     def test_one_challenge_stalls_no_other_user(self, service, monkeypatch):
         # User a's challenge is held mid-computation; user b's AuthInit must
@@ -731,12 +801,12 @@ class TestDeviceClient:
                 service.address, secret, sample_set,
                 rng=random.Random(respond_seed))
 
-            challenge, session = carrier_challenge(profile,
-                                                   random.Random(1))
+            challenge, session = carrier_challenge(
+                profile, random.Random(1), sample_size=sample_set.size)
             entries = device_respond(secret, challenge, sample_set,
                                      random.Random(respond_seed))
             matches = carrier_score(session, entries)
-            local_decision = decide(matches, profile, len(entries))
+            local_decision = decide(matches, session)
             assert wire_decision == local_decision
 
     def test_workers_forked_before_serving(self, tmp_path, fresh_pool):
