@@ -32,8 +32,9 @@ profile_features = FeatureSet.from_values(
 profile, secret = build_encrypted_profile("alice", profile_features, 512, rng)
 
 print(f"profile: {len(profile_apps)} features -> "
-      f"{len(profile.enc_coeffs)} encrypted coefficients + "
-      f"{len(profile.blinded_randomizers)} blinded randomizer powers")
+      f"{len(profile.enc_coeffs)} encrypted coefficients + a "
+      f"{len(profile.blinded_seed)}-byte seed that expands to "
+      f"{len(profile.enc_coeffs)} blinded randomizers")
 print(f"device keeps: d ({secret.secret_exponent.bit_length()} bits), "
       f"R' ({secret.anchor.bit_length()} bits). Nothing else survived set-up.")
 

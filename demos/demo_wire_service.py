@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory() as tmp:
             workdir / "dana.secret", bits=512, rng=rng)
         record = next((workdir / "store").glob("*.profile"))
         print(f"stored record: {record.name} ({record.stat().st_size} bytes, "
-              f"ciphertexts and blinded values only)")
+              f"ciphertexts and a public seed only)")
         print(f"device secret file: {(workdir / 'dana.secret').stat().st_size}"
               f" bytes, permissions 0600")
 

@@ -27,7 +27,6 @@ from .paillier import (
     draw_unit,
     encrypt,
     keygen,
-    keypair_from_primes,
     scalar_pow,
 )
 from .profiles import (
@@ -39,6 +38,7 @@ from .profiles import (
     FeatureMode,
     FeatureSet,
     SetupAudit,
+    blinded_randomizers,
     build_encrypted_profile,
     decode_numeric,
     encode_numeric,
@@ -95,6 +95,7 @@ __all__ = [
     "SimilarityFunction",
     "add_cipher",
     "bench_run",
+    "blinded_randomizers",
     "build_encrypted_profile",
     "carrier_challenge",
     "carrier_score",
@@ -108,7 +109,6 @@ __all__ = [
     "encrypt",
     "hash_feature",
     "keygen",
-    "keypair_from_primes",
     "oracle_intersection",
     "oracle_l1",
     "oracle_weighted",

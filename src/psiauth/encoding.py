@@ -21,8 +21,8 @@ __all__ = ["MAX_COEFFS", "MAX_ENTRIES", "MAX_SESSION_ID_BYTES",
            "encode_seq", "encode_str", "encode_uint", "encode_uints",
            "write_atomically"]
 
-# Decoding limits on sequence counts: polynomial coefficients (and blinded
-# randomizers) per record or challenge, and entries per response.
+# Decoding limits on sequence counts: polynomial coefficients per record or
+# challenge, and entries per response.
 MAX_COEFFS = 1 << 20
 MAX_ENTRIES = 1 << 20
 # Decoding limits on field lengths: a UTF-8 user id and a session id.

@@ -58,18 +58,16 @@ __all__ = [
     "decrypt",
     "draw_unit",
     "encrypt",
-    "is_probable_prime",
     "keygen",
-    "keypair_from_primes",
     "scalar_pow",
 ]
 
 DEFAULT_KEY_BITS = 1024
 MIN_KEY_BITS = 16
 
-# Miller-Rabin rounds for a caller-chosen candidate only.  4**-60 bounds the
-# chance that a composite passes in the worst case, whoever chose it; key
-# generation's random candidates take fewer rounds (``_random_rounds``).
+# Miller-Rabin rounds where the bound for random candidates reaches no
+# count (``_random_rounds``).  4**-60 bounds the chance that a composite
+# passes in the worst case, whoever chose it.
 PRIMALITY_ROUNDS = 60
 
 # A random prime's error bound, in bits: 2**-128, with two bits spare for
@@ -88,7 +86,7 @@ def _sieve(split: int, high: int) -> tuple[tuple[int, ...], int]:
             math.prod(i for i in range(split, high) if sieve[i]))
 
 
-# The odd primes below 256, tried by division (``is_probable_prime``), and
+# The odd primes below 256, tried by division (``_miller_rabin``), and
 # the product of the primes from 257 to 2**16, past trial division.
 _SMALL_PRIMES, _SIEVE_PRODUCT = _sieve(256, 1 << 16)
 
@@ -285,20 +283,6 @@ def _base_passes(context: tuple[int, int, int, int], base: int) -> bool:
         _passes_round(base, d, r, candidate)
 
 
-def is_probable_prime(candidate: int,
-                      rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with ``PRIMALITY_ROUNDS`` random bases.
-
-    A composite passes with probability at most ``4**-PRIMALITY_ROUNDS``,
-    Rabin's worst case, which holds for every candidate, one an adversary
-    chose included.  Key generation's candidates are uniformly drawn and
-    take fewer rounds (``_random_prime``), by a bound on the average over
-    random candidates that says nothing about a chosen one; so a
-    caller-chosen candidate, as ``keypair_from_primes`` tests, keeps 60.
-    """
-    return _miller_rabin(candidate, rng or _SYSTEM, PRIMALITY_ROUNDS)
-
-
 def _miller_rabin(candidate: int, rng: random.Random, rounds: int) -> bool:
     """Miller-Rabin primality test with ``rounds`` randomly chosen bases.
 
@@ -383,7 +367,7 @@ def _random_prime(bits: int, rng: random.Random) -> int:
     drawing from only the half of the ``k``-bit range whose second bit is
     set.  Where no ``t`` in range reaches it, as up to 256 bits, the count
     is ``PRIMALITY_ROUNDS``.  The bound averages over random candidates,
-    which is why ``is_probable_prime`` keeps 60 rounds for chosen ones.
+    so it says nothing about a candidate someone chose.
     """
     if bits < 8:
         raise KeyGenerationError("prime size below 8 bits")
@@ -430,26 +414,6 @@ def keygen(bits: int = DEFAULT_KEY_BITS,
             continue
         return _assemble(p, q)
     raise KeyGenerationError("no valid modulus within retry budget")
-
-
-def keypair_from_primes(p: int, q: int, *, insecure_test_mode: bool = False
-                        ) -> tuple[PaillierPublicKey, PaillierSecretKey]:
-    """Build a keypair from fixed primes; reproducible micro-examples only.
-
-    Refused unless ``insecure_test_mode`` is set, since caller-chosen primes
-    void every security property.
-    """
-    if not insecure_test_mode:
-        raise KeyGenerationError(
-            "injected primes are refused outside insecure test mode")
-    if p == q:
-        raise KeyGenerationError("primes must be distinct")
-    if p % 2 == 0 or q % 2 == 0:
-        raise KeyGenerationError("primes must be odd")
-    for value in (p, q):
-        if not is_probable_prime(value):
-            raise KeyGenerationError(f"{value} is not prime")
-    return _assemble(p, q)
 
 
 def draw_unit(rng: random.Random, modulus: int) -> int:

@@ -2,29 +2,38 @@
 
 Set-up encodes the profile ``{a_1, .., a_s}`` as the monic polynomial
 ``prod(x - a_i)`` and ships the carrier the encrypted coefficients together
-with blinded randomizer powers.  The blinding randomizers ``r'_0 .. r'_s``
+with a 32-byte seed.  Anyone who reads the seed expands it into the blinded
+randomizers ``B_0 .. B_s``, public units modulo ``n``
+(``blinded_randomizers``).  The blinding randomizers ``r'_0 .. r'_s``
 satisfy, for every profile feature ``a``,
 
     r'_0 * r'_1**a * r'_2**(a**2) * ... * r'_s**(a**s) == R'  (mod n**2)
 
 Every ``r'_1 .. r'_s`` lies in the order-``n`` subgroup, so each is
 ``1`` modulo ``n`` and ``r'_0 == R' (mod n)``: modulo ``n`` the product is
-``R'`` at every value, a root or not.  The device reads the blinded
-randomizers only modulo ``n``, and the record holds them modulo ``n``: the
-blinding-free ``(r_k**-1)**d``, times ``R'**d`` for ``k = 0``.  No stored,
-sent or computed value depends on the blinding, ``R'`` cancels from every
-ratio, and the cipher leg alone decides membership.
+``R'`` at every value, a root or not.  The secret exponent ``d`` is drawn
+below ``n`` until it is a unit modulo ``lambda(n)``, and each encryption
+randomizer is ``r_k = (r'_k mod n) * B_k**(-d**-1 mod lambda(n)) mod n``,
+so that ``(r'_k * r_k**-1)**d == B_k (mod n)``.  The device reads the
+blinded randomizers only modulo ``n``, where ``B_k`` is the blinding-free
+``(r_k**-1)**d``, times ``R'**d`` for ``k = 0``.  No stored, sent or
+computed value depends on the blinding, ``R'`` cancels from every ratio,
+and the cipher leg alone decides membership.  ``x -> x**d`` permutes the
+units modulo ``n``, so a uniform ``B_k`` gives a uniform ``r_k``: the pair
+``(B_k, r_k)`` has the law it has when ``r_k`` is drawn and ``B_k``
+computed from it.
 
 After set-up the device keeps only its user id, the secret exponent ``d`` and
 the anchor ``R'``; every other intermediate (secret key, coefficients,
 randomizers, plaintext features) is dropped.  While it still holds ``p`` and
 ``q``, set-up computes ``r**n`` in each coefficient encryption by CRT
 through ``r mod p`` and ``r mod q``, at about two fifths of a plain power
-(``PaillierSecretKey.pow_n_mod_n_squared``), and each blinded randomizer
-``x**d mod n`` by CRT through ``x mod p`` and ``x mod q``, at about three
-tenths of a plain ``pow`` modulo ``n`` (``PaillierSecretKey.pow_mod_n``).
-Every randomizer, the blinding solve and ``d`` are drawn first, in this
-process; then all ``2(s+1)`` powers go to the worker pool in one call
+(``PaillierSecretKey.pow_n_mod_n_squared``), and each root
+``B_k**(-d**-1 mod lambda(n))`` by CRT through ``B_k mod p`` and
+``B_k mod q``, at about three tenths of a plain ``pow`` modulo ``n``
+(``PaillierSecretKey.pow_mod_n``).  ``R'``, the blinding solve, ``d`` and
+the seed are drawn first, in this process; then one job per coefficient,
+its root and then its encryption, goes to the worker pool in one call
 (``pool``), so a seeded set-up gives the same record whatever the number
 of CPUs.  Key generation, before them, tests each candidate prime's
 Miller-Rabin rounds after the first in the same pool, and draws every base
@@ -59,8 +68,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
-from .encoding import MAX_COEFFS, MAX_USER_ID_BYTES, Reader, encode_str, \
-    encode_uint, encode_uints
+from .encoding import MAX_COEFFS, MAX_USER_ID_BYTES, Reader, encode_bytes, \
+    encode_str, encode_uint, encode_uints
 from .paillier import (
     DEFAULT_KEY_BITS,
     PaillierPublicKey,
@@ -72,6 +81,7 @@ from .paillier import (
 from .pool import _in_pool
 
 __all__ = [
+    "BLINDED_SEED_BYTES",
     "BlindingSolution",
     "DegenerateSystemError",
     "DeviceSecret",
@@ -81,6 +91,7 @@ __all__ = [
     "FeatureSet",
     "MAX_FEATURE_VALUE",
     "SetupAudit",
+    "blinded_randomizers",
     "build_encrypted_profile",
     "decode_numeric",
     "encode_mode",
@@ -98,6 +109,11 @@ log = logging.getLogger(__name__)
 _SYSTEM = random.SystemRandom()
 
 MAX_FEATURE_VALUE = 1 << 128
+
+# The length of the seed the blinded randomizers are expanded from.
+BLINDED_SEED_BYTES = 32
+# Domain tag of that expansion.
+_BLINDED_TAG = b"psiauth blinded randomizers"
 
 
 class FeatureMode(IntEnum):
@@ -363,10 +379,32 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
     return solve_blinding(kernel, anchor, pk, rng)
 
 
-def _check_blinded(pk: PaillierPublicKey, blinded: Sequence[int]) -> None:
-    """Refuse a blinded randomizer outside ``[1, n)``, its one encoding."""
-    if not all(1 <= value < pk.n for value in blinded):
-        raise ValueError("blinded randomizer outside [1, n)")
+def blinded_randomizers(modulus: int, seed: bytes,
+                        count: int) -> tuple[int, ...]:
+    """The ``count`` blinded randomizers that ``seed`` expands to.
+
+    ``B_k`` is SHAKE-256 of a domain tag, ``encode_uint(modulus)``, the
+    seed, ``k`` and a counter, ``ceil(|modulus| / 8) + 16`` bytes long,
+    reduced modulo ``modulus``; a 0 or a non-unit moves the counter on.  So
+    every ``B_k`` is a unit in ``[1, modulus)``, within ``2**-128`` of
+    uniform when SHAKE-256 is modelled as a random oracle.  Set-up and the
+    device call it with ``n``; a unit modulo ``n**2`` comes from the same
+    expansion with ``modulus = n**2``.
+    """
+    prefix = _BLINDED_TAG + encode_uint(modulus) + encode_bytes(seed)
+    size = (modulus.bit_length() + 7) // 8 + 16
+    values = []
+    for k in range(count):
+        counter = 0
+        while True:
+            digest = hashlib.shake_256(prefix + k.to_bytes(4, "big") +
+                                       counter.to_bytes(4, "big"))
+            value = int.from_bytes(digest.digest(size), "big") % modulus
+            if math.gcd(value, modulus) == 1:
+                break
+            counter += 1
+        values.append(value)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -374,15 +412,15 @@ class EncryptedProfile:
     """The carrier-side record: everything the carrier ever holds.
 
     ``enc_coeffs`` are the encrypted polynomial coefficients ``Enc(p_0) ..
-    Enc(p_s)`` and ``blinded_randomizers`` the values ``R_0**d .. R_s**d``
-    modulo ``n``, each in ``[1, n)``.  ``threshold`` is the per-user
-    decision parameter; ``None`` selects the documented default rule at
-    decision time.
+    Enc(p_s)``, and ``blinded_seed`` the 32 bytes that expand to the
+    blinded randomizers ``B_0 .. B_s`` (``blinded_randomizers``).
+    ``threshold`` is the per-user decision parameter; ``None`` selects the
+    documented default rule at decision time.
     """
 
     public_key: PaillierPublicKey
     enc_coeffs: tuple[int, ...]
-    blinded_randomizers: tuple[int, ...]
+    blinded_seed: bytes
     size: int
     mode: FeatureMode
     count: int | None = None
@@ -396,16 +434,16 @@ class EncryptedProfile:
             raise ValueError("profile size must be positive")
         if len(self.enc_coeffs) != self.size + 1:
             raise ValueError("coefficient count must be size + 1")
-        if len(self.blinded_randomizers) != self.size + 1:
-            raise ValueError("randomizer count must be size + 1")
-        _check_blinded(self.public_key, self.blinded_randomizers)
+        if len(self.blinded_seed) != BLINDED_SEED_BYTES:
+            raise ValueError(f"blinded seed must be {BLINDED_SEED_BYTES} "
+                             "bytes")
         if self.threshold is not None and self.threshold < 1:
             raise ValueError("threshold must be positive")
 
     def to_bytes(self) -> bytes:
         return (self.public_key.to_bytes() +
                 encode_uints(self.enc_coeffs) +
-                encode_uints(self.blinded_randomizers) +
+                encode_bytes(self.blinded_seed) +
                 encode_uint(self.size) +
                 encode_mode(self.mode, self.count, self.cap) +
                 encode_uint(self.threshold or 0))
@@ -414,11 +452,11 @@ class EncryptedProfile:
     def from_reader(cls, reader: Reader) -> "EncryptedProfile":
         pk = PaillierPublicKey.from_reader(reader)
         coeffs = reader.uints(MAX_COEFFS)
-        blinded = reader.uints(MAX_COEFFS)
+        seed = reader.bytes_lp(BLINDED_SEED_BYTES)
         size = reader.uint()
         mode, count, cap = read_mode_params(reader)
         threshold = reader.uint() or None
-        return reader.build(cls, pk, coeffs, blinded, size, mode,
+        return reader.build(cls, pk, coeffs, seed, size, mode,
                             count=count, cap=cap, threshold=threshold)
 
     @classmethod
@@ -434,11 +472,13 @@ class DeviceSecret:
     """Everything the device keeps after set-up: ``(d, R')`` plus metadata.
 
     No field derives from the feature values, the polynomial coefficients,
-    the encryption randomizers or the secret key.
+    the encryption randomizers or the secret key.  ``d`` is drawn only among
+    the units modulo ``lambda(n)``, so it tells its holder that no prime
+    factor of ``d`` divides ``p - 1`` or ``q - 1``.
     """
 
     user_id: str
-    secret_exponent: int  # d, uniform in [1, n)
+    secret_exponent: int  # d in [1, n), drawn until a unit mod lambda(n)
     anchor: int           # R', a unit modulo n**2
     mode: FeatureMode
     count: int | None = None
@@ -475,16 +515,16 @@ class SetupAudit:
     unblinded_randomizers: tuple[int, ...]
 
 
-def _setup_power(context: tuple[PaillierPublicKey, PaillierSecretKey, int],
-                 job: tuple[int | None, int]) -> int:
-    """The cipher of ``coeff`` under randomizer ``base`` for a job
-    ``(coeff, base)``, and ``base**d mod n`` by CRT for a job
-    ``(None, base)``, ``base`` a unit."""
-    pk, sk, d = context
-    coeff, base = job
-    if coeff is None:
-        return sk.pow_mod_n(base, d)
-    return encrypt(pk, coeff, base, sk=sk)[0]
+def _setup_encryption(
+        context: tuple[PaillierPublicKey, PaillierSecretKey, int],
+        job: tuple[int, int, int]) -> tuple[int, int]:
+    """``encrypt``'s ``(cipher, r)`` for a job ``(coeff, blinding, B)``,
+    with ``r = blinding * B**root mod n``, ``root = -d**-1 mod lambda(n)``,
+    the root by CRT: then ``(blinding * r**-1)**d == B (mod n)``."""
+    pk, sk, root = context
+    coeff, blinding, blinded = job
+    r = blinding * sk.pow_mod_n(blinded, root) % pk.n
+    return encrypt(pk, coeff, r, sk=sk)
 
 
 def build_encrypted_profile(
@@ -499,10 +539,11 @@ def build_encrypted_profile(
 ):
     """Run the whole set-up flow for one user.
 
-    Generates a fresh keypair, encrypts the profile polynomial, solves the
-    blinding system, divides out the encryption randomizers and raises the
-    results to ``d``, both modulo ``n``.  Returns ``(profile, secret)``, or
-    ``(profile, secret, audit)`` when ``keep_setup_audit`` is set.
+    Generates a fresh keypair, solves the blinding system, draws ``d`` and
+    the seed, and encrypts the profile polynomial under the randomizers
+    that the seed's blinded randomizers call for.  Returns
+    ``(profile, secret)``, or ``(profile, secret, audit)`` when
+    ``keep_setup_audit`` is set.
 
     Args:
         solver: ``"closed-form"`` (default) or ``"gaussian"``.
@@ -514,27 +555,31 @@ def build_encrypted_profile(
         raise ValueError(f"unknown solver {solver!r}")
     rng = rng or _SYSTEM
     pk, sk = keygen(bits, rng)
-    coeffs = poly_from_roots(features, pk.n)
-    enc_randomizers = [draw_unit(rng, pk.n) for _ in coeffs]
+    n = pk.n
+    coeffs = poly_from_roots(features, n)
     anchor = draw_unit(rng, pk.n_squared)
     if solver == "gaussian":
         blinding = solve_blinding_gaussian(features, anchor, pk, rng)
     else:
         blinding = solve_blinding(coeffs, anchor, pk, rng)
-    unblinded = [rp * pow(r, -1, pk.n) % pk.n
-                 for rp, r in zip(blinding.randomizers, enc_randomizers)]
-    d = rng.randrange(1, pk.n)
-    jobs = [*zip(coeffs, enc_randomizers),
-            *((None, value) for value in unblinded)]
-    powers = _in_pool(_setup_power, (pk, sk, d), jobs)
+    d = rng.randrange(1, n)
+    while math.gcd(d, sk.lam) != 1:
+        d = rng.randrange(1, n)
+    seed = rng.randbytes(BLINDED_SEED_BYTES)
+    jobs = [(coeff, rp % n, blinded) for coeff, rp, blinded in zip(
+        coeffs, blinding.randomizers,
+        blinded_randomizers(n, seed, len(coeffs)))]
+    ciphers, enc_randomizers = zip(*_in_pool(
+        _setup_encryption, (pk, sk, -pow(d, -1, sk.lam) % sk.lam), jobs))
     profile = EncryptedProfile(
-        pk, tuple(powers[:len(coeffs)]), tuple(powers[len(coeffs):]),
-        features.size, features.mode, count=features.count, cap=features.cap,
-        threshold=threshold)
+        pk, ciphers, seed, features.size, features.mode,
+        count=features.count, cap=features.cap, threshold=threshold)
     secret = DeviceSecret(user_id, d, anchor, features.mode,
                           count=features.count, cap=features.cap)
     if keep_setup_audit:
-        audit = SetupAudit(sk, tuple(coeffs), tuple(enc_randomizers),
-                           blinding, tuple(unblinded))
+        unblinded = tuple(rp * pow(r, -1, n) % n for rp, r in
+                          zip(blinding.randomizers, enc_randomizers))
+        audit = SetupAudit(sk, tuple(coeffs), enc_randomizers, blinding,
+                           unblinded)
         return profile, secret, audit
     return profile, secret

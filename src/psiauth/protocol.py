@@ -3,18 +3,19 @@
 One authentication run:
 
 1. The carrier draws a fresh session exponent, raises every encrypted
-   coefficient to it and sends those powers plus the stored blinded
-   randomizers (``carrier_challenge``).
+   coefficient to it and sends those powers plus the record's seed of the
+   blinded randomizers (``carrier_challenge``).
 2. The device picks the values it answers with (``response_values``): the
    sample itself in Cases A and C, and in Case B every support value once
    per unit of its similarity weight, so Case A is Case B under the
    equality kernel.  For each value it evaluates the powered polynomial in
    the exponent and masks it with a per-value randomizer ``rho`` and its
-   secret exponent ``d``.  It evaluates the blinded randomizers the same
-   way, modulo ``n``, and emits the pair (cipher, ratio), where the ratio
-   is ``(R'**d / blinded evaluation) ** rho mod n``; the pairs are shuffled
-   before transmission (``respond``; ``device_respond`` and
-   ``device_respond_weighted`` chain the two).
+   secret exponent ``d``.  It expands the seed into the blinded
+   randomizers once per challenge (``profiles.blinded_randomizers``),
+   evaluates them the same way, modulo ``n``, and emits the pair (cipher,
+   ratio), where the ratio is ``(R'**d / blinded evaluation) ** rho mod
+   n``; the pairs are shuffled before transmission (``respond``;
+   ``device_respond`` and ``device_respond_weighted`` chain the two).
 3. The carrier raises each ratio to ``n * theta`` and compares it against
    the cipher; the two collide exactly when the value is a profile feature
    (``carrier_score``).
@@ -26,9 +27,8 @@ an accept/reject outcome.
 
 The carrier only ever needs the ratio modulo ``n``: its ``n * theta`` power
 depends on nothing else.  So the whole ratio leg lives modulo ``n``: the
-record and the challenge carry the blinded randomizers in ``[1, n)``, and
-the device computes ``R'**d`` once per response, the Horner steps and the
-``rho`` power modulo ``n``.
+seed expands to units in ``[1, n)``, and the device computes ``R'**d``
+once per response, the Horner steps and the ``rho`` power modulo ``n``.
 
 Every full-width power modulo ``n**2`` after set-up runs in base-``n``
 digit pairs (``PaillierPublicKey.power`` and ``walk``), which reduce each
@@ -70,13 +70,14 @@ over stored teeth costs about 0.3.
 The per-entry powers are independent, so they run in one persistent pool of
 forked worker processes, one per usable CPU, created on first use (``pool``):
 key generation's Miller-Rabin rounds after a candidate's first
-(``paillier._miller_rabin``), set-up's coefficient encryptions and
-blinded randomizers (``profiles``), the challenge's teeth and
-``C_i**theta``, the device's entries and the carrier's match tests.
-Everything else stays in the calling process: every random draw,
-``R'**d``, the shuffle, and every check ``carrier_score`` makes before it
-tests a match.  The secrets ``p``, ``q``, ``d``, ``rho`` and ``theta``
-thus cross a pipe only to forked children of the process that holds them.
+(``paillier._miller_rabin``), set-up's coefficient encryptions with the
+roots of the blinded randomizers they need (``profiles``), the challenge's
+teeth and ``C_i**theta``, the device's entries and the carrier's match
+tests.  Everything else stays in the calling process: every random draw,
+the seed's expansion, ``R'**d``, the shuffle, and every check
+``carrier_score`` makes before it tests a match.  The secrets ``p``,
+``q``, ``d``, ``rho`` and ``theta`` thus cross a pipe only to forked
+children of the process that holds them.
 
 A dead worker costs one call its parallelism, not its result: the call
 finishes in-process and the next one builds a new pool.
@@ -96,9 +97,9 @@ from .encoding import MAX_COEFFS, MAX_ENTRIES, MAX_SESSION_ID_BYTES, \
     Reader, encode_bytes, encode_uint, encode_uints
 from .paillier import PaillierPublicKey, draw_unit
 from .pool import _in_pool
-from .profiles import MAX_FEATURE_VALUE, DeviceSecret, EncryptedProfile, \
-    FeatureMode, FeatureSet, _check_blinded, encode_mode, read_mode, \
-    read_mode_params
+from .profiles import BLINDED_SEED_BYTES, MAX_FEATURE_VALUE, DeviceSecret, \
+    EncryptedProfile, FeatureMode, FeatureSet, blinded_randomizers, \
+    encode_mode, read_mode, read_mode_params
 from .similarity import SimilarityFunction
 
 __all__ = [
@@ -141,12 +142,16 @@ class SessionError(ProtocolError):
 
 @dataclass(frozen=True)
 class AuthChallenge:
-    """Carrier message opening a session (step 1)."""
+    """Carrier message opening a session (step 1).
+
+    ``blinded_seed`` is the record's seed, which the device expands into
+    one blinded randomizer per powered coefficient.
+    """
 
     session_id: bytes
     public_key: PaillierPublicKey
     powered_coeffs: tuple[int, ...]
-    blinded_randomizers: tuple[int, ...]
+    blinded_seed: bytes
     mode: FeatureMode
     count: int | None = None
     cap: int | None = None
@@ -154,14 +159,14 @@ class AuthChallenge:
     def __post_init__(self):
         if not self.powered_coeffs:
             raise ValueError("challenge has no coefficients")
-        if len(self.powered_coeffs) != len(self.blinded_randomizers):
-            raise ValueError("challenge legs differ in length")
-        _check_blinded(self.public_key, self.blinded_randomizers)
+        if len(self.blinded_seed) != BLINDED_SEED_BYTES:
+            raise ValueError(f"blinded seed must be {BLINDED_SEED_BYTES} "
+                             "bytes")
 
     def to_bytes(self) -> bytes:
         return (encode_bytes(self.session_id) + self.public_key.to_bytes() +
                 encode_uints(self.powered_coeffs) +
-                encode_uints(self.blinded_randomizers) +
+                encode_bytes(self.blinded_seed) +
                 encode_mode(self.mode, self.count, self.cap))
 
     @classmethod
@@ -169,9 +174,9 @@ class AuthChallenge:
         session_id = reader.bytes_lp(MAX_SESSION_ID_BYTES)
         pk = PaillierPublicKey.from_reader(reader)
         powered = reader.uints(MAX_COEFFS)
-        blinded = reader.uints(MAX_COEFFS)
+        seed = reader.bytes_lp(BLINDED_SEED_BYTES)
         mode, count, cap = read_mode_params(reader)
-        return reader.build(cls, session_id, pk, powered, blinded, mode,
+        return reader.build(cls, session_id, pk, powered, seed, mode,
                             count=count, cap=cap)
 
 
@@ -378,28 +383,26 @@ def carrier_challenge(profile: EncryptedProfile,
              for bit in reversed(range(width))]
     powered = tuple(_in_pool(_comb_power, (profile.public_key, steps), items))
     challenge = AuthChallenge(sid, profile.public_key, powered,
-                              profile.blinded_randomizers, profile.mode,
+                              profile.blinded_seed, profile.mode,
                               count=profile.count, cap=profile.cap)
     state = SessionState(sid, theta, profile, time.monotonic(), sample_size)
     return challenge, state
 
 
-def _response_entry(context: tuple[DeviceSecret, AuthChallenge, int],
-                    job: tuple[int, int]) -> AuthResponseEntry:
-    secret, challenge, anchor_d = context
+def _response_entry(
+        context: tuple[DeviceSecret, AuthChallenge, Sequence[int], int],
+        job: tuple[int, int]) -> AuthResponseEntry:
+    secret, challenge, expanded, anchor_d = context
     value, randomizer = job
     pk = challenge.public_key
     n, n_squared = pk.n, pk.n_squared
     # Horner's rule in the exponent, top coefficient first: the exponents are
     # the raw feature on both legs, so the encryption randomizers still cancel.
     *lower_coeffs, cipher_acc = challenge.powered_coeffs
-    *lower_blinded, blinded_acc = challenge.blinded_randomizers
+    *lower_blinded, blinded_acc = expanded
     for coeff, blinded in zip(reversed(lower_coeffs), reversed(lower_blinded)):
         cipher_acc = pk.power(cipher_acc, value) * coeff % n_squared
         blinded_acc = pow(blinded_acc, value, n) * blinded % n
-    if math.gcd(blinded_acc, n) != 1:
-        raise ProtocolError("challenge's blinded randomizers evaluate to a "
-                            "non-unit modulo n")
     cipher = pk.power(cipher_acc, secret.secret_exponent * randomizer)
     ratio = pow(anchor_d * pow(blinded_acc, -1, n) % n, randomizer, n)
     return AuthResponseEntry(cipher, ratio)
@@ -454,10 +457,11 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
     entries are built in the worker pool, one process per usable CPU; on
     one CPU they are built in this process.  The randomizers and the
     shuffle come from ``rng`` in this process, so a seeded run is fully
-    reproducible whatever the number of CPUs.  A challenge whose blinded
-    randomizers evaluate to a non-unit modulo ``n`` raises
-    ``ProtocolError``.  The secret holds no modulus, so any other ``n`` is
-    answered too (an open gap, see the README threat model).
+    reproducible whatever the number of CPUs.  The blinded randomizers are
+    expanded from the challenge's seed here, once, and they are units
+    modulo ``n``, so every ratio is defined; a carrier chooses only the
+    seed, never the values.  The secret holds no modulus, so any other
+    ``n`` is answered too (an open gap, see the README threat model).
 
     Each randomizer is ``rho = t + n*k``: ``t`` is drawn first, a uniform
     unit below ``n``, then ``k``, uniform below ``short_exponent_bound(n)``
@@ -497,7 +501,10 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
     reads the sample through ``rho`` of any length (the README threat
     model).  The argument rests on the short-exponent assumption in groups
     of unknown order (Koshiba and Kurosawa, PKC 2004).  ``d`` stays full
-    width: it hides the encryption randomizers in the stored ``r_k**-d``.
+    width, a unit modulo ``lambda(n)``: each public ``B_k`` is
+    ``r_k**-d`` (times ``R'**d`` for ``k = 0``), so ``d`` is what keeps
+    the encryption randomizers ``r_k``, and with them the coefficients,
+    from the carrier.
     """
     _check_params(secret, challenge, "challenge")
     rng = rng or _SYSTEM
@@ -506,7 +513,10 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
     bound = short_exponent_bound(pk.n)
     jobs = [(value, draw_unit(rng, pk.n) + pk.n * rng.randrange(bound))
             for value in values]
-    entries = _in_pool(_response_entry, (secret, challenge, anchor_d), jobs)
+    blinded = blinded_randomizers(pk.n, challenge.blinded_seed,
+                                  len(challenge.powered_coeffs))
+    entries = _in_pool(_response_entry, (secret, challenge, blinded, anchor_d),
+                       jobs)
     rng.shuffle(entries)
     return entries
 

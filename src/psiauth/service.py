@@ -2,8 +2,8 @@
 
 The carrier accepts StoreProfile, AuthInit and Response messages, scoring a
 session with nothing but the encrypted profile record.  Stored state and
-logs only ever contain ciphertext-space and blinded values; plaintext
-features never reach this process.
+logs only ever contain ciphertext-space values and the public seed of the
+blinded randomizers; plaintext features never reach this process.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Framed binary wire protocol between device and carrier.
 
-Frame layout: 1 version byte (0x03), 1 message-type byte, a 4-byte big-endian
+Frame layout: 1 version byte (0x04), 1 message-type byte, a 4-byte big-endian
 payload length, then the payload.  Payloads use the canonical length-prefixed
 encoding from ``encoding``; integer sequences carry a 4-byte count prefix and
-user ids are length-prefixed UTF-8 of at most 256 bytes.  A response entry
-is two integers, the cipher and the ratio.
+user ids are length-prefixed UTF-8 of at most 256 bytes.  A profile and a
+challenge carry the 32-byte seed of the blinded randomizers, length-prefixed,
+where version 0x03 carried the randomizers themselves.  A response entry is
+two integers, the cipher and the ratio.
 
 Message types:
 
@@ -51,7 +53,7 @@ __all__ = [
     "write_frame",
 ]
 
-PROTOCOL_VERSION = 0x03
+PROTOCOL_VERSION = 0x04
 MAX_PAYLOAD = 64 * 1024 * 1024
 
 

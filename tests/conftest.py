@@ -7,7 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from psiauth import keygen, keypair_from_primes, pool
+from psiauth import keygen, pool
+
+from helpers import keypair_from_primes
 
 
 @pytest.fixture

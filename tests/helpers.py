@@ -7,7 +7,8 @@ import random
 import signal
 import time
 
-from psiauth import EncryptedProfile, FeatureMode, FeatureSet, wire
+from psiauth import EncryptedProfile, FeatureMode, FeatureSet, \
+    KeyGenerationError, wire
 from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
@@ -19,11 +20,44 @@ from psiauth.encoding import (
     encode_uint,
     encode_uints,
 )
-from psiauth.paillier import draw_unit
+from psiauth.paillier import PRIMALITY_ROUNDS, _assemble, _miller_rabin, \
+    draw_unit
+from psiauth.profiles import BLINDED_SEED_BYTES
 
 # Tests keep feature values far below the smaller prime factor of each key
 # size, so the profile polynomial cannot vanish modulo n at a non-member and
 # scores are exact, not statistical.
+
+
+def is_probable_prime(candidate: int,
+                      rng: random.Random | None = None) -> bool:
+    """Miller-Rabin primality test with ``PRIMALITY_ROUNDS`` random bases.
+
+    A composite passes with probability at most ``4**-PRIMALITY_ROUNDS``,
+    Rabin's worst case, which holds for a chosen candidate too; key
+    generation's bound for random candidates says nothing about one.
+    """
+    return _miller_rabin(candidate, rng or random.SystemRandom(),
+                         PRIMALITY_ROUNDS)
+
+
+def keypair_from_primes(p: int, q: int, *, insecure_test_mode: bool = False):
+    """A keypair from fixed primes, for reproducible micro-examples.
+
+    Refused unless ``insecure_test_mode`` is set, since caller-chosen primes
+    void every security property.
+    """
+    if not insecure_test_mode:
+        raise KeyGenerationError(
+            "injected primes are refused outside insecure test mode")
+    if p == q:
+        raise KeyGenerationError("primes must be distinct")
+    if p % 2 == 0 or q % 2 == 0:
+        raise KeyGenerationError("primes must be odd")
+    for value in (p, q):
+        if not is_probable_prime(value):
+            raise KeyGenerationError(f"{value} is not prime")
+    return _assemble(p, q)
 
 
 def kill_one_worker(executor) -> None:
@@ -37,9 +71,10 @@ def kill_one_worker(executor) -> None:
 
 def smallest_profile(pk, rng: random.Random) -> EncryptedProfile:
     """The smallest valid record under ``pk``: size 1, two random unit
-    coefficients."""
+    coefficients and a seed of zero bytes."""
     coeffs = (draw_unit(rng, pk.n_squared), draw_unit(rng, pk.n_squared))
-    return EncryptedProfile(pk, coeffs, (1, 1), 1, FeatureMode.CASE_A)
+    return EncryptedProfile(pk, coeffs, bytes(BLINDED_SEED_BYTES), 1,
+                            FeatureMode.CASE_A)
 
 
 def distinct_values(rng: random.Random, count: int, bits: int) -> list[int]:
@@ -101,8 +136,7 @@ def sort_merge_intersection(x, y) -> int:
 
 def malformed_frames() -> dict[str, bytes]:
     """Well-framed messages whose payloads a strict decoder must refuse."""
-    n = (1 << 61) - 1
-    modulus = encode_uint(n)
+    modulus = encode_uint((1 << 61) - 1)
     session = encode_bytes(b"\x01" * 16)
     user = encode_str("mallory")
     case_a = bytes([FeatureMode.CASE_A])
@@ -110,13 +144,19 @@ def malformed_frames() -> dict[str, bytes]:
     long_user = encode_str("m" * (MAX_USER_ID_BYTES + 1))
     long_session = encode_bytes(b"\x01" * (MAX_SESSION_ID_BYTES + 1))
 
-    def profile(blinded=(2, 3)):
-        return modulus + encode_uints([2, 3]) + encode_uints(blinded) + \
+    def seed_of(length):
+        return encode_bytes(b"\x01" * length)
+
+    seed = seed_of(BLINDED_SEED_BYTES)
+    # Version 0x03 carried the blinded randomizers where the seed is now.
+    blinded_list = encode_uints([2, 3])
+
+    def profile(seed_field=seed):
+        return modulus + encode_uints([2, 3]) + seed_field + \
             encode_uint(1) + case_a + encode_uint(0)
 
-    def challenge(blinded):
-        return session + modulus + encode_uints([2, 3]) + \
-            encode_uints(blinded) + case_a
+    def challenge(seed_field):
+        return session + modulus + encode_uints([2, 3]) + seed_field + case_a
 
     payloads = {
         "store user id over limit": (0x01, long_user + profile()),
@@ -124,35 +164,28 @@ def malformed_frames() -> dict[str, bytes]:
         "response session id over limit": (
             0x05, long_session + encode_seq([encode_uint(2) + encode_uint(3)])),
         "challenge session id over limit": (
-            0x04, long_session + modulus + encode_uints([2]) +
-            encode_uints([2]) + case_a),
+            0x04, long_session + modulus + encode_uints([2]) + seed + case_a),
         "challenge with no coefficients": (
-            0x04, session + modulus + encode_uints([]) + encode_uints([]) +
-            case_a),
+            0x04, session + modulus + encode_uints([]) + seed + case_a),
         "challenge coefficient count over limit": (
             0x04, session + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
-        "challenge legs shorter": (
-            0x04, session + modulus + encode_uints([2, 3, 4]) +
-            encode_uints([2, 3]) + case_a),
-        "challenge legs longer": (
-            0x04, session + modulus + encode_uints([2, 3]) +
-            encode_uints([2, 3, 4]) + case_a),
+        "challenge in the 0x03 layout": (0x04, challenge(blinded_list)),
+        "challenge without a seed": (0x04, challenge(b"")),
         "challenge unknown mode tag": (
-            0x04, session + modulus + encode_uints([2]) + encode_uints([2]) +
-            b"\x7e"),
+            0x04, session + modulus + encode_uints([2]) + seed + b"\x7e"),
         "profile coefficient count over limit": (
             0x01, user + modulus + (MAX_COEFFS + 1).to_bytes(4, "big")),
-        "profile randomizer count": (0x01, user + profile((2,))),
+        "profile in the 0x03 layout": (0x01, user + profile(blinded_list)),
         "profile size": (
-            0x01, user + modulus + encode_uints([2, 3]) +
-            encode_uints([2, 3]) + encode_uint(2) + case_a + encode_uint(0)),
+            0x01, user + modulus + encode_uints([2, 3]) + seed +
+            encode_uint(2) + case_a + encode_uint(0)),
         "profile size 0": (
-            0x01, user + modulus + encode_uints([2]) + encode_uints([2]) +
+            0x01, user + modulus + encode_uints([2]) + seed +
             encode_uint(0) + case_a + encode_uint(0)),
-        "profile blinded value n": (0x01, user + profile((2, n))),
-        "profile blinded value 0": (0x01, user + profile((2, 0))),
-        "challenge blinded value n": (0x04, challenge((n, 3))),
-        "challenge blinded value 0": (0x04, challenge((0, 3))),
+        "profile seed of 33 bytes": (0x01, user + profile(seed_of(33))),
+        "profile seed of 31 bytes": (0x01, user + profile(seed_of(31))),
+        "challenge seed of 33 bytes": (0x04, challenge(seed_of(33))),
+        "challenge seed of 31 bytes": (0x04, challenge(seed_of(31))),
         "response entry count over limit": (
             0x05, session + (MAX_ENTRIES + 1).to_bytes(4, "big")),
         "decision not in lowest terms": (

@@ -31,6 +31,7 @@ from psiauth import (
     FeatureSet,
     ProtocolError,
     SessionError,
+    blinded_randomizers,
     build_encrypted_profile,
     carrier_challenge,
     carrier_score,
@@ -88,7 +89,9 @@ def test_carrier_reading_depends_on_rho_mod_n_only():
     n, n_squared, d = pk.n, pk.n_squared, secret.secret_exponent
     challenge, session = carrier_challenge(profile, rng, sample_size=2)
     theta = session.session_exponent
-    context = (secret, challenge, pow(secret.anchor, d, n))
+    blinded = blinded_randomizers(n, challenge.blinded_seed,
+                                  len(challenge.powered_coeffs))
+    context = (secret, challenge, blinded, pow(secret.anchor, d, n))
 
     def reading(entry):
         unmasked = entry.cipher * pow(entry.ratio, -n * theta, n_squared)
@@ -335,11 +338,22 @@ def test_stolen_device_repeating_one_numeric_value_is_rejected():
 # the middle, for whom discrete logarithms are easy.  P - 1 = 2 * 3 * Q.
 P, Q = 1000003, 166667
 
+# The prober chooses the seed, though not the values it expands to.  This
+# one was found by trying the seeds i.to_bytes(32, "big") from i = 0 up:
+# the first whose B_1 modulo P has an order dividing 6 is i = 88286, with
+# B_1 = P - 1.  About one seed in (P - 1) / 6 has such a B_1.
+PROBE_SEED = (88286).to_bytes(32, "big")
+
 
 def forged_challenge(powered):
-    """A Case A challenge under the prime ``P`` with blinded legs of 1."""
+    """A Case A challenge under the prime ``P`` with the seed
+    ``PROBE_SEED``."""
     return AuthChallenge(b"forged", PaillierPublicKey.from_modulus(P),
-                         powered, (1,) * len(powered), FeatureMode.CASE_A)
+                         powered, PROBE_SEED, FeatureMode.CASE_A)
+
+
+def test_probe_seed_expands_to_a_b1_of_order_dividing_6():
+    assert pow(blinded_randomizers(P, PROBE_SEED, 2)[1], 6, P) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
@@ -358,10 +372,13 @@ def recover_sample(secret, sample, rng):
     challenges, or ``None`` if the device refuses them.
 
     Both legs are read in the order-``Q`` subgroup modulo ``P``, after a
-    power of 6.  With ``powered = (2, 1)`` an entry is ``(2**(d*rho),
-    A**rho)``, ``A = R'**d``; with ``(1, 2)`` it is ``(2**(b*d*rho),
-    A**rho)``.  So the logarithm of the cipher over that of the ratio is
-    ``d / log A`` in the first session and ``b`` times it in the second.
+    power of 6.  With ``B_0, B_1`` the seed's blinded randomizers and
+    ``A = R'**d / (B_1**b * B_0)``, an entry is ``(2**(d*rho), A**rho)``
+    for ``powered = (2, 1)`` and ``(2**(b*d*rho), A**rho)`` for ``(1, 2)``.
+    So the logarithm of the cipher over that of the ratio is ``d / log A``
+    in the first session and ``b`` times it in the second.  ``PROBE_SEED``
+    gives ``B_1**6 == 1``, so after the power of 6 ``A`` no longer depends
+    on ``b``, and every entry of the first session has the same slope.
     """
     generator = pow(2, 6, P)
     log, power = {}, 1

@@ -14,15 +14,16 @@ from psiauth import (
     draw_unit,
     encrypt,
     keygen,
-    keypair_from_primes,
     scalar_pow,
 )
 from psiauth import paillier
 from psiauth.encoding import encode_uint
 from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
     _SMALL_PRIMES, _miller_rabin, _random_error_log2, _random_prime, \
-    _random_rounds, is_probable_prime
+    _random_rounds
 from psiauth.protocol import short_exponent_bound
+
+from helpers import is_probable_prime, keypair_from_primes
 
 
 # Cofactors ``k * _PERIOD + unit`` are odd, at least 257 and coprime to every

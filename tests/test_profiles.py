@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from psiauth import (
     EncryptedProfile,
     FeatureMode,
     FeatureSet,
+    blinded_randomizers,
     build_encrypted_profile,
     decode_numeric,
     decrypt,
@@ -22,12 +24,14 @@ from psiauth import (
     solve_blinding_gaussian,
 )
 from psiauth import pool
-from psiauth.encoding import DecodeError, encode_uint, encode_uints
-from psiauth.paillier import draw_unit, keypair_from_primes
-from psiauth.profiles import _solve_scaled_integer_system, encode_mode
+from psiauth.encoding import DecodeError, encode_bytes, encode_uint, \
+    encode_uints
+from psiauth.paillier import draw_unit
+from psiauth.profiles import BLINDED_SEED_BYTES, \
+    _solve_scaled_integer_system, encode_mode
 
 from helpers import blinding_identity_holds, distinct_values, \
-    kill_one_worker
+    keypair_from_primes, kill_one_worker
 
 
 def case_a(values):
@@ -169,6 +173,54 @@ class TestBlindingSolvers:
         assert not caplog.records
 
 
+@pytest.fixture(scope="module")
+def moduli(kp512):
+    return {
+        "n of 16 bits": keygen(16, random.Random(16))[0].n,
+        "n of 512 bits": kp512[0].n,
+        "prime": (1 << 127) - 1,
+        # Half the residues are non-units, so the counter moves on often.
+        "n = 15": 15,
+    }
+
+
+class TestBlindedRandomizers:
+    @pytest.mark.parametrize("name", ["n of 16 bits", "n of 512 bits",
+                                      "prime", "n = 15"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.binary(min_size=BLINDED_SEED_BYTES,
+                          max_size=BLINDED_SEED_BYTES),
+           count=st.integers(min_value=1, max_value=40))
+    def test_units_below_the_modulus(self, moduli, name, seed, count):
+        modulus = moduli[name]
+        values = blinded_randomizers(modulus, seed, count)
+        assert len(values) == count
+        assert all(1 <= v < modulus and math.gcd(v, modulus) == 1
+                   for v in values)
+
+    def test_deterministic_for_a_seed_and_modulus(self, kp128, kp512):
+        n = kp512[0].n
+        seed = bytes(range(BLINDED_SEED_BYTES))
+        values = blinded_randomizers(n, seed, 8)
+        assert blinded_randomizers(n, seed, 8) == values
+        # A shorter expansion is a prefix: B_k depends on k, not the count.
+        assert blinded_randomizers(n, seed, 3) == values[:3]
+        assert len(set(values)) == 8
+        other_n = kp128[0].n
+        assert not set(blinded_randomizers(other_n, seed, 8)) & set(values)
+        other_seed = bytes(BLINDED_SEED_BYTES)
+        assert not set(blinded_randomizers(n, other_seed, 8)) & set(values)
+
+    def test_setup_draws_d_as_a_unit_modulo_lambda(self):
+        for seed in range(12):
+            profile, secret, audit = build_encrypted_profile(
+                "u", case_a([3, 5]), 64, random.Random(seed),
+                keep_setup_audit=True)
+            d = secret.secret_exponent
+            assert 1 <= d < profile.public_key.n
+            assert math.gcd(d, audit.secret_key.lam) == 1
+
+
 SETUP_RUNS = {
     "case-a": case_a(distinct_values(random.Random(33), 6, 32)),
     "case-b": FeatureSet.from_values(FeatureMode.CASE_B, [2, 5, 9]),
@@ -182,7 +234,7 @@ class TestBuildEncryptedProfile:
         profile, secret, audit = build_encrypted_profile(
             "alice", features, 128, rng, keep_setup_audit=True)
         assert len(profile.enc_coeffs) == 4
-        assert len(profile.blinded_randomizers) == 4
+        assert len(profile.blinded_seed) == BLINDED_SEED_BYTES
         assert profile.size == 3
         assert decrypt(profile.public_key, audit.secret_key,
                        profile.enc_coeffs[-1]) == 1
@@ -203,8 +255,8 @@ class TestBuildEncryptedProfile:
 
     @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
     def test_setup_powers_equal_plain_pow(self, solver):
-        # Set-up computes r_k**n by CRT and x**d modulo n, in the pool when
-        # there is more than one CPU; plain powers must agree.
+        # Set-up computes r_k**n and the root of B_k by CRT, in the pool
+        # when there is more than one CPU; plain powers must agree.
         features = case_a(distinct_values(random.Random(31), 6, 32))
         profile, secret, audit = build_encrypted_profile(
             "alice", features, 512, random.Random(32), solver=solver,
@@ -214,18 +266,20 @@ class TestBuildEncryptedProfile:
                                 audit.encryption_randomizers):
             assert ct == (1 + coeff * n) * pow(r, n, n_squared) % \
                 n_squared
-        assert profile.blinded_randomizers == tuple(
+        assert blinded_randomizers(n, profile.blinded_seed,
+                                   len(audit.coeffs)) == tuple(
             pow(x, secret.secret_exponent, n)
             for x in audit.unblinded_randomizers)
 
     @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
     def test_blinding_shows_only_modulo_n_squared(self, solver):
         # r'_k is 1 modulo n for k >= 1 and r'_0 is R' modulo n, so the
-        # blinding shows only in residues modulo n**2.  The record holds
-        # its values modulo n: exactly the blinding-free (r_k**-1)**d mod n,
-        # times R'**d for k = 0.  Each is set-up's full-width value modulo
-        # n**2 reduced modulo n, all the device ever read of it, so every
-        # response stays the same.
+        # blinding shows only in residues modulo n**2.  The seed expands to
+        # values modulo n: exactly the blinding-free (r_k**-1)**d mod n,
+        # times R'**d for k = 0, and (r'_k * r_k**-1 mod n)**d for every k,
+        # in every mode and under both solvers.  Each is the full-width
+        # value modulo n**2 reduced modulo n, all the device ever reads of
+        # it.
         rng = random.Random(71)
         differ = 0
         for features in (case_a(distinct_values(rng, 6, 32)),
@@ -243,7 +297,11 @@ class TestBuildEncryptedProfile:
             differ += sum(r != 1 for r in audit.blinding.randomizers[1:])
             free = tuple(pow(pow(r, -1, n) * (anchor if k == 0 else 1), d, n)
                          for k, r in enumerate(audit.encryption_randomizers))
-            assert profile.blinded_randomizers == free
+            expanded = blinded_randomizers(n, profile.blinded_seed,
+                                           len(audit.coeffs))
+            assert expanded == free
+            assert expanded == tuple(
+                pow(x, d, n) for x in audit.unblinded_randomizers)
             for blind, r, stored in zip(audit.blinding.randomizers,
                                         audit.encryption_randomizers, free):
                 assert pow(blind * pow(r, -1, n_squared), d,
@@ -408,8 +466,10 @@ class TestSerialization:
         pk = kp128[0]
         coeff = draw_unit(rng, pk.n_squared)
         with pytest.raises(ValueError, match="size must be positive"):
-            EncryptedProfile(pk, (coeff,), (1,), 0, FeatureMode.CASE_A)
-        data = (pk.to_bytes() + encode_uints([coeff]) + encode_uints([1]) +
+            EncryptedProfile(pk, (coeff,), bytes(BLINDED_SEED_BYTES), 0,
+                             FeatureMode.CASE_A)
+        data = (pk.to_bytes() + encode_uints([coeff]) +
+                encode_bytes(bytes(BLINDED_SEED_BYTES)) +
                 encode_uint(0) + encode_mode(FeatureMode.CASE_A, None, None) +
                 encode_uint(0))
         with pytest.raises(DecodeError, match="size must be positive"):

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import hashlib
 import logging
@@ -26,6 +25,7 @@ from psiauth import (
     ProtocolError,
     SessionError,
     SimilarityFunction,
+    blinded_randomizers,
     build_encrypted_profile,
     carrier_challenge,
     carrier_score,
@@ -42,6 +42,7 @@ from psiauth import (
 from psiauth import pool, protocol
 from psiauth.encoding import MAX_ENTRIES, encode_uint
 from psiauth.paillier import draw_unit
+from psiauth.profiles import BLINDED_SEED_BYTES
 from psiauth.protocol import SessionState, default_threshold, \
     short_exponent_bound
 
@@ -61,7 +62,8 @@ def raw_entries(secret, challenge, values, rng):
     ``short_exponent_bound(n)``.  Each ratio is built the long way, as
     ``tag * correction**-1 mod n`` from the full-width powers
     ``tag = R'**(d * rho)`` and ``correction = B**rho`` modulo ``n**2``,
-    where ``B`` is the blinded leg's raw power product.
+    where ``B`` is the raw power product of the blinded randomizers that
+    the challenge's seed expands to.
     """
     n, n_squared = challenge.public_key.n, challenge.public_key.n_squared
 
@@ -77,8 +79,9 @@ def raw_entries(secret, challenge, values, rng):
         t = draw_unit(rng, n)
         rho = t + n * rng.randrange(short_exponent_bound(n))
         tag = pow(secret.anchor, d * rho, n_squared)
-        correction = pow(raw_product(challenge.blinded_randomizers, x), rho,
-                         n_squared)
+        blinded = blinded_randomizers(n, challenge.blinded_seed,
+                                      len(challenge.powered_coeffs))
+        correction = pow(raw_product(blinded, x), rho, n_squared)
         entries.append(AuthResponseEntry(
             pow(raw_product(challenge.powered_coeffs, x), d * rho, n_squared),
             tag * pow(correction, -1, n) % n))
@@ -98,8 +101,8 @@ class TestCarrierChallenge:
         profile, _ = enrolled
         challenge, _ = carrier_challenge(profile, rng, sample_size=1)
         assert len(challenge.powered_coeffs) == profile.size + 1
-        assert len(challenge.blinded_randomizers) == profile.size + 1
-        assert challenge.blinded_randomizers == profile.blinded_randomizers
+        # The carrier forwards the record's seed unchanged.
+        assert challenge.blinded_seed == profile.blinded_seed
 
     def test_identity_exponent_hook(self, enrolled, rng):
         profile, _ = enrolled
@@ -186,7 +189,8 @@ class TestChallengeComb:
                  "random": rng.randrange(1, bound)}[theta]
         # The smallest valid record: the base beside a random unit.
         coeffs = (base, draw_unit(rng, n_squared))
-        profile = EncryptedProfile(pk, coeffs, (1, 1), 1, FeatureMode.CASE_A)
+        profile = EncryptedProfile(pk, coeffs, bytes(BLINDED_SEED_BYTES), 1,
+                                   FeatureMode.CASE_A)
         teeth = protocol.challenge_teeth(profile)
         assert teeth == tuple(pow(c, 1 << (j * width), n_squared)
                               for c in coeffs
@@ -280,35 +284,13 @@ class TestDeviceRespond:
         # Uniform below 2**256: all 200 below 2**255 has probability 2**-200.
         assert max(ks).bit_length() == (bound - 1).bit_length() == 256
 
-    @pytest.mark.parametrize("cpus", [1, None])
-    def test_non_unit_challenge_raises_protocol_error(self, rng, cpus,
-                                                       fresh_pool, one_cpu):
-        # Blinded randomizers that are multiples of p, inside [1, n), make
-        # the ratio leg evaluate to a multiple of p modulo n, which has no
-        # inverse.  One CPU builds the entries in-process, None leaves them
-        # to the pool.
-        profile, secret, audit = build_encrypted_profile(
-            "alice", case_a([101, 202, 303]), 128, rng,
-            keep_setup_audit=True)
-        challenge, _ = carrier_challenge(profile, rng, sample_size=3)
-        crafted = dataclasses.replace(
-            challenge, blinded_randomizers=(audit.secret_key.p,) *
-            len(challenge.blinded_randomizers))
-        with one_cpu() if cpus == 1 else contextlib.nullcontext():
-            with pytest.raises(ProtocolError, match="non-unit"):
-                device_respond(secret, crafted, case_a([11, 22, 33]), rng)
-
-    def test_challenge_refuses_blinded_values_outside_range(self, enrolled,
-                                                            rng):
-        # One encoding per value: a blinded randomizer lies in [1, n), so
-        # n itself, which the device would read as 0, never reaches it.
+    def test_challenge_refuses_seed_of_wrong_length(self, enrolled, rng):
+        # One seed length: the device expands 32 bytes, no more, no fewer.
         profile, _ = enrolled
         challenge, _ = carrier_challenge(profile, rng, sample_size=1)
-        legs = len(challenge.blinded_randomizers)
-        for value in (0, profile.public_key.n):
-            with pytest.raises(ValueError, match=r"outside \[1, n\)"):
-                dataclasses.replace(challenge,
-                                    blinded_randomizers=(value,) * legs)
+        for length in (0, BLINDED_SEED_BYTES - 1, BLINDED_SEED_BYTES + 1):
+            with pytest.raises(ValueError, match="32 bytes"):
+                dataclasses.replace(challenge, blinded_seed=bytes(length))
 
     @pytest.mark.parametrize("mode", ["case-a", "case-b", "case-c"])
     def test_workers_do_not_change_the_response(self, mode, fresh_pool,
@@ -930,12 +912,14 @@ class TestDecide:
 
 # SHA-256 over every value a seeded 512-bit run computes in the three modes:
 # profile and secret bytes, challenge and response bytes, and the match
-# counts.  Recorded when each randomizer was first drawn as rho = t + n*k
-# with k below short_exponent_bound(n): the same tree with the draw of a
-# full-width rho, a unit below n**2, gives the digest recorded before,
-# 5c67f415...e8311, so only rho's draw moved.
-PINNED_TRANSCRIPT_DIGEST = ("ff4a067f5c516645925a0b6f204808b1"
-                            "1fb7e85097d0b9a777382ef5bbaa55b5")
+# counts.  Recorded when records and challenges began to carry a 32-byte
+# seed in place of the blinded randomizers: set-up no longer draws the
+# encryption randomizers, it draws d until it is a unit modulo lambda(n)
+# and then the seed, so every record, every later draw and every entry
+# moved.  Before, with the randomizers drawn and rho = t + n*k, it was
+# ff4a067f...aa55b5.
+PINNED_TRANSCRIPT_DIGEST = ("942c720654a6cf3b0b1f3bf88334817c"
+                            "b54419ca25e9b64480cc3725ae7b4930")
 
 
 def transcript_blobs():
@@ -976,13 +960,13 @@ def test_seeded_transcript_is_pinned():
 
 
 # SHA-256 over the (cipher, ratio) pairs of ``seeded_entries``, recorded
-# like the transcript digest when rho was first drawn as t + n*k: with a
-# full-width rho drawn below n**2, the same tree gives the digest recorded
-# before, 1503ae84...799a2.  The pairs themselves match the three-value
-# entries (cipher, correction, tag) that preceded them, with
-# ratio = tag * correction**-1 mod n, under the same randomizers.
-PINNED_PAIR_DIGEST = ("80ab2a5336a8eb7c0753814f700765e8"
-                      "d9dfd10adb02f4792ddcf0fefd351370")
+# like the transcript digest when the seed replaced the blinded
+# randomizers, which moved set-up's draws; before, it was 80ab2a53...351370.
+# The pairs themselves match the three-value entries (cipher, correction,
+# tag) that preceded them, with ratio = tag * correction**-1 mod n, under
+# the same randomizers.
+PINNED_PAIR_DIGEST = ("90dc9f1efd832333fa4bbd53210dba58"
+                      "aba1534ae42cf9d04d70ca3dda9253d3")
 
 
 def seeded_entries():

@@ -15,6 +15,7 @@ from psiauth import (
     ModeMismatchError,
     ProtocolError,
     SimilarityFunction,
+    blinded_randomizers,
     build_encrypted_profile,
     carrier_challenge,
     carrier_score,
@@ -25,7 +26,9 @@ from psiauth import (
 )
 from psiauth import client, pool, protocol, wire
 from psiauth import service as service_module
-from psiauth.encoding import MAX_ENTRIES, encode_uint, encode_uints
+from psiauth.encoding import MAX_ENTRIES, encode_bytes, encode_uint, \
+    encode_uints
+from psiauth.profiles import BLINDED_SEED_BYTES
 from psiauth.service import CarrierConfig, CarrierService, ProfileStore
 
 from helpers import malformed_frames, overlap_instance, smallest_profile
@@ -52,6 +55,22 @@ def enrolled(service, tmp_path):
     return service, secret, features
 
 
+def assert_refused_in_place_of_seed(service, profile, field, caplog):
+    """Store alice's record with ``field`` where its seed was: an AuthInit
+    for alice gets a decode error, opens no session and logs no traceback."""
+    seed = encode_bytes(profile.blinded_seed)
+    record = profile.to_bytes()
+    assert record.count(seed) == 1
+    service.store._path("alice").write_bytes(record.replace(seed, field))
+    with client.CarrierConnection(service.address) as conn:
+        with pytest.raises(client.CarrierReplyError) as excinfo:
+            conn.request(wire.AuthInit("alice", 3))
+    assert excinfo.value.code == wire.ERR_DECODE
+    assert not [r for r in caplog.records
+                if r.levelno >= logging.ERROR or r.exc_info]
+    assert service.sessions._sessions == {}
+
+
 class TestProfileStore:
     def test_roundtrip_is_byte_identical(self, tmp_path, rng):
         store = ProfileStore(tmp_path)
@@ -66,7 +85,7 @@ class TestProfileStore:
             ProfileStore(tmp_path).load("ghost")
 
     def test_no_feature_value_in_stored_bytes(self, tmp_path, rng):
-        # Carrier-side bytes hold only ciphertext-space and blinded values;
+        # Carrier-side bytes hold only ciphertext-space values and a seed;
         # the canonical encoding of any profile feature must not appear in
         # any stored file, the record's challenge teeth included.
         values = [0xDEADBEEFCAFE + i for i in range(4)]
@@ -206,7 +225,7 @@ class TestChallengeTeeth:
         draws = random.Random(17)
         coeffs = tuple(draws.randrange(2, pk.n_squared) for _ in range(21))
         service.store.save("bob", EncryptedProfile(
-            pk, coeffs, (1,) * 21, 20, FeatureMode.CASE_A))
+            pk, coeffs, bytes(BLINDED_SEED_BYTES), 20, FeatureMode.CASE_A))
         jobs = count_teeth_jobs(monkeypatch)
         together = threading.Barrier(4)
         real_teeth = service.store.teeth
@@ -411,24 +430,26 @@ class TestServeFlow:
     def test_record_with_blinded_values_modulo_n_squared_refused(
             self, enrolled, caplog):
         # A record stored before the blinded randomizers went modulo n holds
-        # residues modulo n**2.  Loading it fails the range check, which
-        # the carrier answers as a decode failure naming the range, not as
-        # an internal error; its user enrolls again.
+        # them as residues modulo n**2, where the seed is now.  Loading it
+        # fails, which the carrier answers as a decode failure, not as an
+        # internal error; its user enrolls again.
         service, _, _ = enrolled
         profile = service.store.load("alice")
-        stored = encode_uints(profile.blinded_randomizers)
-        wide = encode_uints(b + profile.public_key.n
-                            for b in profile.blinded_randomizers)
-        record = profile.to_bytes()
-        assert record.count(stored) == 1
-        service.store._path("alice").write_bytes(record.replace(stored, wide))
-        with client.CarrierConnection(service.address) as conn:
-            with pytest.raises(client.CarrierReplyError) as excinfo:
-                conn.request(wire.AuthInit("alice", 3))
-        assert excinfo.value.code == wire.ERR_DECODE
-        assert "outside [1, n)" in excinfo.value.text
-        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
-        assert service.sessions._sessions == {}
+        n = profile.public_key.n
+        wide = encode_uints(b + n for b in blinded_randomizers(
+            n, profile.blinded_seed, len(profile.enc_coeffs)))
+        assert_refused_in_place_of_seed(service, profile, wide, caplog)
+
+    def test_record_in_the_0x03_layout_refused(self, enrolled, caplog):
+        # Version 0x03 stored the blinded randomizers below n where the
+        # seed is now; such a record is refused on load, and its user
+        # enrolls again.
+        service, _, _ = enrolled
+        profile = service.store.load("alice")
+        listed = encode_uints(blinded_randomizers(
+            profile.public_key.n, profile.blinded_seed,
+            len(profile.enc_coeffs)))
+        assert_refused_in_place_of_seed(service, profile, listed, caplog)
 
     def test_sample_size_outside_range_opens_no_session(self, enrolled,
                                                         caplog):

@@ -11,10 +11,14 @@ from psiauth import (
     AuthDecision,
     AuthResponseEntry,
     FeatureMode,
+    FeatureSet,
     PaillierPublicKey,
+    build_encrypted_profile,
+    carrier_challenge,
 )
-from psiauth.encoding import DecodeError, encode_uint
-from psiauth.profiles import DeviceSecret, EncryptedProfile
+from psiauth.encoding import DecodeError, encode_str, encode_uint
+from psiauth.profiles import BLINDED_SEED_BYTES, DeviceSecret, \
+    EncryptedProfile
 from psiauth import wire
 
 from helpers import malformed_frames
@@ -24,11 +28,11 @@ def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
     n = rng.getrandbits(64) | (1 << 63) | 1
     pk = PaillierPublicKey.from_modulus(n)
     coeffs = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
-    blinded = tuple(rng.randrange(1, pk.n) for _ in range(size + 1))
+    seed = rng.randbytes(BLINDED_SEED_BYTES)
     count = cap = None
     if mode is FeatureMode.CASE_C:
         count, cap = size, 4
-    return EncryptedProfile(pk, coeffs, blinded, size, mode,
+    return EncryptedProfile(pk, coeffs, seed, size, mode,
                             count=count, cap=cap, threshold=threshold)
 
 
@@ -37,7 +41,7 @@ def fake_challenge(rng, size=3, mode=FeatureMode.CASE_A):
     powered = profile.enc_coeffs
     return AuthChallenge(rng.getrandbits(128).to_bytes(16, "big"),
                          profile.public_key, powered,
-                         profile.blinded_randomizers, mode,
+                         profile.blinded_seed, mode,
                          count=profile.count, cap=profile.cap)
 
 
@@ -103,13 +107,13 @@ def pinned_blobs():
         yield wire.encode_frame(random_message(rng))
 
 
-# SHA-256 over ``pinned_blobs``, recorded with the version byte 0x03, when
-# records and challenges began to carry blinded randomizers below n (so
-# ``fake_profile`` draws them below n, and every later draw moved too);
-# every stored record and frame must stay identical.  The encoders of 0x02,
-# given the same draws and version byte, give the same digest.
-PINNED_DIGEST = ("a5397ce3a22604af63f344cde6e3d9fe"
-                 "bc3ba33bbb0b4c572f84184d249b7e0a")
+# SHA-256 over ``pinned_blobs``, recorded with the version byte 0x04, when
+# records and challenges began to carry a 32-byte seed in place of the
+# blinded randomizers (so ``fake_profile`` draws a seed instead of the
+# values, and every later draw moved too); every stored record and frame
+# must stay identical.
+PINNED_DIGEST = ("bc9c7bf9051fee3037c95c95809f03c2"
+                 "41e1980d8fed05597e7aec0eac976c7f")
 
 
 def test_encodings_are_byte_stable():
@@ -117,12 +121,35 @@ def test_encodings_are_byte_stable():
     for blob in pinned_blobs():
         digest.update(len(blob).to_bytes(4, "big") + blob)
     assert digest.hexdigest() == PINNED_DIGEST
-    assert wire.PROTOCOL_VERSION == 0x03
+    assert wire.PROTOCOL_VERSION == 0x04
+
+
+def test_one_more_coefficient_adds_one_encoded_ciphertext():
+    # The seed costs the same 36 bytes at every profile size, so a frame
+    # minus its encoded ciphertexts keeps one size: a per-coefficient list
+    # beside the ciphertexts would grow it.
+    rng = random.Random(0x5EED)
+    user = "alice"
+    for size in range(1, 6):
+        features = FeatureSet.from_values(FeatureMode.CASE_A,
+                                          range(1, size + 1))
+        profile, _ = build_encrypted_profile(user, features, 128, rng)
+        challenge, _ = carrier_challenge(profile, rng, sample_size=1)
+        store = wire.encode_frame(wire.StoreProfile(user, profile))
+        sent = wire.encode_frame(wire.Challenge(challenge))
+        ciphers = sum(len(encode_uint(c)) for c in profile.enc_coeffs)
+        powered = sum(len(encode_uint(c)) for c in challenge.powered_coeffs)
+        key = len(profile.public_key.to_bytes())
+        # Header, user id, key, coefficient count, seed, size, mode tag and
+        # threshold; header, session id, key, count, seed and mode tag.
+        assert len(store) - ciphers == \
+            6 + len(encode_str(user)) + key + 4 + 36 + 5 + 1 + 4
+        assert len(sent) - powered == 6 + 20 + key + 4 + 36 + 1
 
 
 class TestFraming:
     def test_store_ack_is_six_bytes(self):
-        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("030200000000")
+        assert wire.encode_frame(wire.StoreAck()) == bytes.fromhex("040200000000")
 
     def test_unknown_version_rejected(self):
         frame = bytearray(wire.encode_frame(wire.StoreAck()))
