@@ -12,25 +12,15 @@ Homomorphic identities, for plaintexts reduced modulo ``n``:
 * ``decrypt(add_cipher(E(m1), E(m2))) == m1 + m2``
 * ``decrypt(scalar_pow(E(m), k)) == k * m``
 
-Powers modulo ``n**2`` use the shape of the modulus
-(``PaillierPublicKey.power`` and ``walk``): a residue is the digit pair ``a0 + a1*n``.
-The term ``a1*b1*n**2`` of a product vanishes, so a product needs ``a0*b0``
-in full and ``a0*b1 + a1*b0`` only modulo ``n``, and every reduction is by
-the half-width ``n``.  CPython's ``pow`` reduces each double-width product
-by ``n**2`` with schoolbook long division, and two reductions by ``n`` cost
+Powers modulo ``n**2`` use the shape of the modulus: a residue is the
+digit pair ``a0 + a1*n`` (``digits``, ``times``, ``walk``).  The term
+``a1*b1*n**2`` of a product vanishes, so a product needs ``a0*b0`` in full
+and ``a0*b1 + a1*b0`` only modulo ``n``, and every reduction is by the
+half-width ``n``.  CPython's ``pow`` reduces each double-width product by
+``n**2`` with schoolbook long division, and two reductions by ``n`` cost
 about half of one by ``n**2``.  At 1024-bit keys a power costs two thirds
-to three quarters of ``pow``'s, and the result is the same integer.
-
-An exponent of at least ``n`` is split at ``n``.  Since ``a**n mod n**2``
-depends only on ``a mod n`` (Paillier, EUROCRYPT 1999), for
-``e = q*n + r`` the identity ``x**e == x**r * (x**q mod n)**n (mod n**2)``
-holds for every integer ``x``, units or not.  So ``power`` runs one
-half-width ``pow`` modulo ``n`` and one chain of ``|n|`` squarings for both
-powers on the right.  The device's mask ``acc**(d * rho)``, an exponent of
-about ``2|n| + 256`` bits (``rho = t + n*k`` with ``k`` below ``2**256``),
-takes ``|n|`` squarings modulo ``n**2`` and a half-width power to
-``|n| + 256`` bits.  ``power`` stays exact for every exponent.  Like
-``pow``, a power takes a time that depends on the exponent.
+to three quarters of ``pow``'s, and the result is the same integer;
+``PaillierPublicKey.power`` also splits a long exponent at ``n``.
 
 A ciphertext is a plain integer in ``[1, n**2)``; every operation that takes
 one checks that it is a unit modulo ``n**2``.  All operations are pure; keys
@@ -333,8 +323,12 @@ def _miller_rabin(candidate: int, rng: random.Random, rounds: int) -> bool:
 
 
 def _random_error_log2(bits: int, rounds: int) -> float:
-    """``log2`` of ``_random_prime``'s bound on the chance that a random
-    ``bits``-bit candidate that passed ``rounds`` rounds is composite."""
+    """``log2`` of the bound on the chance that a random odd ``bits``-bit
+    number that passed ``rounds`` Miller-Rabin rounds is composite:
+    ``k**(3/2) * 2**t * t**(-1/2) * 4**(2 - sqrt(t*k))`` for ``k = bits``
+    and ``t = rounds``, valid for ``k >= 21`` and ``3 <= t <= k/9``
+    (Damgard, Landrock and Pomerance, Math. Comp. 1993; Handbook of
+    Applied Cryptography, Fact 4.48(ii))."""
     return (1.5 * math.log2(bits) + rounds - 0.5 * math.log2(rounds) +
             2 * (2 - math.sqrt(rounds * bits)))
 
@@ -355,19 +349,10 @@ def _random_prime(bits: int, rng: random.Random) -> int:
     """Random prime with exactly ``bits`` bits and the top two bits set.
 
     Forcing the two leading bits makes the product of two such primes always
-    have the full target bit length.
-
-    Each candidate is drawn uniformly, so it takes ``_random_rounds(bits)``
-    Miller-Rabin rounds.  For a random odd ``k``-bit number, the chance
-    that it is composite given that it passed ``t`` rounds is at most
-    ``k**(3/2) * 2**t * t**(-1/2) * 4**(2 - sqrt(t*k))`` for ``k >= 21``
-    and ``3 <= t <= k/9`` (Damgard, Landrock and Pomerance, Math. Comp.
-    1993; Handbook of Applied Cryptography, Fact 4.48(ii)).  The count
-    keeps that below ``2**-130``: ``2**-128``, with two bits spare for
-    drawing from only the half of the ``k``-bit range whose second bit is
-    set.  Where no ``t`` in range reaches it, as up to 256 bits, the count
-    is ``PRIMALITY_ROUNDS``.  The bound averages over random candidates,
-    so it says nothing about a candidate someone chose.
+    have the full target bit length.  Each candidate is drawn uniformly, so
+    it takes ``_random_rounds(bits)`` Miller-Rabin rounds; that bound
+    averages over random candidates, so it says nothing about a candidate
+    someone chose.
     """
     if bits < 8:
         raise KeyGenerationError("prime size below 8 bits")

@@ -1,16 +1,23 @@
 """One persistent pool of forked worker processes for independent powers.
 
-Key generation's Miller-Rabin rounds, set-up, the challenge, the device
-response and the carrier's match tests each map a job of one item,
-``job(context, item)``, over their items with ``_in_pool``.  The pool is
-created on first use with one worker per usable CPU and kept until exit; a
-worker exits when its parent dies.  Workers are forked, so any secret in a
-job reaches only children of the process that holds it.  A carrier's
-``start``, the one caller of ``fork_workers``, forks them before it starts
-its serving thread, so no serving or handler thread runs at the fork.
-A pool rebuilt after a worker died is still forked by the next pooled call,
-from a handler thread in a carrier; the warning that drops the broken pool
-says so.
+Key generation's Miller-Rabin rounds after a candidate's first
+(``paillier._miller_rabin``), set-up's coefficient encryptions with their
+roots (``profiles``), a record's challenge teeth and the powers
+``C_i**theta``, the device's response entries and the carrier's match tests
+(``protocol``) each map a job of one item, ``job(context, item)``, over
+their items with ``_in_pool``.  Everything else stays in the calling
+process: every random draw, the seed's expansion, ``R'**d``, the shuffle,
+and every check ``carrier_score`` makes before its match tests.  The pool
+is created on first use with one worker per usable CPU and kept until exit;
+a worker exits when its parent dies.
+
+Workers are forked, so the secrets a job carries (``p``, ``q``, ``d``,
+``rho``, ``theta``) reach only children of the process that holds them.  A
+carrier's ``start``, the one caller of ``fork_workers``, forks them before
+it starts its serving thread, so no serving or handler thread runs at the
+fork.  A pool rebuilt after a worker died is still forked by the next
+pooled call, from a handler thread in a carrier; the warning that drops the
+broken pool says so.
 """
 
 from __future__ import annotations

@@ -1,61 +1,26 @@
 """Device-side set-up: turn a plaintext feature set into the carrier record.
 
-Set-up encodes the profile ``{a_1, .., a_s}`` as the monic polynomial
-``prod(x - a_i)`` and ships the carrier the encrypted coefficients together
-with a 32-byte seed.  Anyone who reads the seed expands it into the blinded
-randomizers ``B_0 .. B_s``, public units modulo ``n``
+``build_encrypted_profile`` encodes the profile ``{a_1, .., a_s}`` as the
+monic polynomial ``prod(x - a_i)`` (``poly_from_roots``) and gives the
+carrier its coefficients, Paillier-encrypted, with a 32-byte seed that
+anyone expands into the blinded randomizers ``B_0 .. B_s``
 (``blinded_randomizers``).  The blinding randomizers ``r'_0 .. r'_s``
 satisfy, for every profile feature ``a``,
 
     r'_0 * r'_1**a * r'_2**(a**2) * ... * r'_s**(a**s) == R'  (mod n**2)
 
-Every ``r'_1 .. r'_s`` lies in the order-``n`` subgroup, so each is
-``1`` modulo ``n`` and ``r'_0 == R' (mod n)``: modulo ``n`` the product is
-``R'`` at every value, a root or not.  The secret exponent ``d`` is drawn
-below ``n`` until it is a unit modulo ``lambda(n)``, and each encryption
-randomizer is ``r_k = (r'_k mod n) * B_k**(-d**-1 mod lambda(n)) mod n``,
-so that ``(r'_k * r_k**-1)**d == B_k (mod n)``.  The device reads the
-blinded randomizers only modulo ``n``, where ``B_k`` is the blinding-free
-``(r_k**-1)**d``, times ``R'**d`` for ``k = 0``.  No stored, sent or
-computed value depends on the blinding, ``R'`` cancels from every ratio,
-and the cipher leg alone decides membership.  ``x -> x**d`` permutes the
-units modulo ``n``, so a uniform ``B_k`` gives a uniform ``r_k``: the pair
-``(B_k, r_k)`` has the law it has when ``r_k`` is drawn and ``B_k``
-computed from it.
+(``solve_blinding``, ``solve_blinding_gaussian``), and each encryption
+randomizer comes from ``r'_k`` and ``B_k`` by a root
+(``_setup_encryption``).  After set-up the device keeps only its
+``DeviceSecret``; every other intermediate (secret key, coefficients,
+randomizers, plaintext features) is dropped.
 
-After set-up the device keeps only its user id, the secret exponent ``d`` and
-the anchor ``R'``; every other intermediate (secret key, coefficients,
-randomizers, plaintext features) is dropped.  While it still holds ``p`` and
-``q``, set-up computes ``r**n`` in each coefficient encryption by CRT
-through ``r mod p`` and ``r mod q``, at about two fifths of a plain power
-(``PaillierSecretKey.pow_n_mod_n_squared``), and each root
-``B_k**(-d**-1 mod lambda(n))`` by CRT through ``B_k mod p`` and
-``B_k mod q``, at about three tenths of a plain ``pow`` modulo ``n``
-(``PaillierSecretKey.pow_mod_n``).  ``R'``, the blinding solve, ``d`` and
-the seed are drawn first, in this process; then one job per coefficient,
-its root and then its encryption, goes to the worker pool in one call
-(``pool``), so a seeded set-up gives the same record whatever the number
-of CPUs.  Key generation, before them, tests each candidate prime's
-Miller-Rabin rounds after the first in the same pool, and draws every base
-in this process.
-
-A blinding solution randomizes a *kernel* of the power matrix: an integer
-vector ``(e_0 .. e_s)`` with ``sum(e_k * a**k) == 0`` at every profile
-feature ``a``.  ``solve_blinding`` randomizes any kernel; set-up gives it
-the polynomial's coefficients, which is exact and linear-time.
-``solve_blinding_gaussian`` finds a kernel by fraction-free Gaussian
-elimination over the s-by-s power matrix, the cubic-cost reference used to
-benchmark set-up against the cheap path, and hands it to ``solve_blinding``.
-Both keep the anchor they are given and make the same draws, and set-up
-reads the blinding only modulo ``n``, so the solver choice changes set-up's
-time and never its record or secret.
-
-The exponent base is drawn from the order-``n`` subgroup of units modulo
-``n**2`` (the elements ``1 + k*n``).  Powers of such a base depend on the
-exponent only modulo ``n``, so no solver needs the secret key to reduce
-its exponents, and the blinding identity stays exact whether evaluation
-powers ``a**k`` are used raw or reduced modulo ``n``; the authentication
-protocol evaluates by Horner's rule, which amounts to raw powers.
+Every draw is made in this process; the roots and encryptions then run in
+the worker pool (``pool``), by CRT while set-up still holds ``p`` and ``q``
+(``PaillierSecretKey.pow_mod_n`` and ``pow_n_mod_n_squared``), so a seeded
+set-up gives the same record whatever the number of CPUs.  Why the public
+seed and the ``B_k`` it expands to are safe is stated in THREAT_MODEL.md,
+"The blinded randomizers and their seed".
 """
 
 from __future__ import annotations
@@ -276,7 +241,14 @@ def solve_blinding(kernel: Sequence[int], anchor: int, pk: PaillierPublicKey,
                    rng: random.Random | None = None) -> BlindingSolution:
     """Blinding randomizers from a kernel of the power matrix.
 
-    With base ``w = 1 + k*n`` and a nonzero scale ``c``, setting
+    A kernel is an integer vector ``(e_0 .. e_s)`` with
+    ``sum(e_k * a**k) == 0`` at every profile feature ``a``; set-up passes
+    the polynomial's coefficients, which is exact and linear-time.  The
+    base ``w = 1 + k*n`` lies in the order-``n`` subgroup of units modulo
+    ``n**2``, whose powers depend on the exponent only modulo ``n``, so no
+    solver needs the secret key to reduce its exponents, and the identity
+    holds whether the powers ``a**k`` are raw or reduced modulo ``n``.
+    With a nonzero scale ``c``, setting
     ``r'_k = w**(-c * e_k)`` makes the product telescope to
     ``w**(-c * sum(e_k * a**k)) == 1`` at every feature ``a``, so the
     identity holds with ``r'_0`` absorbing the given anchor, which is
@@ -349,8 +321,9 @@ def solve_blinding_gaussian(features: FeatureSet, anchor: int,
     randomizes under the given anchor.  Any degeneracy (zero or colliding
     features) falls back to the coefficients with a logged warning.  This is
     the cubic-cost reference used to benchmark set-up against the cheap
-    solver: it changes set-up's time, and a set-up under either solver
-    gives the same record and secret.
+    solver.  Both solvers keep the anchor they are given and make the same
+    draws, and set-up reads the blinding only modulo ``n``, so the solver
+    changes set-up's time, never its record or secret.
     """
     n = pk.n
     roots = features.values
@@ -473,8 +446,7 @@ class DeviceSecret:
 
     No field derives from the feature values, the polynomial coefficients,
     the encryption randomizers or the secret key.  ``d`` is drawn only among
-    the units modulo ``lambda(n)``, so it tells its holder that no prime
-    factor of ``d`` divides ``p - 1`` or ``q - 1``.
+    the units modulo ``lambda(n)``.
     """
 
     user_id: str
@@ -539,7 +511,8 @@ def build_encrypted_profile(
 ):
     """Run the whole set-up flow for one user.
 
-    Generates a fresh keypair, solves the blinding system, draws ``d`` and
+    Generates a fresh keypair, draws ``R'``, solves the blinding system,
+    draws ``d`` below ``n`` until it is a unit modulo ``lambda(n)``, draws
     the seed, and encrypts the profile polynomial under the randomizers
     that the seed's blinded randomizers call for.  Returns
     ``(profile, secret)``, or ``(profile, secret, audit)`` when

@@ -2,85 +2,29 @@
 
 One authentication run:
 
-1. The carrier draws a fresh session exponent, raises every encrypted
-   coefficient to it and sends those powers plus the record's seed of the
-   blinded randomizers (``carrier_challenge``).
-2. The device picks the values it answers with (``response_values``): the
-   sample itself in Cases A and C, and in Case B every support value once
-   per unit of its similarity weight, so Case A is Case B under the
-   equality kernel.  For each value it evaluates the powered polynomial in
-   the exponent and masks it with a per-value randomizer ``rho`` and its
-   secret exponent ``d``.  It expands the seed into the blinded
-   randomizers once per challenge (``profiles.blinded_randomizers``),
-   evaluates them the same way, modulo ``n``, and emits the pair (cipher,
-   ratio), where the ratio is ``(R'**d / blinded evaluation) ** rho mod
-   n``; the pairs are shuffled before transmission (``respond``;
-   ``device_respond`` and ``device_respond_weighted`` chain the two).
-3. The carrier raises each ratio to ``n * theta`` and compares it against
-   the cipher; the two collide exactly when the value is a profile feature
+1. The carrier opens a session for the sample size the device declares
+   (``carrier_challenge``): it draws a session exponent ``theta``, raises
+   every encrypted coefficient to it by a comb over the record's teeth
+   (``challenge_teeth``, ``_comb_power``) and sends those powers with the
+   record's seed of the blinded randomizers.
+2. The device picks the values it answers with (``response_values``),
+   builds one (cipher, ratio) entry per value under a fresh randomizer
+   ``rho`` and its secret exponent ``d`` (``_response_entry``), and
+   shuffles the entries (``respond``; ``device_respond`` and
+   ``device_respond_weighted`` chain the two).
+3. The carrier counts the entries whose cipher equals the ratio raised to
+   ``n * theta`` modulo ``n**2``: those whose value is a profile feature
    (``carrier_score``).
 
-The count of collisions is the set-intersection cardinality (Case A), the
+The count is the set-intersection cardinality (Case A), the
 similarity-weighted match total (Case B) or the pairwise-min sum of the
 numeric vectors (Case C); ``decide`` turns it into a dissimilarity score and
 an accept/reject outcome.
 
-The carrier only ever needs the ratio modulo ``n``: its ``n * theta`` power
-depends on nothing else.  So the whole ratio leg lives modulo ``n``: the
-seed expands to units in ``[1, n)``, and the device computes ``R'**d``
-once per response, the Horner steps and the ``rho`` power modulo ``n``.
-
-Every full-width power modulo ``n**2`` after set-up runs in base-``n``
-digit pairs (``PaillierPublicKey.power`` and ``walk``), which reduce each
-product by ``n`` rather than by ``n**2`` and give the same integer as
-``pow`` at about two thirds to three quarters of its cost at 1024-bit keys:
-the device's Horner steps and its cipher mask ``acc**(d * rho)``, the
-carrier's ``n * theta`` power in each match test, and the challenge comb with
-the squarings to its teeth.  ``power`` splits every exponent of at least
-``n`` at ``n``, into a half-width ``pow`` modulo ``n`` and one chain of
-``|n|`` squarings modulo ``n**2``: the mask's exponent ``d * rho``, of
-about ``2|n| + 256`` bits, takes ``|n|`` squarings there and a half-width
-power to ``|n| + 256`` bits, and the match test is a power to ``theta``
-modulo ``n`` and an ``n``-th power.
-
-Each randomizer is ``rho = t + n*k``, with ``t`` a uniform unit below
-``n`` and ``k`` uniform below ``short_exponent_bound(n)``, so the ratio
-power and the mask's half-width power take exponents of ``|n| + 256``
-bits; ``respond`` says why the short ``k`` is safe.
-
-The device evaluates both response legs by Horner's rule in the exponent,
-``acc = acc**b * C_i`` from the top coefficient down, so every exponent is the
-raw feature ``b`` rather than a power ``b**i``.  Both legs use the same
-exponents, so the encryption randomizers cancel carrier-side.
-
-The session exponent ``theta`` is drawn below ``short_exponent_bound(n)``,
-``min(n, 2**256)``; ``carrier_challenge`` says why 256 bits suffice.  The
-challenge powers ``C_i**theta`` have the same bases in every session, so
-the carrier computes each as a fixed-base comb (Lim and Lee, CRYPTO 1994)
-over the coefficient's teeth ``C_i**(2**(j * w))``, ``j < 5``,
-``w = ceil(256 / 5) = 52`` bits (``ceil(|n| / 5)`` for ``n`` below
-``2**256``): ``w`` squarings and up to ``w`` products, where a plain power
-takes 256 squarings.  The teeth are public values derived from the stored
-record alone, never from ``theta``, so the carrier keeps them beside the
-record (``service.ProfileStore.teeth``) from its first challenge on.
-Squaring to them (``challenge_teeth``) and then running the comb costs
-about 0.9 of a plain ``pow`` to a 256-bit ``theta`` at 1024 bits; the comb
-over stored teeth costs about 0.3.
-
-The per-entry powers are independent, so they run in one persistent pool of
-forked worker processes, one per usable CPU, created on first use (``pool``):
-key generation's Miller-Rabin rounds after a candidate's first
-(``paillier._miller_rabin``), set-up's coefficient encryptions with the
-roots of the blinded randomizers they need (``profiles``), the challenge's
-teeth and ``C_i**theta``, the device's entries and the carrier's match
-tests.  Everything else stays in the calling process: every random draw,
-the seed's expansion, ``R'**d``, the shuffle, and every check
-``carrier_score`` makes before it tests a match.  The secrets ``p``,
-``q``, ``d``, ``rho`` and ``theta`` thus cross a pipe only to forked
-children of the process that holds them.
-
-A dead worker costs one call its parallelism, not its result: the call
-finishes in-process and the next one builds a new pool.
+Powers modulo ``n**2`` run in digit pairs (``PaillierPublicKey.power``), and
+the per-coefficient and per-entry powers run in the worker pool (``pool``).
+What the count means against each party, and why the short ``theta`` and
+``rho`` are safe, is stated in THREAT_MODEL.md.
 """
 
 from __future__ import annotations
@@ -298,12 +242,18 @@ def _comb_power(context: tuple[PaillierPublicKey, list[tuple[int, int]]],
                 item: tuple[int, Sequence[int]]) -> int:
     """``C**theta`` for an item ``(C, teeth)``, over ``theta``'s steps.
 
-    The teeth of ``C`` are ``C**(2**(j * w))`` for ``j < _TEETH``; the
-    first is ``C`` itself, so ``teeth`` holds the others.  Their
-    ``2**_TEETH`` products form the comb's table, and ``theta``'s limbs,
-    read one bit column at a time from the top, pick one entry per squaring
-    (Lim and Lee, CRYPTO 1994).  The table and the walk run in base-``n``
-    digit pairs.
+    A fixed-base comb (Lim and Lee, CRYPTO 1994).  The teeth of ``C`` are
+    ``C**(2**(j * w))`` for ``j < _TEETH``, with ``w = ceil(256 / 5) = 52``
+    bits (``ceil(|n| / 5)`` for ``n`` below ``2**256``); the first is ``C``
+    itself, so ``teeth`` holds the others.  Their ``2**_TEETH`` products
+    form the comb's table, and ``theta``'s limbs, read one bit column at a
+    time from the top, pick one entry per squaring: ``w`` squarings and up
+    to ``w`` products, where a plain power takes 256 squarings.  The table
+    and the walk run in base-``n`` digit pairs.  The teeth depend on the
+    record alone, never on ``theta``, so a carrier keeps them beside the
+    record (``service.ProfileStore.teeth``).  At 1024-bit keys the comb
+    over stored teeth costs about 0.3 of a plain ``pow`` to a 256-bit
+    ``theta``, and about 0.9 with the squarings to the teeth.
     """
     pk, steps = context
     base, teeth = item
@@ -329,37 +279,13 @@ def carrier_challenge(profile: EncryptedProfile,
     holds a Case A or C response to that many entries, and ``decide``
     reads it as ``|Y|``, so the device never picks its own denominator.
 
-    Each power ``C_i**theta`` is a comb over ``teeth``, the profile's
-    ``challenge_teeth``, computed first if not given (see the module
-    docstring).  ``theta`` is drawn from ``rng`` first and the session id
-    second; ``session_exponent`` replaces the draw of ``theta``.
-
-    ``theta`` is uniform in ``[1, short_exponent_bound(n))``: 256 bits
-    at 1024-bit keys and up, where it is always a unit modulo ``n``; at
-    512 bits it is a multiple of ``p`` or ``q`` with probability below
-    ``2**-250``.  The short exponent rests on the short-exponent
-    assumption in groups of unknown order (Koshiba and Kurosawa, PKC
-    2004), and on these points:
-
-    * The carrier picks ``theta``, so the device's privacy cannot rest on
-      it; the tests run ``theta = 1``.
-    * A party that holds the record's ``C_i`` (it read the unauthenticated
-      ``StoreProfile`` frame, or the carrier's store) forges matches
-      without ``theta`` (see ``carrier_score``), so ``theta``'s length
-      changes nothing for it.
-    * A party without the ``C_i`` sees no pair ``(g, g**theta)`` to search
-      before a response: the challenge carries the powers only.  A man in
-      the middle that holds a genuine matching entry ``(c, r)`` holds one,
-      ``c = (r**n)**theta``, for the session in flight only, and already
-      scores that entry's powers without ``theta`` (see
-      ``carrier_score``).
-    * Once the record holder's forgery is closed, recovering ``theta``
-      from ``(C_i, C_i**theta)`` takes about ``2**128`` kangaroo steps,
-      which must finish within the session timeout; factoring a 1024-bit
-      or 2048-bit ``n`` costs less.  The order of ``Z*_{n**2}`` is unknown
-      without the factors, so the small-factor attack of van Oorschot and
-      Wiener (EUROCRYPT 1996) has no subgroup to project into but the one
-      the Jacobi symbol reads, which leaks ``theta mod 2`` at most.
+    Each power ``C_i**theta`` is a comb (``_comb_power``) over ``teeth``,
+    the profile's ``challenge_teeth``, computed first if not given.
+    ``theta`` is drawn from ``rng`` first, uniform in
+    ``[1, short_exponent_bound(n))``, and the session id second;
+    ``session_exponent`` replaces the draw of ``theta``, and one outside
+    that range raises ``ValueError``.  THREAT_MODEL.md, "Short session
+    exponents", says why 256 bits suffice.
     """
     if not 1 <= sample_size <= MAX_ENTRIES:
         raise ProtocolError(f"declared sample size outside [1, {MAX_ENTRIES}]")
@@ -392,12 +318,20 @@ def carrier_challenge(profile: EncryptedProfile,
 def _response_entry(
         context: tuple[DeviceSecret, AuthChallenge, Sequence[int], int],
         job: tuple[int, int]) -> AuthResponseEntry:
+    """The entry for a job ``(value, rho)``.
+
+    Both legs evaluate by Horner's rule in the exponent,
+    ``acc = acc**value * C_i`` from the top coefficient down, so every
+    exponent is the raw value on both legs and the encryption randomizers
+    cancel carrier-side.  The carrier's ``n * theta`` power of a ratio
+    depends on the ratio modulo ``n`` only, so the ratio leg runs modulo
+    ``n``: the expanded blinded randomizers, ``anchor_d = R'**d mod n``, the
+    Horner steps and the ``rho`` power.
+    """
     secret, challenge, expanded, anchor_d = context
     value, randomizer = job
     pk = challenge.public_key
     n, n_squared = pk.n, pk.n_squared
-    # Horner's rule in the exponent, top coefficient first: the exponents are
-    # the raw feature on both legs, so the encryption randomizers still cancel.
     *lower_coeffs, cipher_acc = challenge.powered_coeffs
     *lower_blinded, blinded_acc = expanded
     for coeff, blinded in zip(reversed(lower_coeffs), reversed(lower_blinded)):
@@ -453,58 +387,19 @@ def respond(secret: DeviceSecret, challenge: AuthChallenge,
             ) -> list[AuthResponseEntry]:
     """One entry per listed value, randomizers drawn in list order, shuffled.
 
-    The challenge must carry the secret's mode and Case C ``(t, M)``.  The
-    entries are built in the worker pool, one process per usable CPU; on
-    one CPU they are built in this process.  The randomizers and the
-    shuffle come from ``rng`` in this process, so a seeded run is fully
-    reproducible whatever the number of CPUs.  The blinded randomizers are
-    expanded from the challenge's seed here, once, and they are units
-    modulo ``n``, so every ratio is defined; a carrier chooses only the
-    seed, never the values.  The secret holds no modulus, so any other
-    ``n`` is answered too (an open gap, see the README threat model).
-
-    Each randomizer is ``rho = t + n*k``: ``t`` is drawn first, a uniform
-    unit below ``n``, then ``k``, uniform below ``short_exponent_bound(n)``
-    like ``theta``.  Below ``n = 2**256`` that is a uniform unit below
-    ``n**2``, the draw of a full-width ``rho``.  Above it, ``k`` has 256
-    bits, and the ratio power and the mask's half-width power take
-    exponents of ``|n| + 256`` bits instead of ``2|n|``.  The adversary
-    here is the carrier, which sees every response and picks every
-    ``theta``.  With ``Y = R'**d / B(b) mod n``, where ``B(b)`` is the
-    blinded leg evaluated at the entry's value ``b``, an entry shows it two
-    things:
-
-    * The ``(1+n)`` part of ``cipher / ratio**(n*theta) mod n**2``, which
-      reads ``theta*d*rho*P(b) = theta*d*t*P(b) mod n``.  Only ``t`` enters
-      it, and the ``t`` are independent uniform units, for repeated Case B
-      values and across sessions too.  So this reading keeps the law it
-      had under a full-width ``rho``.  The carrier's choice of ``theta``
-      only scales ``t``'s multiplier.
-    * The ratio ``Y**t * (Y**n)**k mod n``, the only place ``k`` shows.
-      The order of ``Y`` divides ``lambda(n)``, and ``n`` is ``p + q - 1``
-      modulo it.  So ``Y**t`` alone is uniform in the group ``Y`` generates,
-      to within about ``2*(p + q)/n``, whatever ``k`` is.
-
-    A test on ``k`` needs both ``Y`` and ``t``.  ``Y`` needs ``R'**d``, the
-    record and a guessed value.  ``t`` needs the first reading divided by
-    ``theta*d*P(b)``.  A party without the device secret ``(d, R')`` has
-    neither, so it has no test.  A party that holds the secret, ``theta``
-    and ``P(b)`` still needs about ``2**128`` kangaroo steps per guess to
-    find ``k < 2**256`` in ``(Y**n)**k``.  Factoring a 1024-bit or
-    2048-bit ``n`` costs less than that and breaks a full-width ``rho`` as
-    well: the Legendre symbols of a ratio modulo ``p`` and ``q`` are those
-    of ``Y`` raised to ``rho``, so they refute wrong guesses whatever
-    ``rho``'s length, and the factors decrypt the record too.  The Jacobi
-    symbol of a ratio reads at most ``rho``'s parity, that of ``t + k``.
-    ``t`` and ``n - t`` are both units and differ in parity, so that parity
-    is uniform under either draw.  A challenge under a foreign modulus
-    reads the sample through ``rho`` of any length (the README threat
-    model).  The argument rests on the short-exponent assumption in groups
-    of unknown order (Koshiba and Kurosawa, PKC 2004).  ``d`` stays full
-    width, a unit modulo ``lambda(n)``: each public ``B_k`` is
-    ``r_k**-d`` (times ``R'**d`` for ``k = 0``), so ``d`` is what keeps
-    the encryption randomizers ``r_k``, and with them the coefficients,
-    from the carrier.
+    The challenge must carry the secret's mode and Case C ``(t, M)``, or
+    ``ModeMismatchError`` is raised.  Each randomizer is ``rho = t + n*k``:
+    ``t`` is drawn first, a uniform unit below ``n``, then ``k``, uniform
+    below ``short_exponent_bound(n)`` like ``theta``.  The entries are
+    built in the worker pool, one process per usable CPU; on one CPU they
+    are built in this process.  The randomizers and the shuffle come from
+    ``rng`` in this process, so a seeded run is fully reproducible whatever
+    the number of CPUs.  The blinded randomizers are expanded from the
+    challenge's seed here, once, and they are units modulo ``n``, so every
+    ratio is defined.  The secret holds no modulus, so a challenge under
+    any other ``n`` is answered too, an open gap.  THREAT_MODEL.md, "Short
+    device randomizers" and "Whoever answers under a foreign modulus", says
+    what an entry shows and to whom.
     """
     _check_params(secret, challenge, "challenge")
     rng = rng or _SYSTEM
@@ -553,57 +448,22 @@ def carrier_score(session: SessionState,
     """Count recognized entries (step 3) and consume the session.
 
     An entry matches when ``cipher == ratio ** (n * theta)`` modulo
-    ``n**2``.  ``PaillierPublicKey.power`` splits that exponent at ``n``
-    into a half-width power to ``theta`` modulo ``n`` and an ``n``-th power
-    in digit pairs.  The session is claimed before any validation, so a
+    ``n**2``.  The session is claimed before any validation, so a
     malformed response, an empty one included, still burns its challenge.
-    Every check below runs on every entry, in this process and in entry
-    order, before any match test starts; only the match tests run in the
-    worker pool.
+    Then ``ProtocolError`` is raised for:
 
-    The cipher must be a unit modulo ``n**2`` and the ratio a unit in
-    ``[1, n)``.  The range keeps ``(c, r + k*n)``, which matches like
-    ``(c, r)``, from posing as an entry of its own.
+    * an empty response;
+    * in Cases A and C, an entry count other than the session's declared
+      ``sample_size``;
+    * a cipher that is not a unit modulo ``n**2``, or a ratio that is not a
+      unit in ``[1, n)``;
+    * a cipher of ``1`` or ``n**2 - 1``;
+    * a ratio whose class ``min(r, n - r)`` an earlier entry has.
 
-    A party that knows neither ``d`` nor ``R'`` can still satisfy the
-    predicate with a ratio ``w`` of small order ``k`` modulo ``n``: the
-    ``n * theta`` power then takes one of only ``k`` values, whatever
-    ``theta`` is, and a guessed cipher scores with probability about
-    ``1/k``.  ``w = 1`` always gives ``cipher = 1`` and ``w = n - 1`` gives
-    ``cipher = n**2 - 1`` for every odd ``theta``; both ciphers are refused.
-    Every other unit of small known order modulo ``n`` is a nontrivial root
-    of unity, and writing one down is believed to need the factorization of
-    ``n``: a square root of 1 other than ``+-1``, for instance, splits ``n``
-    through ``gcd(w - 1, n)``.
-
-    Such a party can also reuse the genuine entries of the current session,
-    as a man in the middle could: send one twice, or flip its sign as
-    ``(n**2 - c, n - r)``, which matches for every odd ``theta``.  A response
-    that repeats a ratio class ``min(r, n - r)`` is refused; honest entries
-    carry independent randomizers, so their classes collide with negligible
-    probability.  Matching entries are closed under multiplication, though:
-    the powers ``(c**k, r**k)`` of a genuine entry, and the products of two,
-    match with classes of their own, and no check on repeated classes can
-    refuse them.
-
-    A party that holds the record's ``C_i`` without ``(d, R')``, one that
-    read the unauthenticated ``StoreProfile`` frame or the carrier's store,
-    forges matches too.  With ``C'_i`` the challenge's powered coefficients,
-    the entry ``(pow(C'_i % n, n, n**2), C_i % n)`` matches, since
-    ``(C_i % n)**(n * theta)`` depends on ``C_i**theta mod n`` only, and
-    each ``i`` brings a ratio class of its own.
-
-    Against every other party without ``(d, R')`` the count is otherwise
-    sound.  A party that holds them, a thief with the phone or its secret
-    file, builds genuine entries at will: knowing k profile features, it
-    reaches any count by sending each with fresh randomizers, or as
-    ``b + j*n``, which evaluates like the feature ``b``.  The ratio-class
-    refusal does not stop it.  In Cases A and C, the session refuses a
-    response with any other entry count than its declared sample size, so
-    ``decide`` takes Case C's ``|Y|`` from the declaration, not from the
-    entries.  The device declares that size too, so a thief declares what
-    it sends.  Case B sends one entry per unit of similarity, and bounding
-    its entry count needs a bound stored at set-up, which is still open.
+    Every check runs on every entry, in this process and in entry order,
+    before any match test starts; only the match tests run in the worker
+    pool.  Why each refusal is there, and which forgeries still count, is
+    in THREAT_MODEL.md, "The match count".
     """
     session.consume()
     if not entries:
@@ -651,14 +511,8 @@ def decide(match_count: int, session: SessionState) -> AuthDecision:
     for zero matches.  Case C computes the L1 distance
     ``|X| + |Y| - 2 * matches`` from the stored profile size and the
     declared ``|Y|``, which ``carrier_score`` holds the entry count to, and
-    accepts when it stays at or below the threshold.
-
-    The outcome is only as sound as the count (see ``carrier_score``): it
-    holds against a party without the device's ``(d, R')``, with two
-    exceptions.  A party that holds the record's ``C_i`` forges a match per
-    coefficient without the secrets, and a party that holds ``(d, R')`` and
-    knows k profile features can reach any count; either reaches any
-    outcome it can count to.
+    accepts when it stays at or below the threshold.  The outcome is only
+    as sound as the count: THREAT_MODEL.md, "The match count".
     """
     if match_count < 0:
         raise ValueError("match count must be >= 0")

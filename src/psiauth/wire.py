@@ -4,9 +4,8 @@ Frame layout: 1 version byte (0x04), 1 message-type byte, a 4-byte big-endian
 payload length, then the payload.  Payloads use the canonical length-prefixed
 encoding from ``encoding``; integer sequences carry a 4-byte count prefix and
 user ids are length-prefixed UTF-8 of at most 256 bytes.  A profile and a
-challenge carry the 32-byte seed of the blinded randomizers, length-prefixed,
-where version 0x03 carried the randomizers themselves.  A response entry is
-two integers, the cipher and the ratio.
+challenge carry the 32-byte seed of the blinded randomizers, length-prefixed.
+A response entry is two integers, the cipher and the ratio.
 
 Message types:
 

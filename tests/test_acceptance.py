@@ -282,8 +282,11 @@ def test_criterion_8_wire_equivalence(tmp_path):
 @pytest.mark.slow
 def test_criterion_9_benchmark_trend():
     seed = 0xAC09
+    # Seeded, every repetition repeats the same computation, so the median
+    # of three filters out load from other processes and nothing else.  At
+    # small s set-up is mostly key generation, which does not grow with s.
     grid = bench_run([5, 10, 20, 40], key_bits=1024, solver="gaussian",
-                     repetitions=1, seed=seed)
+                     repetitions=3, seed=seed)
     top, = bench_run([50], key_bits=1024, solver="gaussian", repetitions=1,
                      seed=seed, include_auth=False)
     closed_40, = bench_run([40], key_bits=1024, solver="closed-form",

@@ -1,22 +1,10 @@
 """Responses built without the device's secrets must not score.
 
 A misbehaving device controls both values of every entry it sends.  These
-tests replay the known secret-free forgeries against a 512-bit profile and
-check that the carrier refuses them, and that it refuses to count one
-genuine entry twice, whether repeated, sign-flipped or sent with a
-non-canonical ratio.  A live carrier also refuses a Case A or Case C
-response whose entry count differs from the declared sample size.  Every
-refused response, an empty one included, burns its session.  Without a
-stored threshold the bar is a majority of the enrolled profile, so one
-known feature sent once is rejected.  Powers and
-products of genuine entries still score, a device that holds ``(d, R')``
-builds as many genuine matches as it likes from one known feature, a
-party that holds the stored record forges a match per coefficient without
-any secret, and the device answers a challenge under any modulus, which
-hands its sample to whoever forged that challenge; strict ``xfail`` tests
-pin these gaps.  What the carrier reads of an entry's randomizer
-``rho = t + n*k`` is pinned too: the ``(1+n)`` part of its cipher depends
-on ``t`` alone, so ``k`` shows in the ratio only.
+tests replay known forgeries against a 512-bit profile.  A forgery the
+carrier refuses is a passing test; one it still counts, and the device's
+answer to a challenge under a foreign modulus, is a strict ``xfail`` test.
+THREAT_MODEL.md states what each test pins, and against which party.
 """
 
 import dataclasses
