@@ -37,7 +37,6 @@ from .profiles import (
     EncryptedProfile,
     FeatureMode,
     FeatureSet,
-    SetupAudit,
     blinded_randomizers,
     build_encrypted_profile,
     decode_numeric,
@@ -91,7 +90,6 @@ __all__ = [
     "ProtocolError",
     "SessionError",
     "SessionState",
-    "SetupAudit",
     "SimilarityFunction",
     "add_cipher",
     "bench_run",

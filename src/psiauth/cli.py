@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
-import random
 import signal
 import sys
 from pathlib import Path
@@ -84,7 +83,7 @@ def _cmd_serve(args) -> int:
     host, port = args.listen
     service = CarrierService(CarrierConfig(
         store_root=Path(args.data_dir), host=host, port=port,
-        session_timeout=args.session_timeout, seed=args.seed))
+        session_timeout=args.session_timeout))
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     # Ctrl-C stops serve with status 0, during the carrier's start too.
@@ -103,10 +102,9 @@ def _cmd_serve(args) -> int:
 
 def _cmd_setup(args) -> int:
     mode = _MODES[args.mode]
-    rng = random.Random(args.seed) if args.seed is not None else None
     features = _load_sample(mode, args.features, args.values, args.cap)
     client.setup_device(args.carrier, args.user, features, args.secret_file,
-                        bits=args.key_bits, rng=rng, threshold=args.threshold)
+                        bits=args.key_bits, threshold=args.threshold)
     print(f"profile stored for {args.user!r} "
           f"({features.size} features, mode {args.mode}); "
           f"device secret written to {args.secret_file}")
@@ -114,12 +112,10 @@ def _cmd_setup(args) -> int:
 
 
 def _cmd_auth(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
     secret = client.load_device_secret(args.secret_file)
     sample = _load_sample(secret.mode, args.sample, args.values, secret.cap)
     similarity = _read_table_file(args.table) if args.table else None
-    decision = client.authenticate(args.carrier, secret, sample, similarity,
-                                   rng)
+    decision = client.authenticate(args.carrier, secret, sample, similarity)
     outcome = "ACCEPT" if decision.accepted else "REJECT"
     print(f"{outcome}: {decision.match_count} matches, "
           f"dissimilarity {decision.dissimilarity}")
@@ -167,12 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "stores only an encrypted profile and learns only a "
                     "similarity score.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (test mode only)")
-
-    serve = sub.add_parser("serve", parents=[seeded],
-                           help="run the carrier service")
+    serve = sub.add_parser("serve", help="run the carrier service")
     serve.add_argument("--listen", type=_parse_address, default=("127.0.0.1", 7700),
                        metavar="HOST:PORT", help="listen address (default %(default)s)")
     serve.add_argument("--data-dir", required=True, help="profile store root")
@@ -181,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "idle connection closes")
     serve.set_defaults(func=_cmd_serve)
 
-    setup = sub.add_parser("setup", parents=[seeded],
-                           help="enroll a profile with the carrier")
+    setup = sub.add_parser("setup", help="enroll a profile with the carrier")
     setup.add_argument("--user", required=True)
     setup.add_argument("--carrier", type=_parse_address, required=True,
                        metavar="HOST:PORT")
@@ -198,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-user decision threshold stored at the carrier")
     setup.set_defaults(func=_cmd_setup)
 
-    auth = sub.add_parser("auth", parents=[seeded],
-                          help="authenticate a fresh sample")
+    auth = sub.add_parser("auth", help="authenticate a fresh sample")
     auth.add_argument("--carrier", type=_parse_address, required=True,
                       metavar="HOST:PORT")
     auth.add_argument("--secret-file", required=True)
@@ -208,14 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--table", help="Case B: similarity lines 'y z weight'")
     auth.set_defaults(func=_cmd_auth)
 
-    bench = sub.add_parser("bench", parents=[seeded],
-                           help="time set-up and authentication")
+    bench = sub.add_parser("bench", help="time set-up and authentication")
     bench.add_argument("--sizes", default="1,5,10,15,20,25,30,35,40,45,50",
                        help="comma-separated profile sizes")
     bench.add_argument("--key-bits", type=int, default=DEFAULT_KEY_BITS)
     bench.add_argument("--solver", choices=("closed-form", "gaussian"),
                        default="closed-form")
     bench.add_argument("--repetitions", type=int, default=3)
+    bench.add_argument("--seed", type=int, default=None,
+                       help="RNG seed: every size reuses the same keypair, "
+                            "so the series isolates the size's cost")
     bench.add_argument("--feature-bits", type=int, default=128)
     bench.add_argument("--csv", default=None, help="also write records to CSV")
     bench.set_defaults(func=_cmd_bench)

@@ -93,23 +93,25 @@ class MalformedCiphertextError(ValueError):
 
 @dataclass(frozen=True)
 class PaillierPublicKey:
-    """Public key ``n`` (the generator is ``g = 1 + n``), ``n**2`` cached."""
+    """Public key ``n`` (the generator is ``g = 1 + n``).
+
+    ``n_squared`` is derived once per key, so no key carries a wrong one.
+    """
 
     n: int
-    n_squared: int
+    n_squared: int = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_modulus(cls, n: int) -> "PaillierPublicKey":
-        if n < 3:
+    def __post_init__(self):
+        if self.n < 3:
             raise ValueError("modulus too small")
-        return cls(n=n, n_squared=n * n)
+        object.__setattr__(self, "n_squared", self.n * self.n)
 
     def to_bytes(self) -> bytes:
         return encode_uint(self.n)
 
     @classmethod
     def from_reader(cls, reader: Reader) -> "PaillierPublicKey":
-        return reader.build(cls.from_modulus, reader.uint())
+        return reader.build(cls, reader.uint())
 
     def digits(self, x: int) -> tuple[int, int]:
         """``x mod n**2`` as its base-``n`` digit pair ``(low, high)``."""
@@ -370,7 +372,7 @@ def _assemble(p: int, q: int) -> tuple[PaillierPublicKey, PaillierSecretKey]:
     lam = math.lcm(p - 1, q - 1)
     if math.gcd(n, lam) != 1:
         raise KeyGenerationError("gcd(n, lambda(n)) != 1")
-    pk = PaillierPublicKey.from_modulus(n)
+    pk = PaillierPublicKey(n)
     sk = PaillierSecretKey(p=p, q=q, lam=lam, mu=pow(lam, -1, n))
     return pk, sk
 

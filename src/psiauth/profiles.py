@@ -55,9 +55,9 @@ __all__ = [
     "FeatureMode",
     "FeatureSet",
     "MAX_FEATURE_VALUE",
-    "SetupAudit",
     "blinded_randomizers",
     "build_encrypted_profile",
+    "check_mode_params",
     "decode_numeric",
     "encode_mode",
     "encode_numeric",
@@ -95,6 +95,21 @@ def encode_mode(mode: FeatureMode, count: int | None,
     if mode is FeatureMode.CASE_C:
         return bytes([mode]) + encode_uint(count) + encode_uint(cap)
     return bytes([mode])
+
+
+def check_mode_params(mode: FeatureMode, count: int | None,
+                      cap: int | None) -> None:
+    """Raise ``ValueError`` unless ``count`` and ``cap`` are set, and at
+    least 1, exactly in Case C: every record, secret, challenge and
+    feature set holds its ``(t, M)`` by this one rule, so each has one
+    encoding (``encode_mode``)."""
+    if mode is FeatureMode.CASE_C:
+        if count is None or cap is None:
+            raise ValueError("Case C requires count and cap")
+        if count < 1 or cap < 1:
+            raise ValueError("count and cap must be positive")
+    elif count is not None or cap is not None:
+        raise ValueError("count/cap only apply to Case C")
 
 
 def read_mode(reader: Reader) -> FeatureMode:
@@ -145,15 +160,10 @@ class FeatureSet:
             previous = v
         if self.values[0] < 1 or self.values[-1] > MAX_FEATURE_VALUE:
             raise ValueError("values must lie in [1, 2**128]")
-        if self.mode is FeatureMode.CASE_C:
-            if self.count is None or self.cap is None:
-                raise ValueError("Case C requires count and cap")
-            if self.count < 1 or self.cap < 1:
-                raise ValueError("count and cap must be positive")
-            if self.values[-1] > self.count * self.cap:
-                raise ValueError("encoded value exceeds count*cap")
-        elif self.count is not None or self.cap is not None:
-            raise ValueError("count/cap only apply to Case C")
+        check_mode_params(self.mode, self.count, self.cap)
+        if self.mode is FeatureMode.CASE_C and \
+                self.values[-1] > self.count * self.cap:
+            raise ValueError("encoded value exceeds count*cap")
 
     @classmethod
     def from_values(cls, mode: FeatureMode,
@@ -412,6 +422,7 @@ class EncryptedProfile:
                              "bytes")
         if self.threshold is not None and self.threshold < 1:
             raise ValueError("threshold must be positive")
+        check_mode_params(self.mode, self.count, self.cap)
 
     def to_bytes(self) -> bytes:
         return (self.public_key.to_bytes() +
@@ -456,6 +467,9 @@ class DeviceSecret:
     count: int | None = None
     cap: int | None = None
 
+    def __post_init__(self):
+        check_mode_params(self.mode, self.count, self.cap)
+
     def to_bytes(self) -> bytes:
         return (encode_str(self.user_id) + encode_uint(self.secret_exponent) +
                 encode_uint(self.anchor) +
@@ -469,22 +483,20 @@ class DeviceSecret:
         anchor = reader.uint()
         mode, count, cap = read_mode_params(reader)
         reader.expect_end()
-        return cls(user_id, exponent, anchor, mode, count=count, cap=cap)
+        return reader.build(cls, user_id, exponent, anchor, mode,
+                            count=count, cap=cap)
 
 
 @dataclass(frozen=True)
 class SetupAudit:
-    """Set-up intermediates, exposed to tests only.
-
-    Production set-up drops all of this; tests use it to check monicity,
-    randomizer consistency and the blinding identity before key destruction.
-    """
+    """Set-up intermediates that the device destroys, which only
+    ``_setup`` returns: tests check monicity, the encryption randomizers
+    and the blinding identity against them."""
 
     secret_key: PaillierSecretKey
     coeffs: tuple[int, ...]
     encryption_randomizers: tuple[int, ...]
     blinding: BlindingSolution
-    unblinded_randomizers: tuple[int, ...]
 
 
 def _setup_encryption(
@@ -507,23 +519,29 @@ def build_encrypted_profile(
     *,
     solver: str = "closed-form",
     threshold: int | None = None,
-    keep_setup_audit: bool = False,
-):
-    """Run the whole set-up flow for one user.
+) -> tuple[EncryptedProfile, DeviceSecret]:
+    """Run the whole set-up flow for one user; return ``(profile, secret)``.
 
     Generates a fresh keypair, draws ``R'``, solves the blinding system,
     draws ``d`` below ``n`` until it is a unit modulo ``lambda(n)``, draws
     the seed, and encrypts the profile polynomial under the randomizers
-    that the seed's blinded randomizers call for.  Returns
-    ``(profile, secret)``, or ``(profile, secret, audit)`` when
-    ``keep_setup_audit`` is set.
+    that the seed's blinded randomizers call for.  The secret key and every
+    other intermediate are dropped.
 
     Args:
         solver: ``"closed-form"`` (default) or ``"gaussian"``.
         threshold: per-user decision parameter stored with the profile.
-        keep_setup_audit: also return the intermediates that set-up normally
-            destroys; for tests only.
     """
+    profile, secret, _ = _setup(user_id, features, bits, rng, solver,
+                                threshold)
+    return profile, secret
+
+
+def _setup(user_id: str, features: FeatureSet, bits: int,
+           rng: random.Random | None, solver: str, threshold: int | None
+           ) -> tuple[EncryptedProfile, DeviceSecret, SetupAudit]:
+    """``build_encrypted_profile``'s flow, which also returns the
+    ``SetupAudit`` of what it drops."""
     if solver not in ("closed-form", "gaussian"):
         raise ValueError(f"unknown solver {solver!r}")
     rng = rng or _SYSTEM
@@ -549,10 +567,5 @@ def build_encrypted_profile(
         count=features.count, cap=features.cap, threshold=threshold)
     secret = DeviceSecret(user_id, d, anchor, features.mode,
                           count=features.count, cap=features.cap)
-    if keep_setup_audit:
-        unblinded = tuple(rp * pow(r, -1, n) % n for rp, r in
-                          zip(blinding.randomizers, enc_randomizers))
-        audit = SetupAudit(sk, tuple(coeffs), enc_randomizers, blinding,
-                           unblinded)
-        return profile, secret, audit
-    return profile, secret
+    return profile, secret, SetupAudit(sk, tuple(coeffs), enc_randomizers,
+                                       blinding)

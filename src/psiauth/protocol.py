@@ -43,7 +43,7 @@ from .paillier import PaillierPublicKey, draw_unit
 from .pool import _in_pool
 from .profiles import BLINDED_SEED_BYTES, MAX_FEATURE_VALUE, DeviceSecret, \
     EncryptedProfile, FeatureMode, FeatureSet, blinded_randomizers, \
-    encode_mode, read_mode, read_mode_params
+    check_mode_params, encode_mode, read_mode, read_mode_params
 from .similarity import SimilarityFunction
 
 __all__ = [
@@ -106,6 +106,7 @@ class AuthChallenge:
         if len(self.blinded_seed) != BLINDED_SEED_BYTES:
             raise ValueError(f"blinded seed must be {BLINDED_SEED_BYTES} "
                              "bytes")
+        check_mode_params(self.mode, self.count, self.cap)
 
     def to_bytes(self) -> bytes:
         return (encode_bytes(self.session_id) + self.public_key.to_bytes() +
@@ -269,7 +270,6 @@ def carrier_challenge(profile: EncryptedProfile,
                       *,
                       sample_size: int,
                       teeth: Sequence[int] | None = None,
-                      session_exponent: int | None = None,
                       ) -> tuple[AuthChallenge, SessionState]:
     """Open a session for a declared ``sample_size``: raise the encrypted
     coefficients to a fresh exponent.
@@ -282,19 +282,13 @@ def carrier_challenge(profile: EncryptedProfile,
     Each power ``C_i**theta`` is a comb (``_comb_power``) over ``teeth``,
     the profile's ``challenge_teeth``, computed first if not given.
     ``theta`` is drawn from ``rng`` first, uniform in
-    ``[1, short_exponent_bound(n))``, and the session id second;
-    ``session_exponent`` replaces the draw of ``theta``, and one outside
-    that range raises ``ValueError``.  THREAT_MODEL.md, "Short session
-    exponents", says why 256 bits suffice.
+    ``[1, short_exponent_bound(n))``, and the session id second.
+    THREAT_MODEL.md, "Short session exponents", says why 256 bits suffice.
     """
     if not 1 <= sample_size <= MAX_ENTRIES:
         raise ProtocolError(f"declared sample size outside [1, {MAX_ENTRIES}]")
     rng = rng or _SYSTEM
-    bound = short_exponent_bound(profile.public_key.n)
-    theta = session_exponent if session_exponent is not None \
-        else rng.randrange(1, bound)
-    if not 1 <= theta < bound:
-        raise ValueError("session exponent outside [1, min(n, 2**256))")
+    theta = rng.randrange(1, short_exponent_bound(profile.public_key.n))
     sid = rng.getrandbits(128).to_bytes(16, "big")
     if teeth is None:
         teeth = challenge_teeth(profile)

@@ -8,7 +8,7 @@ import signal
 import time
 
 from psiauth import EncryptedProfile, FeatureMode, FeatureSet, \
-    KeyGenerationError, wire
+    KeyGenerationError, profiles, wire
 from psiauth.encoding import (
     MAX_COEFFS,
     MAX_ENTRIES,
@@ -58,6 +58,45 @@ def keypair_from_primes(p: int, q: int, *, insecure_test_mode: bool = False):
         if not is_probable_prime(value):
             raise KeyGenerationError(f"{value} is not prime")
     return _assemble(p, q)
+
+
+class FirstTheta:
+    """An rng for ``carrier_challenge`` whose first ``randrange`` returns
+    ``theta``, which must lie in the range asked for.
+
+    ``carrier_challenge`` draws ``theta`` first and the session id second,
+    so every other draw, the session id's included, comes from ``rng``
+    (``SystemRandom`` if ``None``) as it would without the fake.
+    """
+
+    def __init__(self, theta: int, rng: random.Random | None = None):
+        self._theta = theta
+        self._rng = rng or random.SystemRandom()
+
+    def randrange(self, start: int, stop: int) -> int:
+        if self._theta is None:
+            return self._rng.randrange(start, stop)
+        theta, self._theta = self._theta, None
+        assert start <= theta < stop, "theta outside the drawn range"
+        return theta
+
+    def getrandbits(self, k: int) -> int:
+        return self._rng.getrandbits(k)
+
+
+def audited_setup(user_id: str, features: FeatureSet, bits: int,
+                  rng: random.Random | None, *, solver: str = "closed-form",
+                  threshold: int | None = None):
+    """``build_encrypted_profile``'s ``(profile, secret)`` and the
+    ``SetupAudit`` of the intermediates it drops."""
+    return profiles._setup(user_id, features, bits, rng, solver, threshold)
+
+
+def unblinded_randomizers(audit, n: int) -> tuple[int, ...]:
+    """``R_k = r'_k * r_k**-1 mod n``, whose ``d``-th powers modulo ``n``
+    are the blinded randomizers ``B_k``."""
+    return tuple(blind * pow(r, -1, n) % n for blind, r in zip(
+        audit.blinding.randomizers, audit.encryption_randomizers))
 
 
 def kill_one_worker(executor) -> None:
@@ -155,8 +194,12 @@ def malformed_frames() -> dict[str, bytes]:
         return modulus + encode_uints([2, 3]) + seed_field + \
             encode_uint(1) + case_a + encode_uint(0)
 
-    def challenge(seed_field):
-        return session + modulus + encode_uints([2, 3]) + seed_field + case_a
+    def challenge(seed_field, mode=case_a):
+        return session + modulus + encode_uints([2, 3]) + seed_field + mode
+
+    def case_c(count, cap):
+        return bytes([FeatureMode.CASE_C]) + encode_uint(count) + \
+            encode_uint(cap)
 
     payloads = {
         "store user id over limit": (0x01, long_user + profile()),
@@ -184,6 +227,10 @@ def malformed_frames() -> dict[str, bytes]:
             encode_uint(0) + case_a + encode_uint(0)),
         "profile seed of 33 bytes": (0x01, user + profile(seed_of(33))),
         "profile seed of 31 bytes": (0x01, user + profile(seed_of(31))),
+        "profile Case C t = 0": (
+            0x01, user + modulus + encode_uints([2, 3]) + seed +
+            encode_uint(1) + case_c(0, 4) + encode_uint(0)),
+        "challenge Case C M = 0": (0x04, challenge(seed, case_c(2, 0))),
         "challenge seed of 33 bytes": (0x04, challenge(seed_of(33))),
         "challenge seed of 31 bytes": (0x04, challenge(seed_of(31))),
         "response entry count over limit": (

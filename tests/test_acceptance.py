@@ -35,7 +35,7 @@ from psiauth import client, wire
 from psiauth.bench import bench_run
 from psiauth.service import CarrierConfig, CarrierService
 
-from helpers import distinct_values, overlap_instance
+from helpers import audited_setup, distinct_values, overlap_instance
 from test_wire import random_message
 
 
@@ -70,8 +70,8 @@ def verify_blinding_identity(audit, profile, features) -> None:
 
 def checked_profile(user, features, bits, rng, **kwargs):
     """Build a profile and verify the blinding identity before using it."""
-    profile, secret, audit = build_encrypted_profile(
-        user, features, bits, rng, keep_setup_audit=True, **kwargs)
+    profile, secret, audit = audited_setup(user, features, bits, rng,
+                                           **kwargs)
     verify_blinding_identity(audit, profile, features)
     return profile, secret
 
@@ -184,9 +184,8 @@ def test_criterion_5_blinding_identity_both_solvers():
         for _ in range(20):
             values = distinct_values(rng, rng.randint(1, 15), 64)
             features = FeatureSet.from_values(FeatureMode.CASE_A, values)
-            profile, _, audit = build_encrypted_profile(
-                "eq", features, 256, rng, solver=solver,
-                keep_setup_audit=True)
+            profile, _, audit = audited_setup("eq", features, 256, rng,
+                                              solver=solver)
             verify_blinding_identity(audit, profile, features)
             checked += 1
     with reporting(5, f"blinding identity holds at every root for "

@@ -31,7 +31,7 @@ from psiauth import PaillierPublicKey, client, protocol, wire
 from psiauth.paillier import draw_unit
 from psiauth.service import CarrierConfig, CarrierService
 
-from helpers import distinct_values
+from helpers import audited_setup, distinct_values
 
 PROFILE = distinct_values(random.Random(0xF0E), 10, 32)
 
@@ -71,8 +71,7 @@ def test_carrier_reading_depends_on_rho_mod_n_only():
     # A randomizer's k, rho // n, shows in the ratio only.
     rng = random.Random(0x7A0)
     features = FeatureSet.from_values(FeatureMode.CASE_A, [5, 11, 17])
-    profile, secret, audit = build_encrypted_profile(
-        "u", features, 128, rng, keep_setup_audit=True)
+    profile, secret, audit = audited_setup("u", features, 128, rng)
     pk = profile.public_key
     n, n_squared, d = pk.n, pk.n_squared, secret.secret_exponent
     challenge, session = carrier_challenge(profile, rng, sample_size=2)
@@ -336,7 +335,7 @@ PROBE_SEED = (88286).to_bytes(32, "big")
 def forged_challenge(powered):
     """A Case A challenge under the prime ``P`` with the seed
     ``PROBE_SEED``."""
-    return AuthChallenge(b"forged", PaillierPublicKey.from_modulus(P),
+    return AuthChallenge(b"forged", PaillierPublicKey(P),
                          powered, PROBE_SEED, FeatureMode.CASE_A)
 
 

@@ -40,18 +40,17 @@ class TestSetupAndAuth:
         secret_file = str(tmp_path / "device.secret")
         assert main(["setup", "--user", "alice", "--carrier", carrier,
                      "--secret-file", secret_file, "--features", features,
-                     "--key-bits", "128", "--seed", "5"]) == EXIT_OK
+                     "--key-bits", "128"]) == EXIT_OK
 
         matching = write(tmp_path / "sample.txt",
                          "tower-2\ntower-3\ntower-4\n")
         assert main(["auth", "--carrier", carrier, "--secret-file",
-                     secret_file, "--sample", matching, "--seed", "6"]) == EXIT_OK
+                     secret_file, "--sample", matching]) == EXIT_OK
         assert "ACCEPT" in capsys.readouterr().out
 
         disjoint = write(tmp_path / "disjoint.txt", "cafe\nlibrary\n")
         assert main(["auth", "--carrier", carrier, "--secret-file",
-                     secret_file, "--sample", disjoint,
-                     "--seed", "6"]) == EXIT_REJECTED
+                     secret_file, "--sample", disjoint]) == EXIT_REJECTED
         out = capsys.readouterr().out
         assert "REJECT" in out and "inf" in out
 
@@ -61,10 +60,10 @@ class TestSetupAndAuth:
         assert main(["setup", "--user", "carol", "--carrier", carrier,
                      "--secret-file", secret_file, "--mode", "case-c",
                      "--values", values, "--cap", "3", "--key-bits", "128",
-                     "--threshold", "2", "--seed", "5"]) == EXIT_OK
+                     "--threshold", "2"]) == EXIT_OK
         sample = write(tmp_path / "v.txt", "1 1 3")
         assert main(["auth", "--carrier", carrier, "--secret-file",
-                     secret_file, "--values", sample, "--seed", "6"]) == EXIT_OK
+                     secret_file, "--values", sample]) == EXIT_OK
         assert "dissimilarity 2" in capsys.readouterr().out
         short = write(tmp_path / "w.txt", "1 1")
         assert main(["auth", "--carrier", carrier, "--secret-file",
@@ -79,11 +78,11 @@ class TestSetupAndAuth:
         assert main(["setup", "--user", "bo", "--carrier", carrier,
                      "--secret-file", secret_file, "--mode", "case-b",
                      "--features", features, "--key-bits", "128",
-                     "--threshold", "2", "--seed", "5"]) == EXIT_OK
+                     "--threshold", "2"]) == EXIT_OK
         sample = write(tmp_path / "s.txt", "red\ngreen\n")
         assert main(["auth", "--carrier", carrier, "--secret-file",
-                     secret_file, "--sample", sample, "--table", table,
-                     "--seed", "6"]) == EXIT_OK
+                     secret_file, "--sample", sample,
+                     "--table", table]) == EXIT_OK
         assert "3 matches" in capsys.readouterr().out
 
     def test_case_b_without_table_opens_no_session(self, service, carrier,
@@ -92,8 +91,7 @@ class TestSetupAndAuth:
         secret_file = str(tmp_path / "b.secret")
         assert main(["setup", "--user", "bo", "--carrier", carrier,
                      "--secret-file", secret_file, "--mode", "case-b",
-                     "--features", features, "--key-bits", "128",
-                     "--seed", "5"]) == EXIT_OK
+                     "--features", features, "--key-bits", "128"]) == EXIT_OK
         sample = write(tmp_path / "s.txt", "red\n")
         assert main(["auth", "--carrier", carrier, "--secret-file",
                      secret_file, "--sample", sample]) == EXIT_ERROR
@@ -245,6 +243,28 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "setup_s" in out
         assert csv_path.exists()
+
+
+@pytest.mark.parametrize("command", ["serve", "setup", "auth"])
+def test_only_bench_takes_a_seed(command, tmp_path, capsys):
+    # serve, setup and auth always draw from OS entropy, so argparse
+    # refuses their --seed before anything runs; bench --seed runs in
+    # test_bench_writes_csv.
+    features = write(tmp_path / "f.txt", "x\n")
+    secret = str(tmp_path / "device.secret")
+    argv = {
+        "serve": ["serve", "--data-dir", str(tmp_path / "store")],
+        "setup": ["setup", "--user", "u", "--carrier", "127.0.0.1:1",
+                  "--secret-file", secret, "--features", features],
+        "auth": ["auth", "--carrier", "127.0.0.1:1", "--secret-file",
+                 secret, "--sample", features],
+    }[command]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--seed", "1"])
+    assert exited.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+    assert not Path(secret).exists()
 
 
 @pytest.fixture

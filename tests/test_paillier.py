@@ -17,7 +17,7 @@ from psiauth import (
     scalar_pow,
 )
 from psiauth import paillier
-from psiauth.encoding import encode_uint
+from psiauth.encoding import DecodeError, Reader, encode_uint
 from psiauth.paillier import PRIMALITY_ROUNDS, _SIEVE_PRODUCT, \
     _SMALL_PRIMES, _miller_rabin, _random_error_log2, _random_prime, \
     _random_rounds
@@ -84,6 +84,19 @@ class TestKeygen:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             keygen(8)
+
+    def test_public_key_derives_n_squared(self):
+        # A key takes n alone, so none carries a wrong n**2.
+        assert PaillierPublicKey(15).n_squared == 225
+        assert PaillierPublicKey(15) == PaillierPublicKey.from_reader(
+            Reader(encode_uint(15)))
+        with pytest.raises(TypeError):
+            PaillierPublicKey(15, 200)
+        for n in (-5, 0, 2):
+            with pytest.raises(ValueError, match="modulus too small"):
+                PaillierPublicKey(n)
+        with pytest.raises(DecodeError, match="modulus too small"):
+            PaillierPublicKey.from_reader(Reader(encode_uint(2)))
 
     def test_invariants_hold_for_100_random_64bit_keys(self):
         rng = random.Random(1234)

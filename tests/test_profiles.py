@@ -30,8 +30,9 @@ from psiauth.paillier import draw_unit
 from psiauth.profiles import BLINDED_SEED_BYTES, \
     _solve_scaled_integer_system, encode_mode
 
-from helpers import blinding_identity_holds, distinct_values, \
-    keypair_from_primes, kill_one_worker
+from helpers import audited_setup, blinding_identity_holds, \
+    distinct_values, keypair_from_primes, kill_one_worker, \
+    unblinded_randomizers
 
 
 def case_a(values):
@@ -213,9 +214,8 @@ class TestBlindedRandomizers:
 
     def test_setup_draws_d_as_a_unit_modulo_lambda(self):
         for seed in range(12):
-            profile, secret, audit = build_encrypted_profile(
-                "u", case_a([3, 5]), 64, random.Random(seed),
-                keep_setup_audit=True)
+            profile, secret, audit = audited_setup(
+                "u", case_a([3, 5]), 64, random.Random(seed))
             d = secret.secret_exponent
             assert 1 <= d < profile.public_key.n
             assert math.gcd(d, audit.secret_key.lam) == 1
@@ -231,8 +231,7 @@ SETUP_RUNS = {
 class TestBuildEncryptedProfile:
     def test_sizes_and_monicity(self, rng):
         features = case_a([10, 20, 30])
-        profile, secret, audit = build_encrypted_profile(
-            "alice", features, 128, rng, keep_setup_audit=True)
+        profile, secret, audit = audited_setup("alice", features, 128, rng)
         assert len(profile.enc_coeffs) == 4
         assert len(profile.blinded_seed) == BLINDED_SEED_BYTES
         assert profile.size == 3
@@ -243,11 +242,10 @@ class TestBuildEncryptedProfile:
         # Enc(p_i) * R_i**n must equal an encryption of p_i whose
         # randomizer is the blinding value r'_i.
         features = case_a([3, 5, 8])
-        profile, _, audit = build_encrypted_profile(
-            "alice", features, 128, rng, keep_setup_audit=True)
+        profile, _, audit = audited_setup("alice", features, 128, rng)
         pk = profile.public_key
         for ct, coeff, big_r, blind in zip(profile.enc_coeffs, audit.coeffs,
-                                           audit.unblinded_randomizers,
+                                           unblinded_randomizers(audit, pk.n),
                                            audit.blinding.randomizers):
             lhs = ct * pow(big_r, pk.n, pk.n_squared) % pk.n_squared
             rhs = (1 + coeff * pk.n) * pow(blind, pk.n, pk.n_squared) % pk.n_squared
@@ -258,9 +256,8 @@ class TestBuildEncryptedProfile:
         # Set-up computes r_k**n and the root of B_k by CRT, in the pool
         # when there is more than one CPU; plain powers must agree.
         features = case_a(distinct_values(random.Random(31), 6, 32))
-        profile, secret, audit = build_encrypted_profile(
-            "alice", features, 512, random.Random(32), solver=solver,
-            keep_setup_audit=True)
+        profile, secret, audit = audited_setup(
+            "alice", features, 512, random.Random(32), solver=solver)
         n, n_squared = profile.public_key.n, profile.public_key.n_squared
         for ct, coeff, r in zip(profile.enc_coeffs, audit.coeffs,
                                 audit.encryption_randomizers):
@@ -269,7 +266,7 @@ class TestBuildEncryptedProfile:
         assert blinded_randomizers(n, profile.blinded_seed,
                                    len(audit.coeffs)) == tuple(
             pow(x, secret.secret_exponent, n)
-            for x in audit.unblinded_randomizers)
+            for x in unblinded_randomizers(audit, n))
 
     @pytest.mark.parametrize("solver", ["closed-form", "gaussian"])
     def test_blinding_shows_only_modulo_n_squared(self, solver):
@@ -286,9 +283,8 @@ class TestBuildEncryptedProfile:
                          FeatureSet.from_values(FeatureMode.CASE_B,
                                                 [3, 8, 21]),
                          encode_numeric((3, 0, 2, 1), 4)):
-            profile, secret, audit = build_encrypted_profile(
-                "alice", features, 128, rng, solver=solver,
-                keep_setup_audit=True)
+            profile, secret, audit = audited_setup(
+                "alice", features, 128, rng, solver=solver)
             n, n_squared = profile.public_key.n, profile.public_key.n_squared
             anchor, d = audit.blinding.anchor, secret.secret_exponent
             assert anchor == secret.anchor
@@ -301,7 +297,7 @@ class TestBuildEncryptedProfile:
                                            len(audit.coeffs))
             assert expanded == free
             assert expanded == tuple(
-                pow(x, d, n) for x in audit.unblinded_randomizers)
+                pow(x, d, n) for x in unblinded_randomizers(audit, n))
             for blind, r, stored in zip(audit.blinding.randomizers,
                                         audit.encryption_randomizers, free):
                 assert pow(blind * pow(r, -1, n_squared), d,

@@ -46,8 +46,8 @@ from psiauth.profiles import BLINDED_SEED_BYTES
 from psiauth.protocol import SessionState, default_threshold, \
     short_exponent_bound
 
-from helpers import distinct_values, kill_one_worker, overlap_instance, \
-    smallest_profile
+from helpers import FirstTheta, distinct_values, kill_one_worker, \
+    overlap_instance, smallest_profile
 
 
 def case_a(values):
@@ -104,10 +104,10 @@ class TestCarrierChallenge:
         # The carrier forwards the record's seed unchanged.
         assert challenge.blinded_seed == profile.blinded_seed
 
-    def test_identity_exponent_hook(self, enrolled, rng):
+    def test_identity_exponent_leaves_coefficients(self, enrolled, rng):
         profile, _ = enrolled
-        challenge, session = carrier_challenge(profile, rng, sample_size=1,
-                                               session_exponent=1)
+        challenge, session = carrier_challenge(profile, FirstTheta(1, rng),
+                                               sample_size=1)
         assert challenge.powered_coeffs == profile.enc_coeffs
         assert session.session_exponent == 1
 
@@ -128,12 +128,9 @@ class TestCarrierChallenge:
         for (pk, _), bound in ((kp128, kp128[0].n), (kp512, 1 << 256)):
             assert short_exponent_bound(pk.n) == bound
             profile = smallest_profile(pk, rng)
-            for theta in (0, bound):
-                with pytest.raises(ValueError, match="session exponent"):
-                    carrier_challenge(profile, rng, sample_size=1,
-                                      session_exponent=theta)
-            challenge, _ = carrier_challenge(profile, rng, sample_size=1,
-                                             session_exponent=bound - 1)
+            challenge, _ = carrier_challenge(profile,
+                                             FirstTheta(bound - 1, rng),
+                                             sample_size=1)
             assert challenge.powered_coeffs == tuple(
                 pow(c, bound - 1, pk.n_squared) for c in profile.enc_coeffs)
 
@@ -197,9 +194,8 @@ class TestChallengeComb:
                               for j in range(1, protocol._TEETH))
         # Over the given teeth, and over teeth the challenge computes.
         for given_teeth in (teeth, None):
-            challenge, _ = carrier_challenge(profile, rng, sample_size=1,
-                                             teeth=given_teeth,
-                                             session_exponent=theta)
+            challenge, _ = carrier_challenge(profile, FirstTheta(theta, rng),
+                                             sample_size=1, teeth=given_teeth)
             assert challenge.powered_coeffs == tuple(
                 pow(c, theta, n_squared) for c in coeffs)
 
@@ -260,8 +256,8 @@ class TestDeviceRespond:
         # bound theta is drawn from.
         pk = kp1024[0]
         n, bound = pk.n, short_exponent_bound(pk.n)
-        challenge, _ = carrier_challenge(smallest_profile(pk, rng), rng,
-                                         sample_size=200, session_exponent=1)
+        challenge, _ = carrier_challenge(smallest_profile(pk, rng),
+                                         FirstTheta(1, rng), sample_size=200)
         secret = DeviceSecret("u", rng.randrange(1, n),
                               draw_unit(rng, pk.n_squared),
                               FeatureMode.CASE_A)
@@ -375,9 +371,8 @@ class TestWorkerPool:
                                for j in range(1, protocol._TEETH))
 
         def powers(teeth=None):
-            challenge, _ = carrier_challenge(profile, sample_size=1,
-                                             teeth=teeth,
-                                             session_exponent=theta)
+            challenge, _ = carrier_challenge(profile, FirstTheta(theta),
+                                             sample_size=1, teeth=teeth)
             return challenge.powered_coeffs
 
         teeth = protocol.challenge_teeth(profile)
@@ -407,8 +402,8 @@ class TestWorkerPool:
         teeth = protocol.challenge_teeth(profile)
         kill_one_worker(pool._pool)
         with caplog.at_level(logging.WARNING, logger="psiauth.pool"):
-            carrier_challenge(profile, sample_size=1, teeth=teeth,
-                              session_exponent=theta)
+            carrier_challenge(profile, FirstTheta(theta), sample_size=1,
+                              teeth=teeth)
         record, = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
@@ -461,9 +456,8 @@ class TestWorkerPool:
                               random.Random(11)) == serial
         assert pool._pool is None
         theta = 0x5EED
-        challenge, session = carrier_challenge(profile,
-                                               sample_size=sample.size,
-                                               session_exponent=theta)
+        challenge, session = carrier_challenge(profile, FirstTheta(theta),
+                                               sample_size=sample.size)
         assert pool._pool not in (None, dead)
         entries = device_respond(secret, challenge, sample, random.Random(12))
         expected = oracle_intersection(features.values, sample.values)
@@ -726,13 +720,15 @@ class TestCarrierScore:
     def test_score_is_shuffle_invariant(self, enrolled, rng):
         profile, secret = enrolled
         theta = 12345
-        challenge, session = carrier_challenge(profile, rng, sample_size=4,
-                                               session_exponent=theta)
+        challenge, session = carrier_challenge(profile,
+                                               FirstTheta(theta, rng),
+                                               sample_size=4)
         entries = device_respond(secret, challenge,
                                  case_a([101, 202, 7, 8]), rng)
         first = carrier_score(session, entries)
-        _, replay_session = carrier_challenge(profile, rng, sample_size=4,
-                                              session_exponent=theta)
+        _, replay_session = carrier_challenge(profile,
+                                              FirstTheta(theta, rng),
+                                              sample_size=4)
         reordered = list(reversed(entries))
         assert carrier_score(replay_session, reordered) == first
 

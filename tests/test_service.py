@@ -594,9 +594,11 @@ class TestServeFlow:
             stream.flush()
             assert wire.read_frame(stream).decision.match_count == 1
 
-    def test_malformed_payloads_answered_with_decode_error(self, service):
+    def test_malformed_payloads_answered_with_decode_error(self, service,
+                                                          caplog):
         # Each frame is refused while decoding, never as an internal error,
-        # and the connection stays usable for the next one.
+        # and the connection stays usable for the next one.  No record is
+        # stored, no session opened and no traceback logged.
         with socket.create_connection(service.address, timeout=5) as raw, \
                 raw.makefile("rwb") as stream:
             for name, frame in malformed_frames().items():
@@ -605,6 +607,10 @@ class TestServeFlow:
                 reply = wire.read_frame(stream)
                 assert isinstance(reply, wire.ErrorReply), name
                 assert reply.code == wire.ERR_DECODE, name
+        assert not service.store._path("mallory").exists()
+        assert service.sessions._sessions == {}
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR or r.exc_info]
 
     def test_oversized_header_answered_once_then_closed(self, service):
         # A header over the frame limit leaves its payload unread, so the

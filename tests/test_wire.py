@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import random
@@ -16,7 +17,7 @@ from psiauth import (
     build_encrypted_profile,
     carrier_challenge,
 )
-from psiauth.encoding import DecodeError, encode_str, encode_uint
+from psiauth.encoding import DecodeError, Reader, encode_str, encode_uint
 from psiauth.profiles import BLINDED_SEED_BYTES, DeviceSecret, \
     EncryptedProfile
 from psiauth import wire
@@ -26,7 +27,7 @@ from helpers import malformed_frames
 
 def fake_profile(rng, size=3, mode=FeatureMode.CASE_A, threshold=None):
     n = rng.getrandbits(64) | (1 << 63) | 1
-    pk = PaillierPublicKey.from_modulus(n)
+    pk = PaillierPublicKey(n)
     coeffs = tuple(rng.randrange(1, pk.n_squared) for _ in range(size + 1))
     seed = rng.randbytes(BLINDED_SEED_BYTES)
     count = cap = None
@@ -204,6 +205,48 @@ class TestRoundTrips:
         decision = AuthDecision(0, INFINITE, False, FeatureMode.CASE_A)
         msg = wire.decode_frame(wire.encode_frame(wire.Result(decision)))
         assert msg.decision.dissimilarity == INFINITE
+
+
+MODES = pytest.mark.parametrize("mode", list(FeatureMode),
+                                ids=["case-a", "case-b", "case-c"])
+
+
+def fake_records(rng, mode):
+    """A feature set, record, device secret and challenge in ``mode``;
+    Case C's carry ``(t, M) = (3, 4)``."""
+    profile = fake_profile(rng, 3, mode)
+    features = FeatureSet(mode, (1, 2), count=profile.count, cap=profile.cap)
+    secret = DeviceSecret("u", rng.getrandbits(64) | 1,
+                          rng.getrandbits(128) | 1, mode,
+                          count=profile.count, cap=profile.cap)
+    return features, profile, secret, fake_challenge(rng, 3, mode)
+
+
+class TestModeParams:
+    """One rule for Case C's ``(t, M)``, so each value has one encoding."""
+
+    @MODES
+    def test_each_record_round_trips(self, mode):
+        _, profile, secret, challenge = fake_records(random.Random(mode),
+                                                     mode)
+        assert EncryptedProfile.from_bytes(profile.to_bytes()) == profile
+        assert DeviceSecret.from_bytes(secret.to_bytes()) == secret
+        reader = Reader(challenge.to_bytes())
+        assert AuthChallenge.from_reader(reader) == challenge
+        reader.expect_end()
+
+    @MODES
+    def test_t_and_m_set_exactly_in_case_c(self, mode):
+        # In Cases A and B the encoding would drop a (t, M); Case C's
+        # must be present and at least 1.
+        wrong = [(3, 4), (3, None), (None, 4)]
+        if mode is FeatureMode.CASE_C:
+            wrong = [(None, None), (3, None), (None, 4), (0, 4), (3, 0),
+                     (0, 0)]
+        for record in fake_records(random.Random(mode), mode):
+            for count, cap in wrong:
+                with pytest.raises(ValueError, match="count"):
+                    dataclasses.replace(record, count=count, cap=cap)
 
 
 class TestStreamIO:
